@@ -28,10 +28,5 @@ def eigvalsh_hermitian(a) -> np.ndarray:
         raise NumericError(f"eigenvalue computation failed: {exc}") from exc
 
 
-def min_eigenvalue(a) -> float:
-    """Smallest eigenvalue of the symmetrized input (single matrix)."""
-    return float(eigvalsh_hermitian(a)[0])
-
-
 def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))

@@ -28,7 +28,6 @@ CONFIG_DEFAULTS = {
     "sdp_max_iters": 50000,
     "bisection_tol": 1e-5,
     "multiplier_alpha": 1.0,
-    "multiplier_tol": 1e-7,
     "sv_cutoff": 1e-6,
     "group_max_elements": 10000,
     "bessel_warn_threshold": 100.0,
@@ -138,7 +137,7 @@ def _cmd_analyze_disk(payload: dict, cfg: dict) -> tuple[dict, list[str]]:
     if n >= 2:
         per_point = [
             gramian.multiplier_distance(pts[i], pts[:i] + pts[i + 1:], spec,
-                                        alpha=cfg["multiplier_alpha"], tol=cfg["multiplier_tol"])
+                                        alpha=cfg["multiplier_alpha"])
             for i in range(n)
         ]
         results["multiplier_separation"] = {"per_point": per_point, "min": min(per_point)}
@@ -273,12 +272,15 @@ _COMMANDS = {
 
 
 def _load_json(path: str):
+    def reject(constant):
+        raise SchemaError(f"{path}: {constant} is not a finite number")
+
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return json.loads(text)
+    return json.loads(text, parse_constant=reject)
 
 
 def _payload_digest(payload) -> str:

@@ -298,13 +298,18 @@ class GammaKernelApprox:
         return self.basis.shape[0]
 
     def basis_values(self, z) -> np.ndarray:
-        z = kernels.as_disk_point(z)
-        powers = z ** np.arange(self.degree + 1)
-        return self.basis @ powers
+        """Kept basis functions at ``z``, on a last axis: broadcasts over arrays of points."""
+        powers = np.asarray(z)[..., None] ** np.arange(self.degree + 1)
+        return powers @ self.basis.T
+
+    def gram(self, z) -> np.ndarray:
+        """Kernel matrix V V^H at validated disk points, V_ir = basis function r at z_i."""
+        v = self.basis_values(z)
+        return v @ v.conj().T
 
     def __call__(self, z, w) -> complex:
-        vz = self.basis_values(z)
-        vw = self.basis_values(w)
+        vz = self.basis_values(kernels.as_disk_point(z))
+        vw = self.basis_values(kernels.as_disk_point(w))
         return complex(vz @ np.conj(vw))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from ._linalg import eigvalsh_hermitian, hermitian_part, min_eigenvalue
+from ._linalg import eigvalsh_hermitian
 from .errors import ArgumentError, NumericError
 
 # Euclidean distance below which two points are treated as the same point;
@@ -25,22 +25,22 @@ DUPLICATE_TOL = 1e-12
 PSD_TOL_PER_POINT = 1e-10
 
 
-def point_distance(x, y) -> float:
-    """Euclidean distance between points of the disk or of a common polydisc."""
-    xs = x if isinstance(x, tuple) else (x,)
-    ys = y if isinstance(y, tuple) else (y,)
-    if len(xs) != len(ys):
-        raise ArgumentError(f"points of different dimension: {len(xs)} vs {len(ys)}")
-    return math.sqrt(sum(abs(complex(a) - complex(b)) ** 2 for a, b in zip(xs, ys)))
-
-
 def check_distinct(points, tol: float = DUPLICATE_TOL) -> None:
-    """Raise :class:`ArgumentError` if two points coincide within ``tol``."""
-    pts = list(points)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if point_distance(pts[i], pts[j]) <= tol:
-                raise ArgumentError(f"points {i} and {j} coincide within {tol:g}")
+    """Raise :class:`ArgumentError` naming the first pair ``(i, j)``, ``i < j``,
+    of disk or polydisc points within Euclidean distance ``tol``."""
+    try:
+        p = np.array(list(points), dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ArgumentError(f"points must be numbers or tuples of one dimension: {exc}") from exc
+    if p.ndim == 1:
+        p = p[:, None]
+    sq = np.zeros((len(p), len(p)))
+    for c in p.T:
+        sq += np.abs(c[:, None] - c[None, :]) ** 2
+    close = np.argwhere(np.triu(np.sqrt(sq) <= tol, 1))
+    if len(close):
+        i, j = close[0]
+        raise ArgumentError(f"points {i} and {j} coincide within {tol:g}")
 
 
 @dataclass(frozen=True)
@@ -54,31 +54,24 @@ class RieszReport:
     tolerance: float
 
 
-def normalized_gramian(points, kernel) -> np.ndarray:
-    """Normalized Gramian of a finite point set under a kernel evaluator.
-
-    The result has exact unit diagonal and is Hermitian by construction
-    (only the upper triangle is evaluated, the rest is mirrored).
-    """
+def _normalized(points, kernel) -> np.ndarray:
+    # The public diagnostics call this helper, never one another, so when the
+    # layers are traced from outside each one's time stays its own.
     pts = list(points)
-    if not pts:
-        raise ArgumentError("need at least one point")
     check_distinct(pts)
-    n = len(pts)
-    diag = []
-    for p in pts:
-        v = complex(kernel(p, p)).real
-        if v <= 0.0:
-            raise NumericError(f"kernel diagonal not positive at {p!r}: {v}")
-        diag.append(v)
-    g = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        g[i, i] = 1.0
-        for j in range(i + 1, n):
-            v = complex(kernel(pts[i], pts[j])) / math.sqrt(diag[i] * diag[j])
-            g[i, j] = v
-            g[j, i] = v.conjugate()
-    return g
+    k = kernels.kernel_matrix(kernel, pts)
+    d = k.diagonal().real.copy()
+    if not np.all(d > 0.0):
+        raise NumericError(f"kernel diagonal not positive: min {np.min(d)}")
+    k /= np.sqrt(np.outer(d, d))
+    np.fill_diagonal(k, 1.0)
+    return k
+
+
+def normalized_gramian(points, kernel) -> np.ndarray:
+    """Normalized Gramian ``K_ij / sqrt(K_ii K_jj)``, exactly Hermitian with unit
+    diagonal, for any kernel that :func:`kernels.kernel_matrix` takes."""
+    return _normalized(points, kernel)
 
 
 def riesz_bounds(g, tolerance: float = 1e-3) -> RieszReport:
@@ -100,16 +93,16 @@ def riesz_bounds(g, tolerance: float = 1e-3) -> RieszReport:
 
 
 def weak_separation(points, kernel) -> float:
-    """Minimum pairwise kernel semimetric over a point set (needs n >= 2)."""
+    """Minimum pairwise kernel semimetric over a point set (needs n >= 2).
+
+    The semimetric is ``sqrt(1 - |G_ij|^2)`` on the normalized Gramian.
+    """
     pts = list(points)
     if len(pts) < 2:
         raise ArgumentError("weak separation needs at least two points")
-    check_distinct(pts)
-    best = 1.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            best = min(best, kernels.rho_semimetric(kernel, pts[i], pts[j]))
-    return best
+    g = np.abs(_normalized(pts, kernel))
+    np.fill_diagonal(g, 0.0)
+    return math.sqrt(min(max(1.0 - float(np.max(g)) ** 2, 0.0), 1.0))
 
 
 def strong_separation_disk(points) -> float:
@@ -118,27 +111,25 @@ def strong_separation_disk(points) -> float:
     The empty product (a single point) is 1.  Szego-kernel quantity: the
     points are plain disk points.
     """
-    pts = [kernels.as_disk_point(p) for p in points]
-    if not pts:
+    z = np.array([kernels.as_disk_point(p) for p in points])
+    if not len(z):
         raise ArgumentError("need at least one point")
-    check_distinct(pts)
-    best = 1.0
-    for j in range(len(pts)):
-        prod = 1.0
-        for k in range(len(pts)):
-            if k != j:
-                prod *= kernels.pseudo_hyperbolic(pts[j], pts[k])
-        best = min(best, prod)
-    return best
+    check_distinct(z)
+    ph = np.abs((z[:, None] - z[None, :]) / (1.0 - z[:, None] * np.conj(z)[None, :]))
+    np.fill_diagonal(ph, 1.0)
+    return float(np.min(np.prod(ph, axis=1)))
 
 
-def multiplier_distance(x, s_points, spec: kernels.KernelSpec, alpha: float = 1.0,
-                        tol: float = 1e-7, max_iters: int = 60) -> float:
+def multiplier_distance(x, s_points, spec: kernels.KernelSpec, alpha: float = 1.0) -> float:
     """Largest value at ``x`` of a unit multiplier vanishing on ``s_points``.
 
-    Computed by bisection over the feasibility of the Pick matrix for the
-    data (delta at x, 0 on S) with norm bound 1, scaled by ``alpha``.  With
-    ``alpha=1`` and a complete-Pick disk kernel this is exact; for other
+    The largest ``delta <= 1`` for which the Pick matrix of the data (delta at
+    x, 0 on S) with norm bound ``alpha``, ``alpha^2 K - delta^2 K_xx e_x e_x^T``,
+    has no eigenvalue below ``-tau = -PSD_TOL_PER_POINT * n``.  By a Schur
+    complement, ``delta^2 K_xx`` may reach ``1 / ((alpha^2 K + tau I)^-1)_xx``,
+    which is ``|L_xx|^2`` for the Cholesky factor ``L`` when ``x`` comes last;
+    with no Cholesky factor not even delta = 0 passes, and the result is 0.
+    With ``alpha=1`` and a complete-Pick disk kernel this is exact; for other
     settings the caller supplies the scaling.  Returns 0 when ``x`` lies in
     ``s_points`` and 1 when ``s_points`` is empty.
     """
@@ -151,27 +142,11 @@ def multiplier_distance(x, s_points, spec: kernels.KernelSpec, alpha: float = 1.
     if not s:
         return 1.0
     check_distinct(s)
-    pts = [x, *s]
-    n = len(pts)
-    k = kernels.kernel_matrix(spec, pts)
-    margin_tol = -PSD_TOL_PER_POINT * n
-    alpha2 = alpha * alpha
-
-    def feasible(delta: float) -> bool:
-        w = np.zeros(n)
-        w[0] = delta
-        pick = (alpha2 - np.outer(w, w)) * k
-        return min_eigenvalue(hermitian_part(pick)) >= margin_tol
-
-    if feasible(1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(max_iters):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    n = len(s) + 1
+    k = kernels.kernel_matrix(spec, [*s, x])
+    a = alpha * alpha * k + PSD_TOL_PER_POINT * n * np.eye(n)
+    try:
+        factor = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return 0.0
+    return min(1.0, abs(factor[-1, -1]) / math.sqrt(k[-1, -1].real))

@@ -7,9 +7,13 @@ many nonnegative power-series coefficients ``c_1..c_m``::
 
 with ``c_i >= 0`` and ``sum c_i <= 1``.  ``coeffs=[1]`` gives the Szego kernel
 ``1/(1 - z*conj(w))`` of the Hardy space.  Polydisc kernels are entrywise
-products of one-variable factors.  All evaluators are plain callables
-``(x, y) -> complex`` so Gramian and separation code can consume disk kernels,
-product kernels, and numerically constructed kernels interchangeably.
+products of one-variable factors.
+
+:func:`inv_kernel_form` evaluates that series, broadcasting over arrays, and
+:func:`kernel_matrix` builds every kernel matrix from it: for a
+:class:`KernelSpec` or the truncated group kernel (``fuchsian.GammaKernelApprox``,
+or any object with a ``gram(z)`` method) at disk points, and for a
+:class:`ProductKernelSpec` at polydisc points.  Scalar evaluators are callables.
 """
 
 from __future__ import annotations
@@ -33,8 +37,17 @@ def as_disk_point(z) -> complex:
         z = complex(z)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"not interpretable as a disk point: {z!r}") from exc
-    if abs(z) > 1.0 - DISK_BOUNDARY_WALL:
+    # Written so that NaN fails the test too.
+    if not abs(z) <= 1.0 - DISK_BOUNDARY_WALL:
         raise DomainError(f"point too close to the unit circle: |z| = {abs(z):.12g}")
+    return z
+
+
+def _disk_array(z) -> np.ndarray:
+    """Array form of :func:`as_disk_point`: validates every entry, keeps the shape."""
+    z = np.asarray(z, dtype=complex)
+    if not np.all(np.abs(z) <= 1.0 - DISK_BOUNDARY_WALL):
+        raise DomainError("point too close to the unit circle or not finite")
     return z
 
 
@@ -109,19 +122,22 @@ class ProductKernelSpec:
         return product_kernel(self, Z, W)
 
 
-def inv_kernel_form(spec: KernelSpec, z, w) -> complex:
+def inv_kernel_form(spec: KernelSpec, z, w):
     """Reciprocal kernel 1/k(z, w) = 1 - sum_i c_i (z*conj(w))**i.
 
-    Strictly bounded away from zero on the open disk since the coefficients
-    sum to at most 1.
+    Broadcasts: ``z`` and ``w`` may be disk points or numpy arrays of them (a
+    column and a row give the whole matrix).  Strictly bounded away from zero
+    on the open disk since the coefficients sum to at most 1.
     """
-    z = as_disk_point(z)
-    w = as_disk_point(w)
-    s = z * w.conjugate()
-    acc = 0.0 + 0.0j
-    for c in reversed(spec.coeffs):
-        acc = s * (c + acc)
-    return 1.0 - acc
+    s = _disk_array(z) * np.conj(_disk_array(w))
+    # Horner's rule on the negated sum, in place, so an array input allocates
+    # only ``s`` and the result.
+    acc = -spec.coeffs[-1] * s
+    for c in spec.coeffs[-2::-1]:
+        acc -= c
+        acc *= s
+    acc += 1.0
+    return acc
 
 
 def eval_kernel(spec: KernelSpec, z, w) -> complex:
@@ -161,16 +177,36 @@ def pseudo_hyperbolic(z, w) -> float:
     return abs((z - w) / (1.0 - w.conjugate() * z))
 
 
+def _hermitian(a: np.ndarray) -> np.ndarray:
+    """Overwrite the lower triangle with the conjugated upper one and drop the
+    imaginary part of the diagonal, so ``a`` is exactly Hermitian."""
+    lower = np.tri(a.shape[0], k=-1, dtype=bool)
+    a[lower] = a.T[lower].conj()
+    np.fill_diagonal(a, a.diagonal().real)
+    return a
+
+
 def kernel_matrix(kernel, points) -> np.ndarray:
-    """Dense matrix [kernel(p_i, p_j)], mirrored to be exactly Hermitian."""
+    """Dense matrix [kernel(p_i, p_j)], exactly Hermitian.
+
+    A disk kernel is the reciprocal of :func:`inv_kernel_form` on the matrix
+    ``z_i * conj(z_j)``, a product kernel the entrywise product of its
+    factors' matrices, and a kernel with a ``gram`` method gives ``gram(z)``.
+    """
     pts = list(points)
-    n = len(pts)
-    if n == 0:
+    if not pts:
         raise ArgumentError("need at least one point")
-    out = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            v = complex(kernel(pts[i], pts[j]))
-            out[i, j] = v
-            out[j, i] = v.conjugate()
-    return out
+    if isinstance(kernel, ProductKernelSpec):
+        coords = np.array([as_poly_point(p, kernel.dimension) for p in pts]).T
+        factors = kernel.factors
+    elif isinstance(kernel, KernelSpec):
+        coords = np.array([[as_disk_point(p) for p in pts]])
+        factors = (kernel,)
+    elif hasattr(kernel, "gram"):
+        return _hermitian(kernel.gram(np.array([as_disk_point(p) for p in pts])))
+    else:
+        raise ArgumentError(f"no kernel matrix for a {type(kernel).__name__}")
+    out = 1.0
+    for factor, z in zip(factors, coords):
+        out = out / inv_kernel_form(factor, z[:, None], z[None, :])
+    return _hermitian(out)

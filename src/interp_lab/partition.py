@@ -1,18 +1,19 @@
 """Split a point set into kernel-separated classes and verify each is Riesz.
 
 Greedy first-fit coloring of the proximity graph (edges join points whose
-kernel semimetric falls below epsilon) in input order, followed by a
-per-class check that the bottom eigenvalue of the normalized Gramian clears
-a tolerance.
+kernel semimetric ``sqrt(1 - |G_ij|^2)`` on the normalized Gramian falls
+below epsilon) in input order, followed by a per-class check that the bottom
+eigenvalue of the class's normalized Gramian clears a tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from . import kernels
+import numpy as np
+
 from .errors import ArgumentError
-from .gramian import check_distinct, normalized_gramian, riesz_bounds
+from .gramian import normalized_gramian, riesz_bounds
 
 DEFAULT_RIESZ_TOL = 1e-3
 
@@ -43,25 +44,18 @@ def partition_separated(points, kernel, epsilon: float) -> PartitionResult:
     if not 0.0 < epsilon < 1.0:
         raise ArgumentError(f"epsilon must lie in (0, 1), got {epsilon}")
     pts = list(points)
-    if not pts:
-        raise ArgumentError("need at least one point")
-    check_distinct(pts)
-    classes: list[list] = []
-    indices: list[list[int]] = []
-    for i, p in enumerate(pts):
-        placed = False
-        for cls, idx in zip(classes, indices):
-            if all(kernels.rho_semimetric(kernel, p, q) >= epsilon for q in cls):
-                cls.append(p)
-                idx.append(i)
-                placed = True
-                break
-        if not placed:
-            classes.append([p])
-            indices.append([i])
+    g = normalized_gramian(pts, kernel)
+    close = np.sqrt(np.clip(1.0 - np.abs(g) ** 2, 0.0, 1.0)) < epsilon
+    labels = np.zeros(len(pts), dtype=int)
+    for i in range(len(pts)):
+        # First class with no close earlier member; a new class if none.
+        taken = np.zeros(i + 1, dtype=bool)
+        taken[labels[:i][close[i, :i]]] = True
+        labels[i] = np.argmin(taken)
+    indices = [np.flatnonzero(labels == c).tolist() for c in range(labels.max() + 1)]
     return PartitionResult(
-        classes=tuple(tuple(c) for c in classes),
-        class_indices=tuple(tuple(i) for i in indices),
+        classes=tuple(tuple(pts[i] for i in idx) for idx in indices),
+        class_indices=tuple(tuple(idx) for idx in indices),
         epsilon=float(epsilon),
     )
 

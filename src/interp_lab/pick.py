@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from ._linalg import hermitian_part, min_eigenvalue
+from ._linalg import eigvalsh_hermitian, hermitian_part
 from .errors import ArgumentError, BudgetError, DomainError
 from .gramian import PSD_TOL_PER_POINT, check_distinct
 from .sdp import (
@@ -99,23 +99,15 @@ def pick_matrix(problem: PickProblem, spec: kernels.KernelSpec) -> np.ndarray:
 def pick_psd_test(problem: PickProblem, spec: kernels.KernelSpec) -> tuple[bool, float]:
     """Feasibility of the one-variable Pick matrix; margin is its bottom eigenvalue."""
     m = pick_matrix(problem, spec)
-    margin = min_eigenvalue(m)
+    margin = float(eigvalsh_hermitian(m)[0])
     return margin >= -PSD_TOL_PER_POINT * problem.size, margin
 
 
 def inverse_kernel_stack(points, spec: kernels.ProductKernelSpec) -> np.ndarray:
     """Stacked matrices R_l = [1/k_l(p_i^l, p_j^l)], one slice per factor."""
-    pts = as_poly_points(points, spec.dimension)
-    n = len(pts)
-    d = spec.dimension
-    r = np.empty((d, n, n), dtype=complex)
-    for l, factor in enumerate(spec.factors):
-        for i in range(n):
-            for j in range(i, n):
-                v = kernels.inv_kernel_form(factor, pts[i][l], pts[j][l])
-                r[l, i, j] = v
-                r[l, j, i] = v.conjugate()
-    return r
+    coords = np.array(as_poly_points(points, spec.dimension)).T
+    return np.stack([kernels.inv_kernel_form(factor, z[:, None], z[None, :])
+                     for factor, z in zip(spec.factors, coords)])
 
 
 @dataclass(eq=False)

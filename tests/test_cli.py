@@ -222,6 +222,14 @@ class TestValidation:
         code, report = run_cli(capsys, ["analyze-disk", write_payload(tmp_path, payload)])
         assert code == 2
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number(self, tmp_path, capsys, constant):
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps(DISK_PAYLOAD).replace("[0.5, 0]", f"[{constant}, 0]"))
+        code, report = run_cli(capsys, ["analyze-disk", str(path)])
+        assert code == 2
+        assert report["error"]["type"] == "validation"
+
     def test_unreadable_input(self, capsys):
         code, report = run_cli(capsys, ["analyze-disk", "/no/such/file.json"])
         assert code == 2

@@ -4,6 +4,7 @@ import pytest
 from interp_lab import (
     SZEGO,
     ArgumentError,
+    kernel_matrix,
     multiplier_distance,
     normalized_gramian,
     pseudo_hyperbolic,
@@ -11,7 +12,16 @@ from interp_lab import (
     strong_separation_disk,
     weak_separation,
 )
+from interp_lab.gramian import PSD_TOL_PER_POINT, check_distinct
 from conftest import random_disk_points, random_kernel_spec
+
+
+class TestCheckDistinct:
+    def test_names_first_coinciding_polydisc_pair(self):
+        pts = [(0, 0), (0.5, 0.1), (0.2, 0.2), (0.5, 0.1 + 1e-13), (0.2, 0.2), (0, 0.5)]
+        with pytest.raises(ArgumentError, match="points 1 and 3 coincide"):
+            check_distinct(pts)
+        check_distinct([(0, 0), (0, 0.5), (0.5, 0)])
 
 
 class TestNormalizedGramian:
@@ -165,3 +175,28 @@ class TestMultiplierDistance:
         base = multiplier_distance(0.5, [0], SZEGO, alpha=1.0)
         loose = multiplier_distance(0.5, [0], SZEGO, alpha=2.0)
         assert loose >= base - 1e-9
+
+
+class TestMultiplierDistanceIllConditioned:
+    def test_largest_delta_passing_the_pick_test(self):
+        # Returned delta passes the Pick test, up to the rounding of the
+        # eigenvalues themselves, and delta + 1e-6 fails it.
+        n = 20
+        pts = random_disk_points(np.random.default_rng(8), n)
+        assert np.linalg.cond(normalized_gramian(pts, SZEGO)) > 1e10
+        tau = PSD_TOL_PER_POINT * n
+        for alpha in (1.0, 0.7):
+            for i, x in enumerate(pts):
+                delta = multiplier_distance(x, pts[:i] + pts[i + 1:], SZEGO, alpha=alpha)
+                k = kernel_matrix(SZEGO, [x, *pts[:i], *pts[i + 1:]])
+
+                def margin(d):
+                    m = alpha ** 2 * k
+                    m[0, 0] -= d * d * k[0, 0]
+                    w = np.linalg.eigvalsh(m)
+                    return w[0], n * np.finfo(float).eps * np.max(np.abs(w))
+
+                low, rounding = margin(delta)
+                assert low >= -tau - rounding
+                if delta < 1.0:
+                    assert margin(delta + 1e-6)[0] < -tau

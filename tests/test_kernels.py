@@ -7,14 +7,17 @@ from interp_lab import (
     ArgumentError,
     NumericError,
     KernelSpec,
+    MobiusMap,
     ProductKernelSpec,
     eval_kernel,
+    gamma_kernel,
     inv_kernel_form,
     kernel_matrix,
     product_kernel,
     pseudo_hyperbolic,
     rho_semimetric,
 )
+from interp_lab.kernels import as_disk_point
 from conftest import random_disk_point, random_kernel_spec
 
 
@@ -34,6 +37,10 @@ class TestEvalKernel:
             eval_kernel(SZEGO, 1.0, 0.0)
         with pytest.raises(DomainError):
             eval_kernel(SZEGO, 0.0, 1 - 1e-12)
+
+    def test_rejects_nan_point(self):
+        with pytest.raises(DomainError):
+            as_disk_point(complex("nan"))
 
 
 class TestInvKernelForm:
@@ -147,3 +154,28 @@ class TestKernelMatrixPsd:
             pts = [random_disk_point(rng) for _ in range(8)]
             k = kernel_matrix(spec, pts)
             assert np.linalg.eigvalsh(k).min() >= -1e-10 * len(pts)
+
+
+class TestKernelMatrixMatchesScalar:
+    @pytest.mark.parametrize("kind", ["disk", "bidisc", "tridisc", "gamma"])
+    def test_entrywise_and_hermitian(self, rng, kind):
+        n = 9
+        if kind == "disk":
+            kernel = random_kernel_spec(rng)
+        elif kind == "gamma":
+            kernel = gamma_kernel([MobiusMap(2 * np.pi / 3, 0)], 30)
+        else:
+            d = 2 if kind == "bidisc" else 3
+            kernel = ProductKernelSpec(tuple(random_kernel_spec(rng) for _ in range(d)))
+        if isinstance(kernel, ProductKernelSpec):
+            pts = [tuple(random_disk_point(rng) for _ in range(kernel.dimension)) for _ in range(n)]
+        else:
+            pts = [random_disk_point(rng) for _ in range(n)]
+        k = kernel_matrix(kernel, pts)
+        ref = np.array([[complex(kernel(p, q)) for q in pts] for p in pts])
+        assert np.all(np.abs(k - ref) <= 1e-13 * np.abs(ref))
+        assert np.array_equal(k, k.conj().T)
+
+    def test_plain_callable_rejected(self):
+        with pytest.raises(ArgumentError):
+            kernel_matrix(lambda z, w: 1.0, [0.1, 0.2])
