@@ -22,7 +22,9 @@ from .kernels import (
 )
 from .gramian import (
     RieszReport,
+    min_semimetric,
     multiplier_distance,
+    multiplier_separation,
     normalized_gramian,
     riesz_bounds,
     strong_separation_disk,
@@ -77,7 +79,9 @@ __all__ = [
     "pseudo_hyperbolic",
     "rho_semimetric",
     "RieszReport",
+    "min_semimetric",
     "multiplier_distance",
+    "multiplier_separation",
     "normalized_gramian",
     "riesz_bounds",
     "strong_separation_disk",

@@ -34,6 +34,7 @@ CONFIG_DEFAULTS = {
 }
 
 _INT_KEYS = {"sdp_max_iters", "group_max_elements"}
+_POSITIVE_KEYS = {"sdp_tol", "bisection_tol", "sv_cutoff", "multiplier_alpha"}
 
 
 class SchemaError(ArgumentError):
@@ -47,17 +48,14 @@ def _expect(cond: bool, path: str, msg: str) -> None:
 
 def _as_number(v, path: str) -> float:
     _expect(isinstance(v, (int, float)) and not isinstance(v, bool), path, "expected a number")
+    # Also rejects what json reads as inf (1e400) and integers beyond float range.
+    _expect(abs(v) <= sys.float_info.max, path, "expected a finite number")
     return float(v)
 
 
 def _as_complex(v, path: str) -> complex:
     _expect(isinstance(v, list) and len(v) == 2, path, "expected a complex number as [re, im]")
     return complex(_as_number(v[0], f"{path}[0]"), _as_number(v[1], f"{path}[1]"))
-
-
-def _expect_list(v, path: str) -> list:
-    _expect(isinstance(v, list) and v, path, "expected a nonempty list")
-    return v
 
 
 def _complex_list(v, path: str) -> list[complex]:
@@ -95,9 +93,15 @@ def _resolve_config(payload: dict, file_config: dict) -> dict:
     for source, where in ((file_config, "config file"), (payload.get("config", {}), "payload config")):
         _expect(isinstance(source, dict), where, "expected an object")
         for key, value in source.items():
-            _expect(key in CONFIG_DEFAULTS, f"{where}.{key}", "unknown config key")
-            num = _as_number(value, f"{where}.{key}")
-            cfg[key] = int(num) if key in _INT_KEYS else num
+            path = f"{where}.{key}"
+            _expect(key in CONFIG_DEFAULTS, path, "unknown config key")
+            num = _as_number(value, path)
+            if key in _INT_KEYS:
+                _expect(num.is_integer() and num >= 1, path, "expected an integer >= 1")
+                num = int(num)
+            _expect(key not in _POSITIVE_KEYS or num > 0.0, path, "expected a number > 0")
+            _expect(key != "riesz_tolerance" or num >= 0.0, path, "expected a number >= 0")
+            cfg[key] = num
     return cfg
 
 
@@ -126,20 +130,16 @@ def _riesz_fields(report: gramian.RieszReport) -> dict:
 
 def _cmd_analyze_disk(payload: dict, cfg: dict) -> tuple[dict, list[str]]:
     _require_keys(payload, {"schema_version", "points", "kernel"}, {"config"})
-    pts = [_as_complex(p, f"points[{i}]") for i, p in enumerate(_expect_list(payload["points"], "points"))]
+    pts = _complex_list(payload["points"], "points")
     spec = _kernel_spec(payload["kernel"], "kernel")
     n = len(pts)
     results: dict = {"n_points": n}
     g = gramian.normalized_gramian(pts, spec)
     results.update(_riesz_fields(gramian.riesz_bounds(g, cfg["riesz_tolerance"])))
-    results["weak_separation"] = gramian.weak_separation(pts, spec) if n >= 2 else None
+    results["weak_separation"] = gramian.min_semimetric(g) if n >= 2 else None
     results["strong_separation"] = gramian.strong_separation_disk(pts)
     if n >= 2:
-        per_point = [
-            gramian.multiplier_distance(pts[i], pts[:i] + pts[i + 1:], spec,
-                                        alpha=cfg["multiplier_alpha"])
-            for i in range(n)
-        ]
+        per_point = gramian.multiplier_separation(pts, spec, alpha=cfg["multiplier_alpha"])
         results["multiplier_separation"] = {"per_point": per_point, "min": min(per_point)}
     else:
         results["multiplier_separation"] = None
@@ -194,7 +194,7 @@ def _cmd_pick(payload: dict, cfg: dict) -> tuple[dict, list[str]]:
 
 def _cmd_analyze_fuchsian(payload: dict, cfg: dict) -> tuple[dict, list[str]]:
     _require_keys(payload, {"schema_version", "points", "group", "degree"}, {"config"})
-    pts = [_as_complex(p, f"points[{i}]") for i, p in enumerate(_expect_list(payload["points"], "points"))]
+    pts = _complex_list(payload["points"], "points")
     group = payload["group"]
     _expect(isinstance(group, dict) and set(group) == {"generators", "max_word_length"},
             "group", 'expected exactly the keys "generators" and "max_word_length"')
@@ -236,7 +236,7 @@ def _cmd_analyze_fuchsian(payload: dict, cfg: dict) -> tuple[dict, list[str]]:
 
 def _cmd_partition(payload: dict, cfg: dict) -> tuple[dict, list[str]]:
     _require_keys(payload, {"schema_version", "points", "kernel", "epsilon"}, {"config"})
-    pts = [_as_complex(p, f"points[{i}]") for i, p in enumerate(_expect_list(payload["points"], "points"))]
+    pts = _complex_list(payload["points"], "points")
     spec = _kernel_spec(payload["kernel"], "kernel")
     epsilon = _as_number(payload["epsilon"], "epsilon")
     warnings: list[str] = []

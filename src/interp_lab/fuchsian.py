@@ -23,10 +23,10 @@ from .gramian import (
     DUPLICATE_TOL,
     RieszReport,
     check_distinct,
+    min_semimetric,
     normalized_gramian,
     riesz_bounds,
     strong_separation_disk,
-    weak_separation,
 )
 
 # Distinct group elements must differ in their action on these points by more
@@ -36,6 +36,9 @@ ACTION_TOL = 1e-10
 
 DEFAULT_GROUP_CAP = 10000
 DEFAULT_SV_CUTOFF = 1e-6
+
+# An orbit image this close to another input point puts the two on one orbit.
+ORBIT_COLLISION_TOL = 1e-9
 
 # Fixed evaluation grid for kernel-invariance residuals.
 DEFAULT_RESIDUAL_GRID = (0.2 + 0.0j, 0.1 + 0.0j, -0.3 + 0.0j, 0.35j, -0.15 - 0.25j)
@@ -213,32 +216,36 @@ class OrbitPoint:
     point: complex
 
 
-def orbit_set(points, group: GroupWordList, collision_tol: float = 1e-9) -> list[OrbitPoint]:
+def _images(maps, z) -> np.ndarray:
+    """``m(z_j)`` for every map and validated disk point, shape (maps, points)."""
+    theta = np.array([m.theta for m in maps])[:, None]
+    a = np.array([m.a for m in maps], dtype=complex)[:, None]
+    z = np.asarray(z, dtype=complex)[None, :]
+    return np.exp(1j * theta) * (z - a) / (1.0 - np.conj(a) * z)
+
+
+def orbit_set(points, group: GroupWordList) -> list[OrbitPoint]:
     """Images of the input points under every enumerated group element.
 
-    Repeats within one orbit (stabilized points) are dropped.  Two distinct
-    input points landing on the same truncated orbit raise
-    :class:`ArgumentError` naming the offending pair.
+    An image within ``DUPLICATE_TOL`` of an earlier one (point-major,
+    element-minor order) is dropped: a stabilized point, or two orbits that
+    meet.  An image within ``ORBIT_COLLISION_TOL`` of another input point
+    raises :class:`ArgumentError` naming the offending pair.
     """
-    pts = [kernels.as_disk_point(p) for p in points]
+    pts = np.array([kernels.as_disk_point(p) for p in points], dtype=complex)
     check_distinct(pts)
-    labeled: list[OrbitPoint] = []
-    for i, z in enumerate(pts):
-        seen: list[complex] = []
-        for e, g in enumerate(group.elements):
-            w = g(z)
-            if any(abs(w - u) <= DUPLICATE_TOL for u in seen):
-                continue
-            seen.append(w)
-            labeled.append(OrbitPoint(i, e, w))
-    for item in labeled:
-        for j, zj in enumerate(pts):
-            if j != item.orbit_index and abs(item.point - zj) <= collision_tol:
-                raise ArgumentError(
-                    f"points {item.orbit_index} and {j} lie on the same orbit "
-                    f"of the truncated group (element {item.element_index})"
-                )
-    return labeled
+    images = _images(group.elements, pts).T
+    others = ~np.eye(len(pts), dtype=bool)[:, None, :]
+    hits = others & (np.abs(images[:, :, None] - pts[None, None, :]) <= ORBIT_COLLISION_TOL)
+    if hits.any():
+        i, e, j = np.argwhere(hits)[0]
+        raise ArgumentError(f"points {i} and {j} lie on the same orbit "
+                            f"of the truncated group (element {e})")
+    flat = images.ravel()
+    repeat = np.tril(np.abs(flat[:, None] - flat[None, :]) <= DUPLICATE_TOL, -1).any(axis=1)
+    size = group.size
+    return [OrbitPoint(int(k // size), int(k % size), complex(flat[k]))
+            for k in np.flatnonzero(~repeat)]
 
 
 def mobius_series(m: MobiusMap, degree: int) -> np.ndarray:
@@ -349,12 +356,11 @@ def invariance_residual(kernel, maps, grid=DEFAULT_RESIDUAL_GRID) -> float:
     pts = [kernels.as_disk_point(p) for p in grid]
     if not pts:
         raise ArgumentError("need a nonempty grid")
+    m = len(pts)
     best = 0.0
-    for g in maps:
-        for z in pts:
-            gz = g(z)
-            for w in pts:
-                best = max(best, abs(complex(kernel(gz, w)) - complex(kernel(z, w))))
+    for images in _images(tuple(maps), pts):
+        k = kernels.kernel_matrix(kernel, [*pts, *images])
+        best = max(best, float(np.max(np.abs(k[m:, :m] - k[:m, :m]))))
     return best
 
 
@@ -380,8 +386,7 @@ class GammaSequenceReport:
 def analyze_gamma_sequence(points, generators, degree: int, group_length: int, *,
                            sv_cutoff: float = DEFAULT_SV_CUTOFF,
                            riesz_tolerance: float = 1e-3,
-                           max_elements: int = DEFAULT_GROUP_CAP,
-                           residual_grid=DEFAULT_RESIDUAL_GRID) -> GammaSequenceReport:
+                           max_elements: int = DEFAULT_GROUP_CAP) -> GammaSequenceReport:
     """Group-kernel Gramian bounds plus disk-side diagnostics of the orbit set.
 
     The group-kernel numbers (Riesz bounds, weak separation) use the
@@ -396,9 +401,11 @@ def analyze_gamma_sequence(points, generators, degree: int, group_length: int, *
     warns = generator_warnings(gens)
 
     group = enumerate_group(gens, group_length, max_elements)
-    labeled = orbit_set(pts, group)
-    if len(labeled) < len(pts) * group.size:
-        warns.append("some orbit images coincided and were dropped (stabilized points)")
+    orbit = orbit_set(pts, group)
+    dropped = len(pts) * group.size - len(orbit)
+    if dropped:
+        warns.append(f"{dropped} orbit images coincided with earlier ones and were dropped "
+                     "(stabilized points or meeting orbits)")
 
     kern = gamma_kernel(gens, degree, sv_cutoff)
     if gens and kern.rank < degree + 1:
@@ -406,25 +413,16 @@ def analyze_gamma_sequence(points, generators, degree: int, group_length: int, *
             f"invariant subspace has rank {kern.rank} at degree {degree}; "
             "group-kernel diagnostics are truncation artifacts, see the residuals"
         )
-    inv_res = invariance_residual(kern, gens, residual_grid) if gens else 0.0
+    inv_res = invariance_residual(kern, gens) if gens else 0.0
 
     g = normalized_gramian(pts, kern)
     gamma_riesz = riesz_bounds(g, riesz_tolerance)
-    gamma_weak = weak_separation(pts, kern) if len(pts) >= 2 else None
+    gamma_weak = min_semimetric(g) if len(pts) >= 2 else None
 
-    orbit_pts: list[complex] = []
-    dropped = 0
-    for item in labeled:
-        if any(abs(item.point - u) <= DUPLICATE_TOL for u in orbit_pts):
-            dropped += 1
-            continue
-        orbit_pts.append(item.point)
-    if dropped:
-        warns.append(f"{dropped} near-duplicate orbit points dropped before disk diagnostics")
-
+    orbit_pts = [item.point for item in orbit]
     og = normalized_gramian(orbit_pts, kernels.SZEGO)
     orbit_riesz = riesz_bounds(og, riesz_tolerance)
-    orbit_weak = weak_separation(orbit_pts, kernels.SZEGO) if len(orbit_pts) >= 2 else None
+    orbit_weak = min_semimetric(og) if len(orbit_pts) >= 2 else None
     orbit_strong = strong_separation_disk(orbit_pts)
 
     return GammaSequenceReport(

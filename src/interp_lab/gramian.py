@@ -92,17 +92,24 @@ def riesz_bounds(g, tolerance: float = 1e-3) -> RieszReport:
     return RieszReport(lam_min, lam_max, lam_max, bool(lam_min > tolerance), float(tolerance))
 
 
-def weak_separation(points, kernel) -> float:
-    """Minimum pairwise kernel semimetric over a point set (needs n >= 2).
+def semimetric_matrix(g) -> np.ndarray:
+    """Pairwise kernel semimetric ``sqrt(1 - |G_ij|^2)`` of a normalized Gramian."""
+    return np.sqrt(np.clip(1.0 - np.abs(g) ** 2, 0.0, 1.0))
 
-    The semimetric is ``sqrt(1 - |G_ij|^2)`` on the normalized Gramian.
-    """
-    pts = list(points)
-    if len(pts) < 2:
+
+def min_semimetric(g) -> float:
+    """Smallest off-diagonal entry of :func:`semimetric_matrix` (needs n >= 2):
+    the weak separation of the points behind a normalized Gramian."""
+    if len(g) < 2:
         raise ArgumentError("weak separation needs at least two points")
-    g = np.abs(_normalized(pts, kernel))
-    np.fill_diagonal(g, 0.0)
-    return math.sqrt(min(max(1.0 - float(np.max(g)) ** 2, 0.0), 1.0))
+    rho = semimetric_matrix(g)
+    np.fill_diagonal(rho, 1.0)
+    return float(np.min(rho))
+
+
+def weak_separation(points, kernel) -> float:
+    """Minimum pairwise kernel semimetric over a point set (needs n >= 2)."""
+    return min_semimetric(_normalized(points, kernel))
 
 
 def strong_separation_disk(points) -> float:
@@ -120,19 +127,36 @@ def strong_separation_disk(points) -> float:
     return float(np.min(np.prod(ph, axis=1)))
 
 
-def multiplier_distance(x, s_points, spec: kernels.KernelSpec, alpha: float = 1.0) -> float:
-    """Largest value at ``x`` of a unit multiplier vanishing on ``s_points``.
+def multiplier_separation(points, spec: kernels.KernelSpec, alpha: float = 1.0) -> list[float]:
+    """Multiplier distance of each point from all the others, from one factorization.
 
-    The largest ``delta <= 1`` for which the Pick matrix of the data (delta at
-    x, 0 on S) with norm bound ``alpha``, ``alpha^2 K - delta^2 K_xx e_x e_x^T``,
-    has no eigenvalue below ``-tau = -PSD_TOL_PER_POINT * n``.  By a Schur
-    complement, ``delta^2 K_xx`` may reach ``1 / ((alpha^2 K + tau I)^-1)_xx``,
-    which is ``|L_xx|^2`` for the Cholesky factor ``L`` when ``x`` comes last;
-    with no Cholesky factor not even delta = 0 passes, and the result is 0.
-    With ``alpha=1`` and a complete-Pick disk kernel this is exact; for other
-    settings the caller supplies the scaling.  Returns 0 when ``x`` lies in
-    ``s_points`` and 1 when ``s_points`` is empty.
+    ``delta_i`` is the largest ``delta <= 1`` for which the Pick matrix
+    ``alpha^2 K - delta^2 K_ii e_i e_i^T`` (norm bound ``alpha``, delta at
+    point i, 0 elsewhere) has no eigenvalue below ``-tau``, ``tau =
+    PSD_TOL_PER_POINT * n``.  By a Schur complement that is
+    ``1 / sqrt(K_ii (A^-1)_ii)`` with ``A = alpha^2 K + tau I = L L^H``, and
+    ``(A^-1)_ii`` is the squared norm of column i of ``L^-1``.  Without a
+    Cholesky factor not even delta = 0 passes, and every delta is 0.
     """
+    if alpha <= 0.0:
+        raise ArgumentError(f"alpha must be positive, got {alpha}")
+    pts = [kernels.as_disk_point(p) for p in points]
+    check_distinct(pts)
+    n = len(pts)
+    k = kernels.kernel_matrix(spec, pts)
+    a = alpha * alpha * k + PSD_TOL_PER_POINT * n * np.eye(n)
+    try:
+        factor = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return [0.0] * n
+    inv_diag = np.sum(np.abs(np.linalg.inv(factor)) ** 2, axis=0)
+    return [min(1.0, 1.0 / math.sqrt(kd * c)) for kd, c in zip(k.diagonal().real, inv_diag)]
+
+
+def multiplier_distance(x, s_points, spec: kernels.KernelSpec, alpha: float = 1.0) -> float:
+    """Largest value at ``x`` of a unit multiplier vanishing on ``s_points``: the
+    entry of ``x`` in :func:`multiplier_separation`, 0 when ``x`` lies in
+    ``s_points`` and 1 when ``s_points`` is empty."""
     if alpha <= 0.0:
         raise ArgumentError(f"alpha must be positive, got {alpha}")
     x = kernels.as_disk_point(x)
@@ -141,12 +165,4 @@ def multiplier_distance(x, s_points, spec: kernels.KernelSpec, alpha: float = 1.
         return 0.0
     if not s:
         return 1.0
-    check_distinct(s)
-    n = len(s) + 1
-    k = kernels.kernel_matrix(spec, [*s, x])
-    a = alpha * alpha * k + PSD_TOL_PER_POINT * n * np.eye(n)
-    try:
-        factor = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return 0.0
-    return min(1.0, abs(factor[-1, -1]) / math.sqrt(k[-1, -1].real))
+    return multiplier_separation([*s, x], spec, alpha)[-1]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ArgumentError
-from .gramian import normalized_gramian, riesz_bounds
+from .gramian import normalized_gramian, riesz_bounds, semimetric_matrix
 
 DEFAULT_RIESZ_TOL = 1e-3
 
@@ -45,7 +45,7 @@ def partition_separated(points, kernel, epsilon: float) -> PartitionResult:
         raise ArgumentError(f"epsilon must lie in (0, 1), got {epsilon}")
     pts = list(points)
     g = normalized_gramian(pts, kernel)
-    close = np.sqrt(np.clip(1.0 - np.abs(g) ** 2, 0.0, 1.0)) < epsilon
+    close = semimetric_matrix(g) < epsilon
     labels = np.zeros(len(pts), dtype=int)
     for i in range(len(pts)):
         # First class with no close earlier member; a new class if none.

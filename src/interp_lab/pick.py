@@ -35,6 +35,10 @@ BISECTION_TOL = 1e-5
 BISECTION_MAX_ITERS = 60
 BRACKET_LIMIT = 1e6
 
+# Boundary-feasible rank-one Pick matrices reach -1.3 eps * max|lambda| by
+# rounding alone; 4 units stay well below the margins of infeasible data.
+EIG_ROUNDING_UNITS = 4.0
+
 
 def as_poly_points(points, dim: int | None = None) -> tuple[tuple[complex, ...], ...]:
     """Canonicalize a list of polydisc points to tuples of a common dimension."""
@@ -97,10 +101,15 @@ def pick_matrix(problem: PickProblem, spec: kernels.KernelSpec) -> np.ndarray:
 
 
 def pick_psd_test(problem: PickProblem, spec: kernels.KernelSpec) -> tuple[bool, float]:
-    """Feasibility of the one-variable Pick matrix; margin is its bottom eigenvalue."""
-    m = pick_matrix(problem, spec)
-    margin = float(eigvalsh_hermitian(m)[0])
-    return margin >= -PSD_TOL_PER_POINT * problem.size, margin
+    """Feasibility of the one-variable Pick matrix; margin is its bottom eigenvalue.
+
+    The margin may fall below zero by ``PSD_TOL_PER_POINT * n`` or by
+    ``EIG_ROUNDING_UNITS`` units of eigenvalue rounding, ``eps * max |lambda|``,
+    whichever is larger; so a large bound cannot make rounding decide.
+    """
+    w = eigvalsh_hermitian(pick_matrix(problem, spec))
+    rounding = EIG_ROUNDING_UNITS * np.finfo(float).eps * np.max(np.abs(w))
+    return bool(w[0] >= -max(PSD_TOL_PER_POINT * problem.size, rounding)), float(w[0])
 
 
 def inverse_kernel_stack(points, spec: kernels.ProductKernelSpec) -> np.ndarray:
@@ -110,33 +119,11 @@ def inverse_kernel_stack(points, spec: kernels.ProductKernelSpec) -> np.ndarray:
                      for factor, z in zip(spec.factors, coords)])
 
 
-@dataclass(eq=False)
-class AglerDecomposition:
-    """Blocks of a Schur-product decomposition together with its certificate.
-
-    ``feasible`` is False when no decomposition was found within tolerance
-    and budget; the blocks then hold the best iterate reached, which is not
-    a certificate of infeasibility.
-    """
-
-    blocks: list[np.ndarray]
-    affine_residual: float
-    psd_margin: float
-    feasible: bool
-    iterations: int
+# The blocks of a Schur-product decomposition, with the solver's certificate.
+AglerDecomposition = SdpResult
 
 
-def _result_to_decomposition(result: SdpResult) -> AglerDecomposition:
-    return AglerDecomposition(
-        blocks=[np.array(b) for b in result.blocks],
-        affine_residual=result.affine_residual,
-        psd_margin=result.psd_margin,
-        feasible=result.feasible,
-        iterations=result.iterations,
-    )
-
-
-def _solve_with_stack(r: np.ndarray, target: np.ndarray, tol: float, max_iters: int) -> AglerDecomposition:
+def _solve_with_stack(r: np.ndarray, target: np.ndarray, tol: float, max_iters: int) -> SdpResult:
     """Feasibility of sum_l G_l ∘ R_l = target over PSD blocks.
 
     Two exact shortcuts precede Dykstra: when all R slices coincide the
@@ -149,29 +136,26 @@ def _solve_with_stack(r: np.ndarray, target: np.ndarray, tol: float, max_iters: 
     target = constraint.target
     identical = d == 1 or all(np.allclose(r[l], r[0], rtol=0.0, atol=1e-14) for l in range(1, d))
 
-    candidates = [0] if identical else range(d)
-    for l in candidates:
-        gamma = hermitian_part(target / constraint.r_matrices[l])
+    for l in range(1 if identical else d):
         blocks = constraint.zero_blocks()
-        blocks[l] = gamma
+        blocks[l] = hermitian_part(target / constraint.r_matrices[l])
         residual, margin = check_certificate(blocks, constraint)
         if residual <= tol and margin >= -tol:
-            return _result_to_decomposition(SdpResult(True, blocks, residual, margin, 1))
+            return SdpResult(True, blocks, residual, margin, 1)
 
     if identical:
         # The single-block candidate is the only solution up to PSD splits,
         # so its failure decides the problem; report its PSD projection as
         # the best iterate.
-        blocks = constraint.zero_blocks()
-        blocks[0] = project_psd(hermitian_part(target / constraint.r_matrices[0]))
+        blocks[0] = project_psd(blocks[0])
         residual, margin = check_certificate(blocks, constraint)
-        return _result_to_decomposition(SdpResult(False, blocks, residual, margin, 1))
+        return SdpResult(False, blocks, residual, margin, 1)
 
-    return _result_to_decomposition(dykstra_solve(constraint, tol=tol, max_iters=max_iters))
+    return dykstra_solve(constraint, tol=tol, max_iters=max_iters)
 
 
 def agler_feasible(points, specs, target, tol: float = DEFAULT_TOL,
-                   max_iters: int = DEFAULT_MAX_ITERS) -> AglerDecomposition:
+                   max_iters: int = DEFAULT_MAX_ITERS) -> SdpResult:
     """Find PSD blocks G_1..G_d with sum_l G_l ∘ R_l = target, or report failure."""
     spec = as_product_spec(specs)
     pts = as_poly_points(points, spec.dimension)
@@ -183,110 +167,82 @@ def agler_feasible(points, specs, target, tol: float = DEFAULT_TOL,
     return _solve_with_stack(r, target, tol, max_iters)
 
 
-def _grow_then_bisect(feasible, lo: float, hi_start: float, limit: float,
-                      tol: float, max_iters: int, what: str) -> float:
-    """Smallest feasible value: double an upper bracket, then bisect.
-
-    ``lo`` must be infeasible and feasibility monotone increasing.
-    Returns the certified-feasible upper end of the final bracket.
-    """
-    hi = hi_start
-    while not feasible(hi):
-        lo = hi
-        hi *= 2.0
-        if hi > limit:
-            raise BudgetError(f"{what}: no feasible value below {limit:g}")
-    for _ in range(max_iters):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def condition_a_constant(points, specs, *, bisection_tol: float = BISECTION_TOL,
-                         sdp_tol: float = DEFAULT_TOL, sdp_max_iters: int = DEFAULT_MAX_ITERS,
-                         bracket_limit: float = BRACKET_LIMIT) -> float:
-    """Smallest M >= 1 such that M*I - J admits a PSD Schur-product decomposition."""
+def _target_verdict(points, specs, sdp_tol: float, sdp_max_iters: int):
+    """Set-up shared by the constants: the number of points, and the
+    feasibility verdict of a target matrix over the points' R stack."""
     spec = as_product_spec(specs)
     pts = as_poly_points(points, spec.dimension)
     check_distinct(pts)
-    n = len(pts)
     r = inverse_kernel_stack(pts, spec)
-    eye = np.eye(n)
-    ones = np.ones((n, n))
+    return len(pts), lambda target: _solve_with_stack(r, target, sdp_tol, sdp_max_iters).feasible
 
-    def feasible(m: float) -> bool:
-        return _solve_with_stack(r, m * eye - ones, sdp_tol, sdp_max_iters).feasible
 
-    if feasible(1.0):
-        return 1.0
-    return _grow_then_bisect(feasible, 1.0, 2.0, bracket_limit,
-                             bisection_tol, BISECTION_MAX_ITERS, "condition (a) constant")
+def _feasible_end(feasible, first: float, second: float, tol: float,
+                  limit: float | None = None, what: str = "") -> float:
+    """Certified-feasible end of a bracket on a monotone feasibility verdict.
+
+    ``first`` is returned if feasible.  Otherwise ``second`` doubles until
+    feasible when a ``limit`` is given (:class:`BudgetError` past it), and is
+    returned uncertified when infeasible without one.  The bracket is then
+    bisected to width ``tol``.
+    """
+    if feasible(first):
+        return first
+    bad, good = first, second
+    while not feasible(good):
+        if limit is None:
+            return good
+        bad, good = good, 2.0 * good
+        if good > limit:
+            raise BudgetError(f"{what}: no feasible value below {limit:g}")
+    for _ in range(BISECTION_MAX_ITERS):
+        if abs(good - bad) <= tol:
+            break
+        mid = 0.5 * (bad + good)
+        if feasible(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
+def condition_a_constant(points, specs, *, bisection_tol: float = BISECTION_TOL,
+                         sdp_tol: float = DEFAULT_TOL, sdp_max_iters: int = DEFAULT_MAX_ITERS) -> float:
+    """Smallest M >= 1 such that M*I - J admits a PSD Schur-product decomposition."""
+    n, feasible = _target_verdict(points, specs, sdp_tol, sdp_max_iters)
+    return _feasible_end(lambda m: feasible(m * np.eye(n) - np.ones((n, n))), 1.0, 2.0,
+                         bisection_tol, BRACKET_LIMIT, "condition (a) constant")
 
 
 def condition_b_constant(points, specs, *, bisection_tol: float = BISECTION_TOL,
                          sdp_tol: float = DEFAULT_TOL, sdp_max_iters: int = DEFAULT_MAX_ITERS) -> float:
-    """Largest N in [0, 1] such that J - N*I admits a PSD Schur-product decomposition."""
-    spec = as_product_spec(specs)
-    pts = as_poly_points(points, spec.dimension)
-    check_distinct(pts)
-    n = len(pts)
-    r = inverse_kernel_stack(pts, spec)
-    eye = np.eye(n)
-    ones = np.ones((n, n))
+    """Largest N in [0, 1] such that J - N*I admits a PSD Schur-product decomposition.
 
-    def feasible(nv: float) -> bool:
-        return _solve_with_stack(r, ones - nv * eye, sdp_tol, sdp_max_iters).feasible
-
-    if feasible(1.0):
-        return 1.0
-    if not feasible(0.0):
-        # J itself always decomposes (J ⊘ R_1 is a kernel matrix); a failure
-        # here means the solver gave up, so report no certified lower bound.
-        return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(BISECTION_MAX_ITERS):
-        if hi - lo <= bisection_tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    J itself always decomposes (J ⊘ R_1 is a kernel matrix), so a failure at
+    N = 0 means the solver gave up, and 0 is reported as no certified bound.
+    """
+    n, feasible = _target_verdict(points, specs, sdp_tol, sdp_max_iters)
+    return _feasible_end(lambda nv: feasible(np.ones((n, n)) - nv * np.eye(n)), 1.0, 0.0,
+                         bisection_tol)
 
 
 def pick_constant_for_values(points, specs, values, *, bisection_tol: float = 1e-6,
-                             sdp_tol: float = DEFAULT_TOL, sdp_max_iters: int = DEFAULT_MAX_ITERS,
-                             bracket_limit: float = BRACKET_LIMIT) -> float:
+                             sdp_tol: float = DEFAULT_TOL,
+                             sdp_max_iters: int = DEFAULT_MAX_ITERS) -> float:
     """Minimal norm bound C for which the interpolation data is feasible.
 
     Bisects C over the feasibility of C^2*J - W with W = [w_i conj(w_j)];
     any admissible C satisfies C >= max |w_i|, which seeds the bracket.
     """
-    spec = as_product_spec(specs)
-    pts = as_poly_points(points, spec.dimension)
+    n, feasible = _target_verdict(points, specs, sdp_tol, sdp_max_iters)
     vals = np.asarray([complex(v) for v in values])
-    if len(vals) != len(pts):
-        raise ArgumentError(f"{len(pts)} points but {len(vals)} values")
-    check_distinct(pts)
-    n = len(pts)
-    r = inverse_kernel_stack(pts, spec)
+    if len(vals) != n:
+        raise ArgumentError(f"{n} points but {len(vals)} values")
     ones = np.ones((n, n))
     w_outer = np.outer(vals, np.conj(vals))
-
-    def feasible(c: float) -> bool:
-        return _solve_with_stack(r, c * c * ones - w_outer, sdp_tol, sdp_max_iters).feasible
-
     lo = float(np.max(np.abs(vals)))
-    if feasible(lo):
-        return lo
-    return _grow_then_bisect(feasible, lo, max(1.0, 2.0 * lo), np.sqrt(bracket_limit),
-                             bisection_tol, BISECTION_MAX_ITERS, "interpolation constant")
+    return _feasible_end(lambda c: feasible(c * c * ones - w_outer), lo, max(1.0, 2.0 * lo),
+                         bisection_tol, np.sqrt(BRACKET_LIMIT), "interpolation constant")
 
 
 def vector_valued_feasible(points, specs, n_bound: float, *, sdp_tol: float = DEFAULT_TOL,
@@ -295,9 +251,5 @@ def vector_valued_feasible(points, specs, n_bound: float, *, sdp_tol: float = DE
     sending each point to the matching coordinate vector."""
     if not 0.0 < n_bound <= 1.0:
         raise DomainError(f"N must lie in (0, 1], got {n_bound}")
-    spec = as_product_spec(specs)
-    pts = as_poly_points(points, spec.dimension)
-    check_distinct(pts)
-    n = len(pts)
-    target = np.ones((n, n)) - n_bound * np.eye(n)
-    return agler_feasible(pts, spec, target, tol=sdp_tol, max_iters=sdp_max_iters).feasible
+    n, feasible = _target_verdict(points, specs, sdp_tol, sdp_max_iters)
+    return feasible(np.ones((n, n)) - n_bound * np.eye(n))

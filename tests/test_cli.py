@@ -243,6 +243,46 @@ class TestValidation:
         assert report["error"]["type"] == "input"
 
 
+class TestConfigRanges:
+    @pytest.mark.parametrize("config", [{"sdp_max_iters": 1.5}, {"group_max_elements": 2.5}])
+    def test_fractional_iteration_cap(self, tmp_path, capsys, config):
+        self._assert_rejected(tmp_path, capsys, config)
+
+    @pytest.mark.parametrize("config", [{"sdp_max_iters": 0}, {"group_max_elements": -3}])
+    def test_iteration_cap_below_one(self, tmp_path, capsys, config):
+        self._assert_rejected(tmp_path, capsys, config)
+
+    @pytest.mark.parametrize("config", [{"sdp_tol": 0}, {"bisection_tol": -1}, {"sv_cutoff": 0.0},
+                                        {"multiplier_alpha": -0.5}])
+    def test_nonpositive_tolerance(self, tmp_path, capsys, config):
+        self._assert_rejected(tmp_path, capsys, config)
+
+    def test_negative_riesz_tolerance(self, tmp_path, capsys):
+        self._assert_rejected(tmp_path, capsys, {"riesz_tolerance": -1e-3})
+
+    def test_overflowing_number(self, tmp_path, capsys):
+        # json reads 1e400 as inf without calling parse_constant.
+        self._assert_rejected(tmp_path, capsys, {"sdp_tol": 1e400})
+
+    def test_range_ends_still_accepted(self, tmp_path, capsys):
+        config = {"sdp_max_iters": 5000, "group_max_elements": 1.0, "bisection_tol": 1e-4,
+                  "riesz_tolerance": 0}
+        payload = dict(DISK_PAYLOAD, config=config)
+        code, report = run_cli(capsys, ["analyze-disk", write_payload(tmp_path, payload)])
+        assert code == 0
+        assert report["config"]["group_max_elements"] == 1
+        assert isinstance(report["config"]["group_max_elements"], int)
+
+    @staticmethod
+    def _assert_rejected(tmp_path, capsys, config):
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps(dict(DISK_PAYLOAD, config=config)).replace("Infinity", "1e400"))
+        code, report = run_cli(capsys, ["analyze-disk", str(path)])
+        assert code == 2
+        assert report["error"]["type"] == "validation"
+        assert next(iter(config)) in report["error"]["message"]
+
+
 class TestIoFlags:
     def test_output_file_and_quiet(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"

@@ -98,6 +98,19 @@ class TestOrbitSet:
         assert len(orbit) == 1 and orbit[0].point == 0
 
 
+    def test_stabilized_point_keeps_one_image(self):
+        rotation = enumerate_group([MobiusMap(2 * np.pi / 3, 0)], 2)
+        assert rotation.size == 3
+        orbit = orbit_set([0, 0.5], rotation)
+        assert [o.orbit_index for o in orbit] == [0, 1, 1, 1]
+        assert orbit[0].point == 0
+
+    def test_stabilized_point_drop_is_reported_once(self):
+        rep = analyze_gamma_sequence([0, 0.5], [MobiusMap(2 * np.pi / 3, 0)], 12, 2)
+        assert rep.orbit_point_count == 4
+        assert sum("dropped" in w for w in rep.warnings) == 1
+
+
 class TestCompositionMatrix:
     def test_identity_matrix(self):
         assert np.allclose(composition_matrix(IDENTITY, 6), np.eye(7))

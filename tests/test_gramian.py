@@ -6,6 +6,7 @@ from interp_lab import (
     ArgumentError,
     kernel_matrix,
     multiplier_distance,
+    multiplier_separation,
     normalized_gramian,
     pseudo_hyperbolic,
     riesz_bounds,
@@ -200,3 +201,26 @@ class TestMultiplierDistanceIllConditioned:
                 assert low >= -tau - rounding
                 if delta < 1.0:
                     assert margin(delta + 1e-6)[0] < -tau
+
+
+class TestMultiplierSeparation:
+    def test_matches_per_point_cholesky_with_the_point_last(self):
+        # The reference factors alpha^2 K + tau I once per point, with that
+        # point ordered last: delta = |L_nn| / sqrt(K_nn).
+        n = 20
+        pts = random_disk_points(np.random.default_rng(8), n)
+        assert np.linalg.cond(normalized_gramian(pts, SZEGO)) > 1e10
+        tau = PSD_TOL_PER_POINT * n
+        for alpha in (1.0, 0.7):
+            deltas = multiplier_separation(pts, SZEGO, alpha=alpha)
+            for i, x in enumerate(pts):
+                k = kernel_matrix(SZEGO, [*pts[:i], *pts[i + 1:], x])
+                factor = np.linalg.cholesky(alpha ** 2 * k + tau * np.eye(n))
+                expected = min(1.0, abs(factor[-1, -1]) / np.sqrt(k[-1, -1].real))
+                assert deltas[i] == pytest.approx(expected, abs=1e-8)
+                assert multiplier_distance(x, pts[:i] + pts[i + 1:], SZEGO, alpha=alpha) == \
+                    pytest.approx(expected, abs=1e-8)
+
+    def test_rejects_coinciding_points(self):
+        with pytest.raises(ArgumentError):
+            multiplier_separation([0.1, 0.5, 0.1], SZEGO)

@@ -63,6 +63,23 @@ class TestPickPsdTest:
             pick_psd_test(PickProblem((((0, 0)), (0.5, 0.5)), (0, 0), 1.0), SZEGO)
 
 
+class TestPickPsdScaleInvariance:
+    # f(z) = z on four points: the Pick matrix at bound s is s^2 J, PSD and
+    # singular, so only rounding moves its bottom eigenvalue below zero.
+    POINTS = (0, 0.5, -0.3 + 0.4j, 0.2j)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e5, 1e7])
+    def test_boundary_data_feasible_at_every_scale(self, scale):
+        problem = PickProblem([(p,) for p in self.POINTS], [scale * p for p in self.POINTS], scale)
+        assert pick_psd_test(problem, SZEGO)[0]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e5, 1e7])
+    def test_slightly_larger_values_infeasible_at_every_scale(self, scale):
+        values = [(1 + 1e-9) * scale * p for p in self.POINTS]
+        problem = PickProblem([(p,) for p in self.POINTS], values, scale)
+        assert not pick_psd_test(problem, SZEGO)[0]
+
+
 class TestAglerFeasible:
     def test_single_point_positive_target(self):
         dec = agler_feasible([(0, 0)], BIDISC, np.array([[0.5]]))
