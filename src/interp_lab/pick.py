@@ -6,7 +6,7 @@ The one-variable test is a direct eigenvalue check of the Pick matrix
 over all admissible kernels; that quantifier reduces to semidefinite
 feasibility of decompositions ``sum_l G_l ∘ R_l = T`` where
 ``R_l = [1/k_l(p_i^l, p_j^l)]``, solved by :mod:`interp_lab.sdp`.  Optimal
-constants come from bisection over the (monotone) feasibility verdict.
+constants are bisected between two eigenvalue closed forms where these differ.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from ._linalg import eigvalsh_hermitian, hermitian_part
+from ._linalg import eigvalsh_hermitian, frobenius, hermitian_part
 from .errors import ArgumentError, BudgetError, DomainError
 from .gramian import PSD_TOL_PER_POINT, check_distinct
 from .sdp import (
@@ -30,7 +30,7 @@ from .sdp import (
 )
 
 # Bisection defaults: absolute bracket width on the constant, iteration cap,
-# and the largest upper bracket tried before giving up.
+# and the square of the largest certified interpolation constant accepted.
 BISECTION_TOL = 1e-5
 BISECTION_MAX_ITERS = 60
 BRACKET_LIMIT = 1e6
@@ -103,13 +103,15 @@ def pick_matrix(problem: PickProblem, spec: kernels.KernelSpec) -> np.ndarray:
 def pick_psd_test(problem: PickProblem, spec: kernels.KernelSpec) -> tuple[bool, float]:
     """Feasibility of the one-variable Pick matrix; margin is its bottom eigenvalue.
 
-    The margin may fall below zero by ``PSD_TOL_PER_POINT * n`` or by
-    ``EIG_ROUNDING_UNITS`` units of eigenvalue rounding, ``eps * max |lambda|``,
-    whichever is larger; so a large bound cannot make rounding decide.
+    The margin may fall below zero by ``PSD_TOL_PER_POINT * n * min(1, max|P_ij|)``
+    or by ``EIG_ROUNDING_UNITS`` units of eigenvalue rounding, ``eps * max |lambda|``,
+    whichever is larger; so neither a large nor a small scale lets the slack decide.
     """
-    w = eigvalsh_hermitian(pick_matrix(problem, spec))
+    p = pick_matrix(problem, spec)
+    w = eigvalsh_hermitian(p)
+    slack = PSD_TOL_PER_POINT * problem.size * min(1.0, np.max(np.abs(p)))
     rounding = EIG_ROUNDING_UNITS * np.finfo(float).eps * np.max(np.abs(w))
-    return bool(w[0] >= -max(PSD_TOL_PER_POINT * problem.size, rounding)), float(w[0])
+    return bool(w[0] >= -max(slack, rounding)), float(w[0])
 
 
 def inverse_kernel_stack(points, spec: kernels.ProductKernelSpec) -> np.ndarray:
@@ -123,35 +125,44 @@ def inverse_kernel_stack(points, spec: kernels.ProductKernelSpec) -> np.ndarray:
 AglerDecomposition = SdpResult
 
 
+def _distinct_slices(r: np.ndarray) -> list[int]:
+    """Slices equal to no earlier one: blocks on equal slices merge, G∘R + G'∘R = (G+G')∘R."""
+    return [l for l in range(len(r))
+            if not any(np.allclose(r[l], r[m], rtol=0.0, atol=1e-14) for m in range(l))]
+
+
 def _solve_with_stack(r: np.ndarray, target: np.ndarray, tol: float, max_iters: int) -> SdpResult:
     """Feasibility of sum_l G_l ∘ R_l = target over PSD blocks.
 
-    Two exact shortcuts precede Dykstra: when all R slices coincide the
-    problem collapses to a single block (sums and splits of PSD matrices are
-    PSD), and for general slices a single-block candidate T ⊘ R_l that is
-    already PSD is a complete certificate.
+    Two exact shortcuts precede Dykstra: with one distinct slice the problem
+    collapses to a single block (sums and splits of PSD matrices are PSD),
+    and otherwise a single-block candidate T ⊘ R_l that is already PSD is a
+    complete certificate.  ``tol`` is absolute, so a target with Frobenius
+    norm below 1 is solved at unit norm; blocks, residual and margin come
+    back in the caller's units.
     """
-    constraint = AffineConstraint(r, target)
-    d = constraint.num_blocks
-    target = constraint.target
-    identical = d == 1 or all(np.allclose(r[l], r[0], rtol=0.0, atol=1e-14) for l in range(1, d))
-
-    for l in range(1 if identical else d):
+    scale = min(1.0, frobenius(target)) or 1.0
+    constraint = AffineConstraint(r, target / scale)
+    identical = len(_distinct_slices(r)) == 1
+    for l in range(1 if identical else constraint.num_blocks):
         blocks = constraint.zero_blocks()
-        blocks[l] = hermitian_part(target / constraint.r_matrices[l])
+        blocks[l] = hermitian_part(constraint.target / constraint.r_matrices[l])
         residual, margin = check_certificate(blocks, constraint)
         if residual <= tol and margin >= -tol:
-            return SdpResult(True, blocks, residual, margin, 1)
-
-    if identical:
-        # The single-block candidate is the only solution up to PSD splits,
-        # so its failure decides the problem; report its PSD projection as
-        # the best iterate.
-        blocks[0] = project_psd(blocks[0])
-        residual, margin = check_certificate(blocks, constraint)
-        return SdpResult(False, blocks, residual, margin, 1)
-
-    return dykstra_solve(constraint, tol=tol, max_iters=max_iters)
+            result = SdpResult(True, blocks, residual, margin, 1)
+            break
+    else:
+        if identical:
+            # The single-block candidate is the only solution up to PSD
+            # splits, so its failure decides the problem; report its PSD
+            # projection as the best iterate.
+            blocks[0] = project_psd(blocks[0])
+            result = SdpResult(False, blocks, *check_certificate(blocks, constraint), 1)
+        else:
+            result = dykstra_solve(constraint, tol=tol, max_iters=max_iters)
+    result.blocks, result.affine_residual, result.psd_margin = (
+        scale * result.blocks, scale * result.affine_residual, scale * result.psd_margin)
+    return result
 
 
 def agler_feasible(points, specs, target, tol: float = DEFAULT_TOL,
@@ -168,81 +179,77 @@ def agler_feasible(points, specs, target, tol: float = DEFAULT_TOL,
 
 
 def _target_verdict(points, specs, sdp_tol: float, sdp_max_iters: int):
-    """Set-up shared by the constants: the number of points, and the
-    feasibility verdict of a target matrix over the points' R stack."""
+    """Set-up shared by the constants: the number of points, the unit-diagonal
+    Gramians Ĝ_l of the distinct slices' kernels K_l = 1/R_l and, last, their
+    product Ĝ, and the feasibility verdict of a target T over the R stack.
+    T ∘ K_l is a one-block decomposition; any decomposition keeps T ∘ Π_l K_l PSD."""
     spec = as_product_spec(specs)
     pts = as_poly_points(points, spec.dimension)
     check_distinct(pts)
     r = inverse_kernel_stack(pts, spec)
-    return len(pts), lambda target: _solve_with_stack(r, target, sdp_tol, sdp_max_iters).feasible
+    d = np.sqrt(np.real(np.diagonal(r, axis1=1, axis2=2)))
+    g = (d[:, :, None] * d[:, None, :] / r)[_distinct_slices(r)]
+    g = hermitian_part(np.concatenate([g, np.prod(g, axis=0)[None]]))
+    g[:, range(len(pts)), range(len(pts))] = 1.0
+    return len(pts), g, lambda target: _solve_with_stack(r, target, sdp_tol, sdp_max_iters).feasible
 
 
-def _feasible_end(feasible, first: float, second: float, tol: float,
-                  limit: float | None = None, what: str = "") -> float:
-    """Certified-feasible end of a bracket on a monotone feasibility verdict.
-
-    ``first`` is returned if feasible.  Otherwise ``second`` doubles until
-    feasible when a ``limit`` is given (:class:`BudgetError` past it), and is
-    returned uncertified when infeasible without one.  The bracket is then
-    bisected to width ``tol``.
-    """
-    if feasible(first):
-        return first
-    bad, good = first, second
-    while not feasible(good):
-        if limit is None:
-            return good
-        bad, good = good, 2.0 * good
-        if good > limit:
-            raise BudgetError(f"{what}: no feasible value below {limit:g}")
+def _bisect(feasible, bad: float, good: float, tol: float) -> float:
+    """Feasible end of the bracket from ``bad`` to a feasible ``good``,
+    bisected to width ``tol`` on a monotone verdict."""
     for _ in range(BISECTION_MAX_ITERS):
         if abs(good - bad) <= tol:
             break
         mid = 0.5 * (bad + good)
-        if feasible(mid):
-            good = mid
-        else:
-            bad = mid
+        bad, good = (bad, mid) if feasible(mid) else (mid, good)
     return good
 
 
 def condition_a_constant(points, specs, *, bisection_tol: float = BISECTION_TOL,
                          sdp_tol: float = DEFAULT_TOL, sdp_max_iters: int = DEFAULT_MAX_ITERS) -> float:
-    """Smallest M >= 1 such that M*I - J admits a PSD Schur-product decomposition."""
-    n, feasible = _target_verdict(points, specs, sdp_tol, sdp_max_iters)
-    return _feasible_end(lambda m: feasible(m * np.eye(n) - np.ones((n, n))), 1.0, 2.0,
-                         bisection_tol, BRACKET_LIMIT, "condition (a) constant")
+    """Smallest M >= 1 such that M*I - J admits a PSD Schur-product decomposition;
+    it lies in [max(1, λmax(Ĝ)), max(1, min_l λmax(Ĝ_l))]."""
+    n, g, feasible = _target_verdict(points, specs, sdp_tol, sdp_max_iters)
+    top = eigvalsh_hermitian(g)[:, -1]
+    return _bisect(lambda m: feasible(m * np.eye(n) - np.ones((n, n))),
+                   max(1.0, top[-1]), max(1.0, min(top[:-1])), bisection_tol)
 
 
 def condition_b_constant(points, specs, *, bisection_tol: float = BISECTION_TOL,
                          sdp_tol: float = DEFAULT_TOL, sdp_max_iters: int = DEFAULT_MAX_ITERS) -> float:
-    """Largest N in [0, 1] such that J - N*I admits a PSD Schur-product decomposition.
+    """Largest N in [0, 1] such that J - N*I admits a PSD Schur-product
+    decomposition; it lies in [max(0, max_l λmin(Ĝ_l)), min(1, λmin(Ĝ))]."""
+    n, g, feasible = _target_verdict(points, specs, sdp_tol, sdp_max_iters)
+    bottom = eigvalsh_hermitian(g)[:, 0]
+    return _bisect(lambda nv: feasible(np.ones((n, n)) - nv * np.eye(n)),
+                   min(1.0, bottom[-1]), max(0.0, max(bottom[:-1])), bisection_tol)
 
-    J itself always decomposes (J ⊘ R_1 is a kernel matrix), so a failure at
-    N = 0 means the solver gave up, and 0 is reported as no certified bound.
-    """
-    n, feasible = _target_verdict(points, specs, sdp_tol, sdp_max_iters)
-    return _feasible_end(lambda nv: feasible(np.ones((n, n)) - nv * np.eye(n)), 1.0, 0.0,
-                         bisection_tol)
+
+def _pick_norm(g: np.ndarray, w: np.ndarray) -> float:
+    """√μ, where μ = λmax(L⁻¹(W∘G)L⁻ᴴ), G = LLᴴ, W = [w_i conj(w_j)], is the
+    spectral norm of L⁻¹ diag(w) L; infinite when G does not factor."""
+    try:
+        chol = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return np.inf
+    return float(np.linalg.norm(np.linalg.solve(chol, w[:, None] * chol), 2))
 
 
 def pick_constant_for_values(points, specs, values, *, bisection_tol: float = 1e-6,
                              sdp_tol: float = DEFAULT_TOL,
                              sdp_max_iters: int = DEFAULT_MAX_ITERS) -> float:
-    """Minimal norm bound C for which the interpolation data is feasible.
-
-    Bisects C over the feasibility of C^2*J - W with W = [w_i conj(w_j)];
-    any admissible C satisfies C >= max |w_i|, which seeds the bracket.
-    """
-    n, feasible = _target_verdict(points, specs, sdp_tol, sdp_max_iters)
+    """Minimal norm bound C for which the interpolation data is feasible, i.e.
+    C^2*J - W decomposes; it lies in [√μ(Ĝ), min_l √μ(Ĝ_l)]."""
+    n, g, feasible = _target_verdict(points, specs, sdp_tol, sdp_max_iters)
     vals = np.asarray([complex(v) for v in values])
     if len(vals) != n:
         raise ArgumentError(f"{n} points but {len(vals)} values")
-    ones = np.ones((n, n))
+    norms = [_pick_norm(x, vals) for x in g]
+    if min(norms[:-1]) > np.sqrt(BRACKET_LIMIT):
+        raise BudgetError(f"interpolation constant: none certified below {np.sqrt(BRACKET_LIMIT):g}")
     w_outer = np.outer(vals, np.conj(vals))
-    lo = float(np.max(np.abs(vals)))
-    return _feasible_end(lambda c: feasible(c * c * ones - w_outer), lo, max(1.0, 2.0 * lo),
-                         bisection_tol, np.sqrt(BRACKET_LIMIT), "interpolation constant")
+    return _bisect(lambda c: feasible(c * c * np.ones((n, n)) - w_outer),
+                   norms[-1], min(norms[:-1]), bisection_tol)
 
 
 def vector_valued_feasible(points, specs, n_bound: float, *, sdp_tol: float = DEFAULT_TOL,
@@ -251,5 +258,5 @@ def vector_valued_feasible(points, specs, n_bound: float, *, sdp_tol: float = DE
     sending each point to the matching coordinate vector."""
     if not 0.0 < n_bound <= 1.0:
         raise DomainError(f"N must lie in (0, 1], got {n_bound}")
-    n, feasible = _target_verdict(points, specs, sdp_tol, sdp_max_iters)
+    n, _, feasible = _target_verdict(points, specs, sdp_tol, sdp_max_iters)
     return feasible(np.ones((n, n)) - n_bound * np.eye(n))

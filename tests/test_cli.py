@@ -1,11 +1,12 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from interp_lab.cli import run
+from interp_lab.cli import _COMMANDS, run
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -326,3 +327,25 @@ class TestIoFlags:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["results"]["strong_separation"] == pytest.approx(0.5, abs=1e-9)
+
+
+def readme_payloads():
+    """(command, JSON text) for each example under README's "Payloads" heading."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("### Payloads", 1)[1].split("\n### ", 1)[0]
+    return re.findall(r"^`([a-z-]+)` —.*?```json\n(.*?)```", section, re.MULTILINE | re.DOTALL)
+
+
+class TestReadmePayloads:
+    def test_every_command_has_an_example(self):
+        assert sorted(cmd for cmd, _ in readme_payloads()) == sorted(_COMMANDS)
+
+    @pytest.mark.parametrize("command,text", [pytest.param(c, t, id=c) for c, t in readme_payloads()])
+    def test_example_runs(self, tmp_path, capsys, command, text):
+        code, report = run_cli(capsys, [command, write_payload(tmp_path, json.loads(text))])
+        assert code == 0
+        if command == "pick":
+            # the example violates the Schwarz lemma: f(0) = 0, |f(0.5)| = 0.6
+            assert report["results"]["feasible"] is False

@@ -218,3 +218,101 @@ class TestPickMatchesConstant:
             c = pick_constant_for_values(pts, spec, vals)
             assert pick_psd_test(PickProblem(pts, vals, c + 1e-4), spec)[0]
             assert not pick_psd_test(PickProblem(pts, vals, max(c - 1e-4, 1e-9)), spec)[0]
+
+
+ANCHOR = [(0, 0), (0.5, 0.3 + 0.2j), (-0.4 + 0.1j, 0.2 - 0.5j)]
+SMALL_SCALES = [1.0, 1e-4, 1e-8]
+
+
+def sqrt_mu(g, w):
+    """sqrt of the top eigenvalue of L^-1 (W ∘ G) L^-H, G = L L^H, W = w w^H."""
+    linv = np.linalg.inv(np.linalg.cholesky(g))
+    return np.sqrt(np.linalg.eigvalsh(linv @ (np.outer(w, np.conj(w)) * g) @ linv.conj().T)[-1])
+
+
+def slice_gramians(pts):
+    """Normalized Gramians of each bidisc coordinate and of their product."""
+    return [normalized_gramian([p[l] for p in pts], SZEGO) for l in range(2)], \
+        normalized_gramian(pts, BIDISC)
+
+
+class TestSmallScaleData:
+    # Feasibility does not depend on scale; no slack may turn infeasible
+    # data feasible when the values and the bound shrink together.
+    @pytest.mark.parametrize("scale", SMALL_SCALES)
+    def test_one_variable_schwarz_violation_stays_infeasible(self, scale):
+        problem = PickProblem([(0,), (0.5,)], (0, 0.6 * scale), scale)
+        assert not pick_psd_test(problem, SZEGO)[0]
+
+    @pytest.mark.parametrize("scale", SMALL_SCALES)
+    def test_one_variable_boundary_data_stays_feasible(self, scale):
+        points = TestPickPsdScaleInvariance.POINTS
+        problem = PickProblem([(p,) for p in points], [scale * p for p in points], scale)
+        assert pick_psd_test(problem, SZEGO)[0]
+
+    @pytest.mark.parametrize("scale", SMALL_SCALES)
+    def test_bidisc_infeasible_target_stays_infeasible(self, scale):
+        target = 1.5 * np.eye(3) - np.ones((3, 3))
+        reference = agler_feasible(ANCHOR, BIDISC, target)
+        dec = agler_feasible(ANCHOR, BIDISC, scale * target)
+        assert not reference.feasible and not dec.feasible
+        # residual and margin are reported in the caller's units
+        assert dec.affine_residual == pytest.approx(scale * reference.affine_residual, rel=1e-6)
+        assert dec.blocks.shape == (2, 3, 3)
+
+    @pytest.mark.parametrize("scale", SMALL_SCALES)
+    def test_bidisc_boundary_data_stays_feasible(self, scale):
+        # f(z) = z_1 has norm 1, so C = 1 is on the boundary at every scale
+        w = np.array([scale * p[0] for p in ANCHOR])
+        dec = agler_feasible(ANCHOR, BIDISC, scale ** 2 * np.ones((3, 3)) - np.outer(w, np.conj(w)))
+        assert dec.feasible
+        assert dec.affine_residual <= 1e-7 * scale ** 2
+
+    @pytest.mark.parametrize("scale", SMALL_SCALES)
+    def test_interpolation_constant_scales_exactly(self, scale):
+        c1 = pick_constant_for_values([0, 0.5], SZEGO, [0, 0.5 * scale])
+        assert c1 == pytest.approx(scale, rel=1e-12)
+        c2 = pick_constant_for_values([(0, 0), (0.5, 0.3)], BIDISC, [0, 0.5 * scale],
+                                      bisection_tol=1e-2 * scale, sdp_max_iters=1000)
+        assert c2 == pytest.approx(scale, rel=1e-2)
+
+
+class TestClosedFormBrackets:
+    @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
+    def test_two_point_constants_exact(self, r):
+        s = np.sqrt(1 - r * r)
+        assert abs(condition_a_constant([0, r], SZEGO) - (1 + s)) <= 1e-12
+        assert abs(condition_b_constant([0, r], SZEGO) - (1 - s)) <= 1e-12
+
+    def test_identical_slices_need_no_solve(self, rng, monkeypatch):
+        from interp_lab import pick
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("feasibility solve on identical slices")
+
+        monkeypatch.setattr(pick, "_solve_with_stack", no_solve)
+        z = random_disk_points(rng, 4, max_radius=0.8, min_separation=0.1)
+        w = np.linalg.eigvalsh(normalized_gramian(z, SZEGO))
+        pts = [(p, p) for p in z]
+        assert abs(condition_a_constant(pts, BIDISC) - w[-1]) <= 1e-12
+        assert abs(condition_b_constant(pts, BIDISC) - w[0]) <= 1e-12
+
+    def test_one_variable_constant_is_sqrt_mu(self, rng):
+        for _ in range(3):
+            spec = random_kernel_spec(rng)
+            z = random_disk_points(rng, 3, min_separation=0.15)
+            w = rng.uniform(-0.8, 0.8, 3) + 1j * rng.uniform(-0.8, 0.8, 3)
+            expected = sqrt_mu(normalized_gramian(z, spec), w)
+            assert abs(pick_constant_for_values(z, spec, w) - expected) <= 1e-12
+
+    def test_distinct_slices_inside_brackets(self):
+        pts, values = [(0, 0), (0.5, 0.3)], np.array([0, 0.5])
+        (g1, g2), g = slice_gramians(pts)
+        lam = [np.linalg.eigvalsh(x) for x in (g1, g2, g)]
+        budget = dict(bisection_tol=1e-2, sdp_max_iters=1000)
+        m = condition_a_constant(pts, BIDISC, **budget)
+        assert max(1, lam[2][-1]) - 1e-12 <= m <= max(1, min(lam[0][-1], lam[1][-1])) + 1e-12
+        nv = condition_b_constant(pts, BIDISC, **budget)
+        assert max(0, lam[0][0], lam[1][0]) - 1e-12 <= nv <= min(1, lam[2][0]) + 1e-12
+        c = pick_constant_for_values(pts, BIDISC, values, **budget)
+        assert sqrt_mu(g, values) - 1e-12 <= c <= min(sqrt_mu(g1, values), sqrt_mu(g2, values)) + 1e-12

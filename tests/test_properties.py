@@ -10,9 +10,13 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from interp_lab import (  # noqa: E402
+    SZEGO,
+    AffineConstraint,
     ArgumentError,
     KernelSpec,
     MobiusMap,
+    ProductKernelSpec,
+    check_certificate,
     enumerate_group,
     orbit_set,
     rho_semimetric,
@@ -20,6 +24,7 @@ from interp_lab import (  # noqa: E402
 )
 from interp_lab.fuchsian import interior_fixed_point  # noqa: E402
 from interp_lab.gramian import DUPLICATE_TOL  # noqa: E402
+from interp_lab.pick import _pick_norm, _target_verdict, inverse_kernel_stack  # noqa: E402
 
 disk_points = st.builds(lambda r, phi: complex(r * np.cos(phi), r * np.sin(phi)),
                         st.floats(0.0, 0.85), st.floats(0.0, 2 * np.pi))
@@ -70,3 +75,62 @@ def test_orbit_keeps_points_apart_and_covers_every_image(inputs):
     for z in points:
         for g in group.elements:
             assert np.min(np.abs(kept - g(z))) <= DUPLICATE_TOL + 1e-15
+
+
+BIDISC = ProductKernelSpec((SZEGO, SZEGO))
+bidisc_disk_points = st.builds(lambda r, phi: complex(r * np.cos(phi), r * np.sin(phi)),
+                               st.floats(0.0, 0.8), st.floats(0.0, 2 * np.pi))
+
+
+def brackets(points, values):
+    """(necessary, certified, certifying slice) for M, N and C."""
+    _, g, _ = _target_verdict(points, BIDISC, 1e-7, 1)
+    w = np.linalg.eigvalsh(g)
+    norms = [_pick_norm(x, values) for x in g]
+    return {
+        "M": (max(1.0, w[-1, -1]), max(1.0, np.min(w[:-1, -1])), int(np.argmin(w[:-1, -1]))),
+        "N": (min(1.0, w[-1, 0]), max(0.0, np.max(w[:-1, 0])), int(np.argmax(w[:-1, 0]))),
+        "C": (norms[-1], min(norms[:-1]), int(np.argmin(norms[:-1]))),
+    }
+
+
+@st.composite
+def bidisc_data(draw):
+    n = draw(st.integers(2, 4))
+    coords = [draw(st.lists(bidisc_disk_points, min_size=n, max_size=n)) for _ in range(2)]
+    for z in coords:
+        assume(min(abs(a - b) for a, b in itertools.combinations(z, 2)) > 0.05)
+    values = draw(st.lists(bidisc_disk_points, min_size=n, max_size=n))
+    return list(zip(*coords)), np.array(values)
+
+
+def targets(n, values):
+    ones, w = np.ones((n, n)), np.outer(values, np.conj(values))
+    return {"M": lambda m: m * np.eye(n) - ones, "N": lambda nv: ones - nv * np.eye(n),
+            "C": lambda c: c * c * ones - w}
+
+
+@settings(max_examples=60, deadline=None)
+@given(bidisc_data())
+def test_constant_brackets_are_ordered_and_certified(data):
+    points, values = data
+    r = inverse_kernel_stack(points, BIDISC)
+    for name, (necessary, certified, l) in brackets(points, values).items():
+        # N's certified end is its lower end; M's and C's are their upper ends
+        low, high = (certified, necessary) if name == "N" else (necessary, certified)
+        assert low <= high + 1e-9 * max(1.0, high)
+        target = targets(len(points), values)[name](certified)
+        constraint = AffineConstraint(r, target)
+        blocks = constraint.zero_blocks()
+        blocks[l] = target / r[l]
+        residual, margin = check_certificate(blocks, constraint)
+        assert residual <= 1e-7 and margin >= -1e-7
+
+
+@settings(max_examples=60, deadline=None)
+@given(bidisc_data())
+def test_equal_coordinates_close_the_brackets(data):
+    points, values = data
+    diagonal = [(p[0], p[0]) for p in points]
+    for necessary, certified, _ in brackets(diagonal, values).values():
+        assert abs(necessary - certified) <= 1e-12 * max(1.0, certified)
