@@ -242,10 +242,9 @@ def _cmd_partition(payload: dict, cfg: dict) -> tuple[dict, list[str]]:
     warnings: list[str] = []
     result = partition.partition_separated(pts, spec, epsilon)
     result = partition.verify_partition(result, spec, cfg["riesz_tolerance"])
-    full = gramian.riesz_bounds(gramian.normalized_gramian(pts, spec), cfg["riesz_tolerance"])
-    if full.carleson_constant > cfg["bessel_warn_threshold"]:
+    if result.carleson_constant > cfg["bessel_warn_threshold"]:
         warnings.append(
-            f"full-set Carleson constant {full.carleson_constant:.6g} exceeds "
+            f"full-set Carleson constant {result.carleson_constant:.6g} exceeds "
             f"{cfg['bessel_warn_threshold']:.6g}; the Bessel hypothesis looks violated "
             "at this prefix"
         )
@@ -257,7 +256,7 @@ def _cmd_partition(payload: dict, cfg: dict) -> tuple[dict, list[str]]:
         "per_class_lambda_min": list(result.per_class_lambda_min),
         "all_riesz": result.all_riesz,
         "riesz_tolerance": result.tolerance,
-        "carleson_constant": full.carleson_constant,
+        "carleson_constant": result.carleson_constant,
     }
     return results, warnings
 

@@ -23,8 +23,9 @@ class PartitionResult:
     """Epsilon-separated classes of the input, with optional Riesz verdicts.
 
     ``classes`` holds the points; ``class_indices`` the matching positions in
-    the input.  ``per_class_lambda_min`` and ``all_riesz`` stay None until
-    :func:`verify_partition` fills them.
+    the input; ``carleson_constant`` the top eigenvalue of the whole set's
+    normalized Gramian.  ``per_class_lambda_min`` and ``all_riesz`` stay None
+    until :func:`verify_partition` fills them.
     """
 
     classes: tuple[tuple, ...]
@@ -33,6 +34,7 @@ class PartitionResult:
     per_class_lambda_min: tuple[float, ...] | None = None
     all_riesz: bool | None = None
     tolerance: float | None = None
+    carleson_constant: float | None = None
 
 
 def partition_separated(points, kernel, epsilon: float) -> PartitionResult:
@@ -57,6 +59,7 @@ def partition_separated(points, kernel, epsilon: float) -> PartitionResult:
         classes=tuple(tuple(pts[i] for i in idx) for idx in indices),
         class_indices=tuple(tuple(idx) for idx in indices),
         epsilon=float(epsilon),
+        carleson_constant=riesz_bounds(g).carleson_constant,
     )
 
 

@@ -5,8 +5,9 @@ The one-variable test is a direct eigenvalue check of the Pick matrix
 ``[(C^2 - w_i conj(w_j)) K(z_i, z_j)]``.  The polydisc analogues quantify
 over all admissible kernels; that quantifier reduces to semidefinite
 feasibility of decompositions ``sum_l G_l ∘ R_l = T`` where
-``R_l = [1/k_l(p_i^l, p_j^l)]``, solved by :mod:`interp_lab.sdp`.  Optimal
-constants are bisected between two eigenvalue closed forms where these differ.
+``R_l = [1/k_l(p_i^l, p_j^l)]``, solved by :mod:`interp_lab.sdp`.  Each optimal
+constant lies between two eigenvalue closed forms; where these differ, one
+interior-point solve brackets it to a certified gap.
 """
 
 from __future__ import annotations
@@ -24,15 +25,15 @@ from .sdp import (
     DEFAULT_TOL,
     AffineConstraint,
     SdpResult,
+    barrier_solve,
     check_certificate,
     dykstra_solve,
     project_psd,
 )
 
-# Bisection defaults: absolute bracket width on the constant, iteration cap,
-# and the square of the largest certified interpolation constant accepted.
+# Default certified gap of a constant, and the square of the largest
+# certified interpolation constant accepted.
 BISECTION_TOL = 1e-5
-BISECTION_MAX_ITERS = 60
 BRACKET_LIMIT = 1e6
 
 # Boundary-feasible rank-one Pick matrices reach -1.3 eps * max|lambda| by
@@ -179,50 +180,59 @@ def agler_feasible(points, specs, target, tol: float = DEFAULT_TOL,
 
 
 def _target_verdict(points, specs, sdp_tol: float, sdp_max_iters: int):
-    """Set-up shared by the constants: the number of points, the unit-diagonal
-    Gramians Ĝ_l of the distinct slices' kernels K_l = 1/R_l and, last, their
+    """Set-up shared by the constants: the distinct slices of the R stack, the
+    unit-diagonal Gramians Ĝ_l of their kernels K_l = 1/R_l and, last, their
     product Ĝ, and the feasibility verdict of a target T over the R stack.
     T ∘ K_l is a one-block decomposition; any decomposition keeps T ∘ Π_l K_l PSD."""
     spec = as_product_spec(specs)
     pts = as_poly_points(points, spec.dimension)
     check_distinct(pts)
     r = inverse_kernel_stack(pts, spec)
-    d = np.sqrt(np.real(np.diagonal(r, axis1=1, axis2=2)))
-    g = (d[:, :, None] * d[:, None, :] / r)[_distinct_slices(r)]
+    distinct = r[_distinct_slices(r)]
+    d = np.sqrt(np.real(np.diagonal(distinct, axis1=1, axis2=2)))
+    g = d[:, :, None] * d[:, None, :] / distinct
     g = hermitian_part(np.concatenate([g, np.prod(g, axis=0)[None]]))
     g[:, range(len(pts)), range(len(pts))] = 1.0
-    return len(pts), g, lambda target: _solve_with_stack(r, target, sdp_tol, sdp_max_iters).feasible
+    return distinct, g, lambda target: _solve_with_stack(r, target, sdp_tol, sdp_max_iters).feasible
 
 
-def _bisect(feasible, bad: float, good: float, tol: float) -> float:
-    """Feasible end of the bracket from ``bad`` to a feasible ``good``,
-    bisected to width ``tol`` on a monotone verdict."""
-    for _ in range(BISECTION_MAX_ITERS):
-        if abs(good - bad) <= tol:
-            break
-        mid = 0.5 * (bad + good)
-        bad, good = (bad, mid) if feasible(mid) else (mid, good)
-    return good
+def _certified_end(r, a, c, necessary: float, certified: float, gap: float, tol: float) -> float:
+    """Smallest u at which u·A − C decomposes over the R stack, within ``gap``.
+
+    Where the closed-form ends differ by more than ``gap``, one interior-point
+    solve tightens both; its primal end is re-checked from scratch and
+    clipped to the bracket.  Without a checked primal end the closed-form
+    certified end comes back, so an uncertified number is never returned.
+    """
+    if certified - necessary <= gap:
+        return certified
+    res = barrier_solve(r, a, c, (necessary, certified), gap, tol)
+    if res.blocks is not None and res.upper < certified:
+        residual, margin = check_certificate(res.blocks, AffineConstraint(r, res.upper * a - c))
+        if residual <= tol and margin >= -tol:
+            return max(necessary, res.upper)
+    return certified
 
 
 def condition_a_constant(points, specs, *, bisection_tol: float = BISECTION_TOL,
                          sdp_tol: float = DEFAULT_TOL, sdp_max_iters: int = DEFAULT_MAX_ITERS) -> float:
     """Smallest M >= 1 such that M*I - J admits a PSD Schur-product decomposition;
     it lies in [max(1, λmax(Ĝ)), max(1, min_l λmax(Ĝ_l))]."""
-    n, g, feasible = _target_verdict(points, specs, sdp_tol, sdp_max_iters)
-    top = eigvalsh_hermitian(g)[:, -1]
-    return _bisect(lambda m: feasible(m * np.eye(n) - np.ones((n, n))),
-                   max(1.0, top[-1]), max(1.0, min(top[:-1])), bisection_tol)
+    r, g, _ = _target_verdict(points, specs, sdp_tol, sdp_max_iters)
+    n, top = r.shape[1], eigvalsh_hermitian(g)[:, -1]
+    return _certified_end(r, np.eye(n), np.ones((n, n)), max(1.0, top[-1]),
+                          max(1.0, min(top[:-1])), bisection_tol, sdp_tol)
 
 
 def condition_b_constant(points, specs, *, bisection_tol: float = BISECTION_TOL,
                          sdp_tol: float = DEFAULT_TOL, sdp_max_iters: int = DEFAULT_MAX_ITERS) -> float:
     """Largest N in [0, 1] such that J - N*I admits a PSD Schur-product
     decomposition; it lies in [max(0, max_l λmin(Ĝ_l)), min(1, λmin(Ĝ))]."""
-    n, g, feasible = _target_verdict(points, specs, sdp_tol, sdp_max_iters)
-    bottom = eigvalsh_hermitian(g)[:, 0]
-    return _bisect(lambda nv: feasible(np.ones((n, n)) - nv * np.eye(n)),
-                   min(1.0, bottom[-1]), max(0.0, max(bottom[:-1])), bisection_tol)
+    r, g, _ = _target_verdict(points, specs, sdp_tol, sdp_max_iters)
+    n, bottom = r.shape[1], eigvalsh_hermitian(g)[:, 0]
+    # Solved for u = -N, the smallest u at which u*I + J decomposes.
+    return -_certified_end(r, np.eye(n), -np.ones((n, n)), -min(1.0, bottom[-1]),
+                           -max(0.0, max(bottom[:-1])), bisection_tol, sdp_tol)
 
 
 def _pick_norm(g: np.ndarray, w: np.ndarray) -> float:
@@ -239,17 +249,20 @@ def pick_constant_for_values(points, specs, values, *, bisection_tol: float = 1e
                              sdp_tol: float = DEFAULT_TOL,
                              sdp_max_iters: int = DEFAULT_MAX_ITERS) -> float:
     """Minimal norm bound C for which the interpolation data is feasible, i.e.
-    C^2*J - W decomposes; it lies in [√μ(Ĝ), min_l √μ(Ĝ_l)]."""
-    n, g, feasible = _target_verdict(points, specs, sdp_tol, sdp_max_iters)
-    vals = np.asarray([complex(v) for v in values])
+    C^2*J - W decomposes; it lies in [√μ(Ĝ), min_l √μ(Ĝ_l)].  C scales with the
+    values, so values below unit size are solved at unit size."""
+    r, g, _ = _target_verdict(points, specs, sdp_tol, sdp_max_iters)
+    n, vals = r.shape[1], np.asarray([complex(v) for v in values])
     if len(vals) != n:
         raise ArgumentError(f"{n} points but {len(vals)} values")
-    norms = [_pick_norm(x, vals) for x in g]
-    if min(norms[:-1]) > np.sqrt(BRACKET_LIMIT):
+    scale = min(1.0, np.max(np.abs(vals))) or 1.0
+    norms = [_pick_norm(x, vals / scale) for x in g]
+    if scale * min(norms[:-1]) > np.sqrt(BRACKET_LIMIT):
         raise BudgetError(f"interpolation constant: none certified below {np.sqrt(BRACKET_LIMIT):g}")
-    w_outer = np.outer(vals, np.conj(vals))
-    return _bisect(lambda c: feasible(c * c * np.ones((n, n)) - w_outer),
-                   norms[-1], min(norms[:-1]), bisection_tol)
+    # Solved for u = C^2: a gap of 2·tol·√μ(Ĝ) on u is at most tol on C.
+    u = _certified_end(r, np.ones((n, n)), np.outer(vals, np.conj(vals)) / scale ** 2,
+                       norms[-1] ** 2, min(norms[:-1]) ** 2, 2.0 * bisection_tol * norms[-1], sdp_tol)
+    return scale * float(np.sqrt(u))
 
 
 def vector_valued_feasible(points, specs, n_bound: float, *, sdp_tol: float = DEFAULT_TOL,
@@ -258,5 +271,5 @@ def vector_valued_feasible(points, specs, n_bound: float, *, sdp_tol: float = DE
     sending each point to the matching coordinate vector."""
     if not 0.0 < n_bound <= 1.0:
         raise DomainError(f"N must lie in (0, 1], got {n_bound}")
-    n, _, feasible = _target_verdict(points, specs, sdp_tol, sdp_max_iters)
-    return feasible(np.ones((n, n)) - n_bound * np.eye(n))
+    r, _, feasible = _target_verdict(points, specs, sdp_tol, sdp_max_iters)
+    return feasible(np.ones(r.shape[1:]) - n_bound * np.eye(r.shape[1]))

@@ -1,4 +1,4 @@
-"""Alternating-projection engine for Schur-product semidefinite feasibility.
+"""Engines for Schur-product semidefinite problems.
 
 The feasibility problem: find positive semidefinite blocks ``G_1..G_d`` with
 
@@ -8,8 +8,9 @@ for fixed Hermitian ``R_l`` with no zero entries and Hermitian target ``T``.
 Dykstra's algorithm alternates two Frobenius projections with correction
 terms: the projection onto the affine slice has a closed form because the
 constraint map acts entrywise, and the PSD projection is an eigenvalue clip.
-Success verdicts are re-checked from scratch (residual and eigenvalue margin
-recomputed from the returned blocks) so a certificate never depends on solver
+A dual barrier method brackets the smallest ``u`` for which ``u A - C``
+decomposes.  Verdicts and bracket ends are re-checked from scratch (residual,
+eigenvalue margin, dual eigenvalues) so a certificate never depends on solver
 internals.
 """
 
@@ -36,6 +37,12 @@ STALL_SAFETY = 2.0
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 50000
+
+# Barrier method: Newton steps per solve, growth of the barrier weight t at a
+# centred point, and the Newton decrement below which a point is centred.
+BARRIER_MAX_STEPS = 200
+BARRIER_GROWTH = 10.0
+BARRIER_CENTERED = 0.5
 
 
 @dataclass(eq=False)
@@ -179,3 +186,80 @@ def dykstra_solve(constraint: AffineConstraint, tol: float = DEFAULT_TOL,
             window_best = best_res
     res2, margin = check_certificate(best_blocks, constraint)
     return SdpResult(False, best_blocks, res2, margin, iterations, history)
+
+
+@dataclass(eq=False)
+class BarrierResult:
+    """Certified ends of ``min u`` such that ``u A - C`` decomposes: ``lower``
+    is the caller's lower end or, when larger, the dual bound of ``dual``;
+    ``upper`` comes with ``blocks`` (inf and None when none passed a check)."""
+
+    lower: float
+    upper: float
+    dual: np.ndarray
+    blocks: np.ndarray | None
+    steps: int
+
+
+def _certified_primal(r, a, c, u: float, blocks, tol: float):
+    """(u', blocks') that pass check_certificate, or None: the blocks projected
+    onto the slice at ``u``, each lifted by delta_l (A ⊘ R_l) to PSD margin 0,
+    which raises ``u`` by sum_l delta_l."""
+    blocks, lift = project_affine(blocks, AffineConstraint(r, u * a - c)), hermitian_part(a / r)
+    delta = (np.maximum(0.0, -eigvalsh_hermitian(blocks)[:, 0])
+             / np.maximum(eigvalsh_hermitian(lift)[:, 0], np.finfo(float).eps))
+    u, blocks = u + float(np.sum(delta)), blocks + delta[:, None, None] * lift
+    residual, margin = check_certificate(blocks, AffineConstraint(r, u * a - c))
+    return (u, blocks) if residual <= tol and margin >= -tol else None
+
+
+def barrier_solve(r, a, c, bracket: tuple[float, float], gap: float, tol: float) -> BarrierResult:
+    """Bracket ``min u`` such that ``u A - C = sum_l G_l ∘ R_l`` over PSD blocks.
+
+    With ``A`` = I or J, Y = I/n is strictly feasible for the dual: max <C,Y>
+    subject to <A,Y> = 1 and S_l = conj(R_l)∘Y >= 0, a lower bound on u as
+    <G∘R, Y> = <G, conj(R)∘Y>.  Damped Newton steps maximize
+    t<C,Y> + sum_l log det S_l; a step dY with multiplier nu gives blocks
+    G_l = (W_l - W_l (conj(R_l)∘dY) W_l) / t, W_l = S_l^-1, that solve
+    sum_l G_l ∘ R_l = (nu/t) A - C and are PSD for a Newton decrement below 1.
+    Each centred point checks both ends, the dual one by the eigenvalues of
+    the S_l, and grows t, until the ends are ``gap`` apart.  ``bracket``
+    holds known ends: its lower one joins the dual bound, its width sets t.
+    """
+    d, n, _ = r.shape
+    flat = r.reshape(d, n * n)
+    y, t = np.eye(n, dtype=complex) / n, d * n / max(bracket[1] - bracket[0], gap)
+    result = BarrierResult(bracket[0], np.inf, y, None, 0)
+    # Bordered Newton system [[H, a], [a^H, 0]] in Jacobi scaling, by LU:
+    # eliminating nu through H^-1 cancels badly at large t.
+    kkt = np.zeros((n * n + 1,) * 2, dtype=complex)
+    for step in range(1, BARRIER_MAX_STEPS + 1):
+        result.steps, s = step, np.conj(r) * y
+        try:  # W_l = L^-H L^-1 stays PSD however S_l is conditioned
+            w = np.linalg.inv(np.linalg.cholesky(s))
+            w = np.conj(np.swapaxes(w, 1, 2)) @ w
+            # dY -> sum_l R_l ∘ (W_l (conj(R_l)∘dY) W_l), as vec(W X W) = (W ⊗ W^T) vec(X).
+            kron = (w[:, :, None, :, None] * np.swapaxes(w, 1, 2)[:, None, :, None, :]).reshape(d, n * n, -1)
+            hess = np.sum(flat[:, :, None] * kron * np.conj(flat)[:, None, :], axis=0)
+            grad = t * c + np.sum(w * r, axis=0)
+            scale = 1.0 / np.sqrt(np.real(np.diagonal(hess)))
+            kkt[:-1, :-1] = scale[:, None] * hess * scale
+            kkt[:-1, -1] = kkt[-1, :-1] = scale * np.reshape(a, -1)
+            sol = np.linalg.solve(kkt, np.append(scale * grad.reshape(-1), 0.0))
+        except np.linalg.LinAlgError:
+            break
+        dy, nu = hermitian_part((scale * sol[:-1]).reshape(n, n)), float(np.real(sol[-1]))
+        decrement = float(np.sqrt(max(np.real(np.vdot(dy, grad)), 0.0)))
+        if decrement < BARRIER_CENTERED:
+            blocks = hermitian_part(w - w @ (np.conj(r) * dy) @ w) / t
+            primal = _certified_primal(r, a, c, nu / t, blocks, tol)
+            if primal is not None and primal[0] < result.upper:
+                result.upper, result.blocks = primal
+            dual = float(np.real(np.vdot(c, y)) / np.real(np.vdot(a, y)))
+            if dual > result.lower and np.min(eigvalsh_hermitian(s)) >= 0.0:
+                result.lower, result.dual = dual, y
+            if result.upper - result.lower <= gap:
+                break
+            t *= BARRIER_GROWTH
+        y = hermitian_part(y + dy / (1.0 + decrement))
+    return result

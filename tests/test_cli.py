@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from interp_lab.cli import _COMMANDS, run
@@ -349,3 +350,49 @@ class TestReadmePayloads:
         if command == "pick":
             # the example violates the Schwarz lemma: f(0) = 0, |f(0.5)| = 0.6
             assert report["results"]["feasible"] is False
+
+
+class TestPolydiscAnchor:
+    # The three-point bidisc set of the roadmap baseline, Szego x Szego.
+    PAYLOAD = {
+        "schema_version": 1,
+        "points": [[[0, 0], [0, 0]], [[0.5, 0], [0.3, 0.2]], [[-0.4, 0.1], [0.2, -0.5]]],
+        "kernels": [{"coeffs": [1]}, {"coeffs": [1]}],
+    }
+
+    def test_constants_without_dykstra(self, tmp_path, capsys, monkeypatch):
+        from interp_lab import pick
+
+        def no_dykstra(*args, **kwargs):
+            raise AssertionError("Dykstra solve inside a decomposition constant")
+
+        monkeypatch.setattr(pick, "dykstra_solve", no_dykstra)
+        code, report = run_cli(capsys, ["analyze-polydisc", write_payload(tmp_path, self.PAYLOAD)])
+        assert code == 0
+        assert abs(report["results"]["M"] - 2.519284) <= 1e-5
+        assert abs(report["results"]["N"] - 0.073577) <= 1e-5
+
+
+class TestPartitionGramian:
+    def test_full_gramian_built_once(self, tmp_path, capsys, monkeypatch):
+        from interp_lab import gramian, partition
+
+        points = [[0, 0], [0.01, 0], [0.9, 0], [-0.3, 0.4]]
+        sizes = []
+        for module in (gramian, partition):
+            build = module.normalized_gramian
+
+            def counted(pts, kernel, build=build):
+                sizes.append(len(pts))
+                return build(pts, kernel)
+
+            monkeypatch.setattr(module, "normalized_gramian", counted)
+        payload = {"schema_version": 1, "points": points, "kernel": {"coeffs": [1]}, "epsilon": 0.5}
+        code, report = run_cli(capsys, ["partition", write_payload(tmp_path, payload)])
+        assert code == 0
+        assert sizes.count(len(points)) == 1
+        # The Szego normalized Gramian, built directly.
+        z = np.array([complex(*p) for p in points])
+        d = np.sqrt(1 - np.abs(z) ** 2)
+        g = np.outer(d, d) / (1 - np.outer(z, np.conj(z)))
+        assert report["results"]["carleson_constant"] == pytest.approx(np.linalg.eigvalsh(g)[-1], abs=1e-12)

@@ -316,3 +316,94 @@ class TestClosedFormBrackets:
         assert max(0, lam[0][0], lam[1][0]) - 1e-12 <= nv <= min(1, lam[2][0]) + 1e-12
         c = pick_constant_for_values(pts, BIDISC, values, **budget)
         assert sqrt_mu(g, values) - 1e-12 <= c <= min(sqrt_mu(g1, values), sqrt_mu(g2, values)) + 1e-12
+
+
+def bidisc_r(points):
+    """R_l = [1 - z_i conj(z_j)] for each bidisc coordinate, built directly."""
+    z = np.array(points).T
+    return 1.0 - z[:, :, None] * np.conj(z[:, None, :])
+
+
+def checked_dual(r, a, b, y):
+    """<B,Y>/<A,Y>, after checking from scratch that every conj(R_l)∘Y is PSD."""
+    assert all(np.linalg.eigvalsh(np.conj(x) * y)[0] >= 0.0 for x in r)
+    return np.real(np.vdot(b, y)) / np.real(np.vdot(a, y))
+
+
+def spy_on_solver(monkeypatch):
+    """Record every interior-point result that the constants receive."""
+    from interp_lab import pick
+
+    results, solve = [], pick.barrier_solve
+
+    def spy(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(pick, "barrier_solve", spy)
+    return results
+
+
+def seeded_bidisc_set(n):
+    """n bidisc points with distinct coordinate slices, and values with max|w| > 1."""
+    rng = np.random.default_rng(1000 + n)
+    z, w = (random_disk_points(rng, n, max_radius=0.8, min_separation=0.1) for _ in range(2))
+    values = np.array(random_disk_points(rng, n, max_radius=0.8))
+    values[0] = 1.2
+    return list(zip(z, w)), values
+
+
+class TestInteriorPointConstants:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_constants_certified_from_both_sides(self, n, monkeypatch):
+        from interp_lab import AffineConstraint, check_certificate
+
+        pts, values = seeded_bidisc_set(n)
+        r, eye, ones = bidisc_r(pts), np.eye(n), np.ones((n, n))
+        results = spy_on_solver(monkeypatch)
+        m = condition_a_constant(pts, BIDISC)
+        nv = condition_b_constant(pts, BIDISC)
+        c = pick_constant_for_values(pts, BIDISC, values)
+        assert len(results) == 3
+        # Each constant as the smallest u at which u·A − B decomposes, the map
+        # from u back to the constant, and the default gap.
+        cases = [((m, eye, ones), lambda u: u, 1e-5),
+                 ((-nv, eye, -ones), lambda u: -u, 1e-5),
+                 ((c * c, ones, np.outer(values, np.conj(values))), np.sqrt, 1e-6)]
+        for ((u, a, b), constant, gap), res in zip(cases, results):
+            # The returned end lies at or above the solver's checked end; lift
+            # its blocks by (u − upper)·(A ⊘ R_l)/2, which adds (u − upper)·A.
+            assert res.upper <= u + 1e-12 * abs(u)
+            blocks = res.blocks + (u - res.upper) * (a / r) / 2
+            residual, margin = check_certificate(blocks, AffineConstraint(r, u * a - b))
+            assert residual <= 1e-7 and margin >= -1e-7
+            bound = checked_dual(r, a, b, res.dual)
+            assert bound <= u + 1e-12 * abs(u)
+            assert abs(constant(u) - constant(bound)) <= gap
+
+    def test_uncertified_solve_returns_closed_form_end(self, monkeypatch):
+        from interp_lab import pick
+        from interp_lab.sdp import BarrierResult
+
+        def bad_point(r, a, c, bracket, gap, tol):
+            # Claims the necessary end with blocks that decompose nothing.
+            return BarrierResult(bracket[0], bracket[0], np.eye(r.shape[1]), np.zeros_like(r), 1)
+
+        monkeypatch.setattr(pick, "barrier_solve", bad_point)
+        pts, values = seeded_bidisc_set(4)
+        (g1, g2), g = slice_gramians(pts)
+        lam = [np.linalg.eigvalsh(x) for x in (g1, g2)]
+        assert abs(condition_a_constant(pts, BIDISC) - max(1, min(lam[0][-1], lam[1][-1]))) <= 1e-12
+        assert abs(condition_b_constant(pts, BIDISC) - max(0, lam[0][0], lam[1][0])) <= 1e-12
+        expected = min(sqrt_mu(g1, values), sqrt_mu(g2, values))
+        assert abs(pick_constant_for_values(pts, BIDISC, values) - expected) <= 1e-12 * expected
+
+    def test_small_data_constant_is_relatively_accurate(self, monkeypatch):
+        results = spy_on_solver(monkeypatch)
+        pts, values = [(0, 0), (0.5, 0.3)], np.array([0, 0.5e-8])
+        c = pick_constant_for_values(pts, BIDISC, values)
+        assert len(results) == 1
+        bound = np.sqrt(checked_dual(bidisc_r(pts), np.ones((2, 2)),
+                                     np.outer(values, np.conj(values)), results[0].dual))
+        assert bound <= c * (1 + 1e-12)
+        assert c - bound <= 1e-3 * bound

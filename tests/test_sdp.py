@@ -148,3 +148,21 @@ class TestSchurProductPositivity:
         for _ in range(20):
             a, b = random_psd(rng, 5), random_psd(rng, 5)
             assert np.linalg.eigvalsh(hermitian_part(a * b)).min() >= -1e-10 * 5
+
+
+class TestPrimalLift:
+    def test_negative_margin_lifted_within_d_times_deficit(self):
+        from interp_lab.sdp import _certified_primal
+
+        # Bidisc R stack of three points with distinct slices (Szego: R_ii <= 1).
+        z = np.array([[0, 0.5, -0.4], [0, 0.3j, 0.2 - 0.5j]])
+        r = 1.0 - z[:, :, None] * np.conj(z[:, None, :])
+        eye, ones, u, e = np.eye(3), np.ones((3, 3)), 3.0, 1e-3
+        # On the slice of u*I - J, but block 1 has eigenvalues near -e.
+        blocks = np.stack([(u * eye - ones + e * eye) / r[0], -e * eye / r[1]])
+        deficit = -np.min(np.linalg.eigvalsh(blocks))
+        assert deficit > 0
+        lifted_u, lifted = _certified_primal(r, eye, ones, u, blocks, 1e-7)
+        assert u < lifted_u <= u + 2 * deficit
+        residual, margin = check_certificate(lifted, AffineConstraint(r, lifted_u * eye - ones))
+        assert residual <= 1e-12 and margin >= -1e-12
