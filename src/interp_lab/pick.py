@@ -133,7 +133,7 @@ def _distinct_slices(r: np.ndarray) -> list[int]:
 
 
 def _solve_with_stack(r: np.ndarray, target: np.ndarray, tol: float, max_iters: int) -> SdpResult:
-    """Feasibility of sum_l G_l ∘ R_l = target over PSD blocks.
+    """Feasibility of sum_l G_l ∘ R_l = target over PSD blocks, as in SdpResult.
 
     Two exact shortcuts precede Dykstra: with one distinct slice the problem
     collapses to a single block (sums and splits of PSD matrices are PSD),
@@ -168,7 +168,8 @@ def _solve_with_stack(r: np.ndarray, target: np.ndarray, tol: float, max_iters: 
 
 def agler_feasible(points, specs, target, tol: float = DEFAULT_TOL,
                    max_iters: int = DEFAULT_MAX_ITERS) -> SdpResult:
-    """Find PSD blocks G_1..G_d with sum_l G_l ∘ R_l = target, or report failure."""
+    """Find PSD blocks G_1..G_d with sum_l G_l ∘ R_l = target, or a certificate
+    that none exist; ``feasible`` is None when neither was found within ``max_iters``."""
     spec = as_product_spec(specs)
     pts = as_poly_points(points, spec.dimension)
     target = np.asarray(target, dtype=complex)
@@ -268,8 +269,11 @@ def pick_constant_for_values(points, specs, values, *, bisection_tol: float = 1e
 def vector_valued_feasible(points, specs, n_bound: float, *, sdp_tol: float = DEFAULT_TOL,
                            sdp_max_iters: int = DEFAULT_MAX_ITERS) -> bool:
     """Feasibility of J - N*I: existence of the norm-sqrt(N) column interpolant
-    sending each point to the matching coordinate vector."""
+    sending each point to the matching coordinate vector; BudgetError when undecided."""
     if not 0.0 < n_bound <= 1.0:
         raise DomainError(f"N must lie in (0, 1], got {n_bound}")
     r, _, feasible = _target_verdict(points, specs, sdp_tol, sdp_max_iters)
-    return feasible(np.ones(r.shape[1:]) - n_bound * np.eye(r.shape[1]))
+    verdict = feasible(np.ones(r.shape[1:]) - n_bound * np.eye(r.shape[1]))
+    if verdict is None:
+        raise BudgetError(f"J - {n_bound:g}*I undecided within {sdp_max_iters} iterations")
+    return verdict

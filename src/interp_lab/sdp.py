@@ -8,6 +8,7 @@ for fixed Hermitian ``R_l`` with no zero entries and Hermitian target ``T``.
 Dykstra's algorithm alternates two Frobenius projections with correction
 terms: the projection onto the affine slice has a closed form because the
 constraint map acts entrywise, and the PSD projection is an eigenvalue clip.
+It stops at checked blocks or at a checked Farkas dual built from their residual.
 A dual barrier method brackets the smallest ``u`` for which ``u A - C``
 decomposes.  Verdicts and bracket ends are re-checked from scratch (residual,
 eigenvalue margin, dual eigenvalues) so a certificate never depends on solver
@@ -23,14 +24,13 @@ import numpy as np
 from ._linalg import eigh_hermitian, eigvalsh_hermitian, frobenius, hermitian_part
 from .errors import ArgumentError
 
-# Failure exits that bound runtime on infeasible instances inside bisection
-# loops.  STALL_IMPROVEMENT alone cannot fire on infeasible problems (their
-# residual keeps creeping toward its positive limit like 1/k), so a
-# projected-budget rule backs it up: when the iterations still needed at the
-# current improvement rate exceed the remaining budget by STALL_SAFETY, the
-# run cannot succeed within max_iters and exits now.  Improvement per window
-# does not accelerate for these projection methods, so every run killed this
-# way would also have been killed by the iteration cap.
+# Early exit of a run that is left undecided: neither blocks nor a Farkas dual
+# passed their checks.  STALL_IMPROVEMENT alone cannot fire while the residual
+# creeps toward a positive limit like 1/k, so a projected-budget rule backs it
+# up: when the iterations still needed at the current improvement rate exceed
+# the remaining budget by STALL_SAFETY, the run ends now.  Improvement per
+# window does not accelerate for these projection methods, so every run ended
+# this way would also have reached the iteration cap.
 STALL_WINDOW = 500
 STALL_IMPROVEMENT = 1e-14
 STALL_SAFETY = 2.0
@@ -129,17 +129,34 @@ def check_certificate(blocks, constraint: AffineConstraint) -> tuple[float, floa
 class SdpResult:
     """Outcome of a feasibility solve.
 
-    A failure verdict is not a certificate of infeasibility: it carries the
-    best iterate reached, and the problem may still be feasible beyond the
-    iteration budget.
+    ``feasible`` is True for blocks that pass ``check_certificate``; False
+    for infeasible data, with the Farkas ``dual`` re-checked from scratch
+    (pick's single-slice shortcut decides exactly without one); None when the
+    stall rule or the iteration budget ended the run undecided.  ``blocks``
+    is the best iterate reached.
     """
 
-    feasible: bool
+    feasible: bool | None
     blocks: np.ndarray
     affine_residual: float
     psd_margin: float
     iterations: int
     residual_history: list[float] | None = None
+    dual: np.ndarray | None = None
+
+
+def _farkas_dual(blocks, constraint: AffineConstraint, tol: float) -> np.ndarray | None:
+    """Y = -(T - sum_l G_l ∘ R_l) ⊘ sum_l |R_l|^2, lifted by s I until every
+    conj(R_l)∘Y is PSD, if it passes Re<T,Y> < -tol (|Y|_F + sum_l tr(conj(R_l)∘Y));
+    None otherwise.  As <T,Y> = <T - sum G∘R, Y> + sum_l <G_l, conj(R_l)∘Y>,
+    no blocks with residual <= tol and margin >= -tol then exist."""
+    y = (constraint.apply(blocks) - constraint.target) / constraint.denom
+    lift = np.real(np.diagonal(constraint.r_matrices, axis1=1, axis2=2)).min(axis=1)
+    deficit = -eigvalsh_hermitian(constraint.adjoint(y))[:, 0]
+    y += np.eye(constraint.size) * np.max((np.maximum(deficit, 0.0) + 1e-12 * frobenius(y)) / lift)
+    s = constraint.adjoint(y)
+    bound = -tol * (frobenius(y) + float(np.real(np.trace(s, axis1=1, axis2=2).sum())))
+    return y if eigvalsh_hermitian(s).min() >= 0.0 and np.vdot(constraint.target, y).real < bound else None
 
 
 def dykstra_solve(constraint: AffineConstraint, tol: float = DEFAULT_TOL,
@@ -150,7 +167,8 @@ def dykstra_solve(constraint: AffineConstraint, tol: float = DEFAULT_TOL,
     Blocks start at zero (deterministic, reproducible runs).  The iterate
     reported after each sweep is the PSD-projected one, so its residual
     measures infeasibility; success requires the from-scratch certificate
-    ``affine_residual <= tol`` and ``psd_margin >= -tol``.
+    ``affine_residual <= tol`` and ``psd_margin >= -tol``.  When the sets do not
+    meet, the residual tends to their displacement: ``_farkas_dual`` at sweeps 1, 2, 4, 8, ...
     """
     x = constraint.zero_blocks()
     p = constraint.zero_blocks()
@@ -176,6 +194,8 @@ def dykstra_solve(constraint: AffineConstraint, tol: float = DEFAULT_TOL,
             res2, margin = check_certificate(x, constraint)
             if res2 <= tol and margin >= -tol:
                 return SdpResult(True, x, res2, margin, k, history)
+        if k & (k - 1) == 0 and (dual := _farkas_dual(x, constraint, tol)) is not None:
+            return SdpResult(False, x, *check_certificate(x, constraint), k, history, dual)
         if k % STALL_WINDOW == 0:
             improvement = window_best - best_res
             if improvement < STALL_IMPROVEMENT:
@@ -185,7 +205,7 @@ def dykstra_solve(constraint: AffineConstraint, tol: float = DEFAULT_TOL,
                 break
             window_best = best_res
     res2, margin = check_certificate(best_blocks, constraint)
-    return SdpResult(False, best_blocks, res2, margin, iterations, history)
+    return SdpResult(None, best_blocks, res2, margin, iterations, history)
 
 
 @dataclass(eq=False)

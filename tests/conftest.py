@@ -38,6 +38,14 @@ def random_kernel_spec(rng, max_terms=4):
     return KernelSpec(tuple(coeffs))
 
 
+def assert_checked_farkas(r_matrices, target, dual, tol=1e-7):
+    """Re-check an infeasibility verdict's dual with plain numpy: every
+    conj(R_l)∘Y PSD, and Re<T,Y> < -tol (|Y|_F + sum_l tr(conj(R_l)∘Y))."""
+    s = [np.conj(r) * dual for r in r_matrices]
+    assert all(np.linalg.eigvalsh(0.5 * (x + x.conj().T))[0] >= 0.0 for x in s)
+    assert np.vdot(target, dual).real < -tol * (np.linalg.norm(dual) + sum(np.trace(x).real for x in s))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -114,6 +114,22 @@ class TestPickCommand:
         assert report["results"]["feasible"] is True
         assert report["results"]["method"] == "agler-sdp"
 
+    def test_bidisc_undecided_is_null(self, tmp_path, capsys):
+        # C ≈ 0.74566 and the one-factor bound is 0.82726, so 0.78 is feasible
+        # without a shortcut; 3 sweeps decide nothing, which is no verdict.
+        payload = {
+            "schema_version": 1,
+            "points": [[[0, 0], [0, 0]], [[0.5, 0], [0.3, 0.2]], [[-0.4, 0.1], [0.2, -0.5]]],
+            "values": [[0.3, 0], [0, -0.2], [0.4, 0]],
+            "bound": 0.78,
+            "kernels": [{"coeffs": [1]}, {"coeffs": [1]}],
+            "config": {"sdp_max_iters": 3},
+        }
+        code, report = run_cli(capsys, ["pick", write_payload(tmp_path, payload)])
+        assert code == 0
+        assert report["results"]["feasible"] is None
+        assert report["results"]["iterations"] == 3
+
 
 class TestPartitionCommand:
     def test_three_point_partition(self, tmp_path, capsys):

@@ -17,7 +17,7 @@ from interp_lab import (
     riesz_bounds,
     vector_valued_feasible,
 )
-from conftest import random_disk_points, random_kernel_spec
+from conftest import assert_checked_farkas, random_disk_points, random_kernel_spec
 
 BIDISC = ProductKernelSpec((SZEGO, SZEGO))
 
@@ -201,6 +201,13 @@ class TestVectorValuedFeasible:
 
     def test_above_threshold(self):
         assert not vector_valued_feasible([0, 0.5], SZEGO, 0.2)
+
+    def test_undecided_raises_budget_error(self):
+        # N* ≈ 0.0735724 on the anchor: J - 0.07*I decomposes, but neither
+        # shortcut applies and 3 sweeps decide nothing.
+        anchor = [(0, 0), (0.5, 0.3 + 0.2j), (-0.4 + 0.1j, 0.2 - 0.5j)]
+        with pytest.raises(BudgetError):
+            vector_valued_feasible(anchor, BIDISC, 0.07, sdp_max_iters=3)
 
     def test_domain_check(self):
         with pytest.raises(DomainError):
@@ -407,3 +414,36 @@ class TestInteriorPointConstants:
                                      np.outer(values, np.conj(values)), results[0].dual))
         assert bound <= c * (1 + 1e-12)
         assert c - bound <= 1e-3 * bound
+
+
+def pick_target(values, bound):
+    return bound ** 2 - np.outer(values, np.conj(values))
+
+
+class TestFixedTargetVerdicts:
+    def test_half_product_bound_decided_within_eight_sweeps(self):
+        rng = np.random.default_rng(7)
+        for _ in range(8):
+            pts = list(zip(*(random_disk_points(rng, 4, max_radius=0.8, min_separation=0.2) for _ in range(2))))
+            w = np.array(random_disk_points(rng, 4, max_radius=0.9))
+            target = pick_target(w, 0.5 * sqrt_mu(normalized_gramian(pts, BIDISC), w))
+            dec = agler_feasible(pts, BIDISC, target)
+            assert dec.feasible is False and dec.iterations <= 8
+            assert_checked_farkas(bidisc_r(pts), target, dec.dual)
+
+    def test_near_boundary_verdicts_never_contradict(self):
+        # Bounds at 0.98 to 1.02 times C on random 5-point sets: the truth is
+        # known from C, a small budget leaves most undecided, and a verdict
+        # that is given must be right.
+        rng = np.random.default_rng(3)
+        for _ in range(6):
+            z = 0.8 * np.sqrt(rng.uniform(size=(5, 2))) * np.exp(2j * np.pi * rng.uniform(size=(5, 2)))
+            w = 0.7 * (rng.normal(size=5) + 1j * rng.normal(size=5))
+            pts = [tuple(p) for p in z]
+            c = pick_constant_for_values(pts, BIDISC, w, bisection_tol=1e-8)
+            for factor in (0.98, 0.9999, 1.0001, 1.02):
+                target = pick_target(w, factor * c)
+                dec = agler_feasible(pts, BIDISC, target, max_iters=300)
+                assert dec.feasible is None or dec.feasible is (factor > 1)
+                if dec.feasible is False:
+                    assert_checked_farkas(bidisc_r(pts), target, dec.dual)

@@ -12,6 +12,7 @@ from interp_lab import (
     project_psd,
 )
 from interp_lab._linalg import hermitian_part
+from conftest import assert_checked_farkas
 
 
 def random_hermitian(rng, n):
@@ -166,3 +167,65 @@ class TestPrimalLift:
         assert u < lifted_u <= u + 2 * deficit
         residual, margin = check_certificate(lifted, AffineConstraint(r, lifted_u * eye - ones))
         assert residual <= 1e-12 and margin >= -1e-12
+
+
+def bidisc_constraint(points, target):
+    z = np.array(points).T
+    return AffineConstraint(1.0 - z[:, :, None] * np.conj(z[:, None, :]), target)
+
+
+class TestFarkasStop:
+    ANCHOR = [(0, 0), (0.5, 0.3 + 0.2j), (-0.4 + 0.1j, 0.2 - 0.5j)]
+
+    def corpus(self, rng):
+        eye, ones = np.eye(3), np.ones((3, 3))
+        yield AffineConstraint(np.ones((1, 1, 1)), np.array([[-0.5]]))
+        for m in (1.5, 1.8660254, 2.5):
+            yield two_point_constraint(m)
+        for m in (1.5, 2.0, 2.5, 3.0):  # M ≈ 2.519284 on this set
+            yield bidisc_constraint(self.ANCHOR, m * eye - ones)
+        for _ in range(10):
+            z = rng.uniform(-0.6, 0.6, (4, 2)) + 1j * rng.uniform(-0.6, 0.6, (4, 2))
+            w = rng.uniform(-0.8, 0.8, 4) + 1j * rng.uniform(-0.8, 0.8, 4)
+            yield bidisc_constraint(z, rng.uniform(0.2, 1.0) ** 2 - np.outer(w, np.conj(w)))
+
+    def test_every_infeasible_verdict_carries_a_checked_dual(self, rng):
+        verdicts = []
+        for c in self.corpus(rng):
+            res = dykstra_solve(c, max_iters=2000)
+            verdicts.append(res.feasible)
+            if res.feasible is False:
+                assert_checked_farkas(c.r_matrices, c.target, res.dual)
+                # the stop comes at a power-of-two sweep
+                assert res.iterations & (res.iterations - 1) == 0
+                assert (res.affine_residual, res.psd_margin) == check_certificate(res.blocks, c)
+            else:
+                assert res.dual is None
+        assert verdicts.count(False) >= 8 and verdicts.count(True) >= 3
+
+    def test_scalar_infeasible_decided_in_one_sweep(self):
+        c = AffineConstraint(np.ones((1, 1, 1)), np.array([[-0.5]]))
+        res = dykstra_solve(c)
+        assert res.feasible is False and res.iterations == 1
+        assert_checked_farkas(c.r_matrices, c.target, res.dual)
+
+    @pytest.mark.parametrize("eps,certified", [(1e-8, False), (1e-6, True)])
+    def test_no_dual_for_data_feasible_within_tol(self, eps, certified):
+        # T = -eps: the zero block has residual eps, so for eps <= tol no dual
+        # may rule it out, although Y = eps has <T,Y> = -eps^2 < 0.
+        from interp_lab.sdp import _farkas_dual
+
+        c = AffineConstraint(np.ones((1, 1, 1)), np.array([[-eps]]))
+        assert (_farkas_dual(c.zero_blocks(), c, 1e-7) is not None) is certified
+
+    # J - N*I just below N ≈ 0.0735724 on the anchor: feasible, yet Dykstra
+    # does not reach tol; neither exit may read as infeasible.
+    def test_budget_exit_is_undecided(self):
+        res = dykstra_solve(bidisc_constraint(self.ANCHOR, np.ones((3, 3)) - 0.0735 * np.eye(3)), max_iters=3)
+        assert res.feasible is None and res.dual is None
+        assert res.iterations == 3
+
+    def test_stall_exit_is_undecided(self):
+        res = dykstra_solve(bidisc_constraint(self.ANCHOR, np.ones((3, 3)) - 0.0735 * np.eye(3)), max_iters=2000)
+        assert res.feasible is None and res.dual is None
+        assert res.iterations < 2000
