@@ -314,13 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog=TOOL_NAME,
         description="Finite-scale interpolation diagnostics: JSON in, JSON report out.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} analysis")
-        p.add_argument("input", help="payload file, or - for standard input")
-        p.add_argument("--config", help="JSON file with config overrides", default=None)
-        p.add_argument("--output", help="write the report to this file", default=None)
-        p.add_argument("--quiet", action="store_true", help="suppress the report on stdout")
+    parser.add_argument("command", choices=list(_COMMANDS), help="the analysis to run")
+    parser.add_argument("input", help="payload file, or - for standard input")
+    parser.add_argument("--config", help="JSON file with config overrides", default=None)
+    parser.add_argument("--output", help="write the report to this file", default=None)
+    parser.add_argument("--quiet", action="store_true", help="suppress the report on stdout")
     return parser
 
 

@@ -175,11 +175,7 @@ def enumerate_group(generators, max_word_length: int,
     actions: list[tuple[complex, ...]] = [_action_values(IDENTITY)]
 
     def key_of(action) -> tuple[int, ...]:
-        parts = []
-        for v in action:
-            parts.append(round(v.real / grid))
-            parts.append(round(v.imag / grid))
-        return tuple(parts)
+        return tuple(round(x / grid) for v in action for x in (v.real, v.imag))
 
     buckets: dict[tuple[int, ...], list[int]] = {key_of(actions[0]): [0]}
     steps = gens + tuple(g.inverse() for g in gens)
@@ -227,7 +223,7 @@ def _images(maps, z) -> np.ndarray:
 def orbit_set(points, group: GroupWordList) -> list[OrbitPoint]:
     """Images of the input points under every enumerated group element.
 
-    An image within ``DUPLICATE_TOL`` of an earlier one (point-major,
+    An image within ``DUPLICATE_TOL`` of an earlier kept one (point-major,
     element-minor order) is dropped: a stabilized point, or two orbits that
     meet.  An image within ``ORBIT_COLLISION_TOL`` of another input point
     raises :class:`ArgumentError` naming the offending pair.
@@ -242,10 +238,13 @@ def orbit_set(points, group: GroupWordList) -> list[OrbitPoint]:
         raise ArgumentError(f"points {i} and {j} lie on the same orbit "
                             f"of the truncated group (element {e})")
     flat = images.ravel()
-    repeat = np.tril(np.abs(flat[:, None] - flat[None, :]) <= DUPLICATE_TOL, -1).any(axis=1)
+    close = np.tril(np.abs(flat[:, None] - flat[None, :]) <= DUPLICATE_TOL, -1)
+    keep = ~close.any(axis=1)
+    for k in np.flatnonzero(~keep):  # dropped only if near a kept image
+        keep[k] = not close[k, keep].any()
     size = group.size
     return [OrbitPoint(int(k // size), int(k % size), complex(flat[k]))
-            for k in np.flatnonzero(~repeat)]
+            for k in np.flatnonzero(keep)]
 
 
 def mobius_series(m: MobiusMap, degree: int) -> np.ndarray:
@@ -259,10 +258,7 @@ def mobius_series(m: MobiusMap, degree: int) -> np.ndarray:
     e = cmath.exp(1j * m.theta)
     c = np.zeros(degree + 1, dtype=complex)
     c[0] = -e * m.a
-    if degree >= 1:
-        ab = m.a.conjugate()
-        fac = e * (1.0 - abs(m.a) ** 2)
-        c[1:] = fac * ab ** np.arange(degree)
+    c[1:] = e * (1.0 - abs(m.a) ** 2) * m.a.conjugate() ** np.arange(degree)
     return c
 
 
@@ -279,10 +275,8 @@ def composition_matrix(m: MobiusMap, degree: int) -> np.ndarray:
     out = np.zeros((n1, n1), dtype=complex)
     out[0, 0] = 1.0
     series = mobius_series(m, degree)
-    col = out[:, 0].copy()
     for j in range(1, n1):
-        col = np.convolve(col, series)[:n1]
-        out[:, j] = col
+        out[:, j] = np.convolve(out[:, j - 1], series)[:n1]
     return out
 
 
@@ -338,17 +332,14 @@ def gamma_kernel(generators, degree: int,
     n1 = degree + 1
     if not gens:
         return GammaKernelApprox(degree, np.eye(n1, dtype=complex), sv_cutoff, np.zeros(n1))
-    eye = np.eye(n1, dtype=complex)
-    stack = np.vstack([composition_matrix(g, degree) - eye for g in gens])
+    stack = np.vstack([composition_matrix(g, degree) - np.eye(n1) for g in gens])
     _, s, vh = np.linalg.svd(stack)
     keep = s <= sv_cutoff
     if not keep.any():
         raise NumericError("no invariant direction found; constants should always be fixed")
     # Singular values come sorted descending: reverse so the most invariant
     # direction (the constant) leads.
-    basis = vh[keep][::-1].copy()
-    residuals = s[keep][::-1].copy()
-    return GammaKernelApprox(degree, basis, sv_cutoff, residuals)
+    return GammaKernelApprox(degree, vh[keep][::-1].copy(), sv_cutoff, s[keep][::-1].copy())
 
 
 def invariance_residual(kernel, maps, grid=DEFAULT_RESIDUAL_GRID) -> float:
@@ -396,12 +387,11 @@ def analyze_gamma_sequence(points, generators, degree: int, group_length: int, *
     pts = [kernels.as_disk_point(p) for p in points]
     if not pts:
         raise ArgumentError("need at least one point")
-    check_distinct(pts)
     gens = tuple(generators)
     warns = generator_warnings(gens)
 
     group = enumerate_group(gens, group_length, max_elements)
-    orbit = orbit_set(pts, group)
+    orbit = orbit_set(pts, group)  # rejects coinciding input points
     dropped = len(pts) * group.size - len(orbit)
     if dropped:
         warns.append(f"{dropped} orbit images coincided with earlier ones and were dropped "

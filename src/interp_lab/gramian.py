@@ -37,10 +37,14 @@ def check_distinct(points, tol: float = DUPLICATE_TOL) -> None:
     sq = np.zeros((len(p), len(p)))
     for c in p.T:
         sq += np.abs(c[:, None] - c[None, :]) ** 2
-    close = np.argwhere(np.triu(np.sqrt(sq) <= tol, 1))
+    _reject_close(np.sqrt(sq), tol)
+
+
+def _reject_close(dist: np.ndarray, tol: float) -> None:
+    """The error of :func:`check_distinct` on a matrix of pairwise distances."""
+    close = np.argwhere(np.triu(dist <= tol, 1))
     if len(close):
-        i, j = close[0]
-        raise ArgumentError(f"points {i} and {j} coincide within {tol:g}")
+        raise ArgumentError(f"points {close[0][0]} and {close[0][1]} coincide within {tol:g}")
 
 
 @dataclass(frozen=True)
@@ -121,8 +125,9 @@ def strong_separation_disk(points) -> float:
     z = np.array([kernels.as_disk_point(p) for p in points])
     if not len(z):
         raise ArgumentError("need at least one point")
-    check_distinct(z)
-    ph = np.abs((z[:, None] - z[None, :]) / (1.0 - z[:, None] * np.conj(z)[None, :]))
+    diff = z[:, None] - z[None, :]
+    _reject_close(np.abs(diff), DUPLICATE_TOL)
+    ph = np.abs(diff / (1.0 - z[:, None] * np.conj(z)[None, :]))
     np.fill_diagonal(ph, 1.0)
     return float(np.min(np.prod(ph, axis=1)))
 

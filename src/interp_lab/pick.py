@@ -204,8 +204,13 @@ def _certified_end(r, a, c, necessary: float, certified: float, gap: float, tol:
     solve tightens both; its primal end is re-checked from scratch and
     clipped to the bracket.  Without a checked primal end the closed-form
     certified end comes back, so an uncertified number is never returned.
+
+    For n <= 2 the certified end is exact, so no solve runs: with Ĝ_l = [[1,
+    g_l], [ḡ_l, 1]] and PSD H_l = [[p_l, q_l], [q̄_l, s_l]], M·I − J = Σ_l H_l ∘
+    Ĝ_l^{∘−1} gives 1 = |Σ q_l/g_l| ≤ Σ √(p_l s_l)/|g_l| ≤ (M − 1)/min_l |g_l|,
+    so M ≥ 1 + min_l |g_l|, the certified end; N and C follow the same way.
     """
-    if certified - necessary <= gap:
+    if certified - necessary <= gap or r.shape[1] <= 2:
         return certified
     res = barrier_solve(r, a, c, (necessary, certified), gap, tol)
     if res.blocks is not None and res.upper < certified:

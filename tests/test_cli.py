@@ -412,3 +412,49 @@ class TestPartitionGramian:
         d = np.sqrt(1 - np.abs(z) ** 2)
         g = np.outer(d, d) / (1 - np.outer(z, np.conj(z)))
         assert report["results"]["carleson_constant"] == pytest.approx(np.linalg.eigvalsh(g)[-1], abs=1e-12)
+
+
+def readme_usage() -> str:
+    """The usage line in README's "Command-line interface" section."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Command-line interface", 1)[1]
+    return re.search(r"```\n(interp-lab .*)\n```", section).group(1)
+
+
+class TestGrammar:
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in _COMMANDS)
+
+    @pytest.mark.parametrize("argv", [["bogus", "-"], ["analyze-disk"], []])
+    def test_usage_errors_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "usage: interp-lab" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("options_first", [False, True])
+    def test_options_before_or_after_the_command(self, tmp_path, capsys, options_first):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"riesz_tolerance": 0.2}))
+        out_path = tmp_path / "report.json"
+        options = ["--quiet", "--config", str(cfg_path), "--output", str(out_path)]
+        positional = ["analyze-disk", write_payload(tmp_path, DISK_PAYLOAD)]
+        code = run(options + positional if options_first else positional + options)
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(out_path.read_text())["config"]["riesz_tolerance"] == 0.2
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_every_command_parses_in_readme_usage_form(self, command):
+        from interp_lab.cli import build_parser
+
+        assert readme_usage() == "interp-lab <command> <input.json | -> [--config FILE] [--output FILE] [--quiet]"
+        args = build_parser().parse_args([command, "-", "--config", "c.json", "--output", "o.json", "--quiet"])
+        assert vars(args) == {"command": command, "input": "-", "config": "c.json",
+                              "output": "o.json", "quiet": True}

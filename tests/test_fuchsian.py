@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from interp_lab import (
     weak_separation,
 )
 from interp_lab.fuchsian import IDENTITY, compose, generator_warnings, interior_fixed_point
+from interp_lab.gramian import DUPLICATE_TOL, check_distinct
 from conftest import random_disk_point
 
 HYPERBOLIC = MobiusMap(0.0, 0.5)
@@ -104,6 +107,15 @@ class TestOrbitSet:
         orbit = orbit_set([0, 0.5], rotation)
         assert [o.orbit_index for o in orbit] == [0, 1, 1, 1]
         assert orbit[0].point == 0
+
+    def test_chain_of_near_images_stays_covered(self):
+        # The images of 0 step 1e-12 apart, so an image near a dropped one
+        # but not near any kept one must be kept.
+        group = enumerate_group([MobiusMap(3.5, 0), MobiusMap(1.0, 1e-12)], 2)
+        kept = np.array([o.point for o in orbit_set([0.5, 0], group)])
+        for z in (0.5, 0):
+            for g in group.elements:
+                assert np.min(np.abs(kept - g(z))) <= DUPLICATE_TOL
 
     def test_stabilized_point_drop_is_reported_once(self):
         rep = analyze_gamma_sequence([0, 0.5], [MobiusMap(2 * np.pi / 3, 0)], 12, 2)
@@ -212,3 +224,29 @@ class TestAnalyzeGammaSequence:
     def test_collision_propagates(self):
         with pytest.raises(ArgumentError):
             analyze_gamma_sequence([0, -0.5], [HYPERBOLIC], 20, 2)
+
+    @pytest.mark.parametrize("analysis", [strong_separation_disk,
+                                          lambda pts: analyze_gamma_sequence(pts, [HYPERBOLIC], 20, 1)])
+    def test_coinciding_points_named_as_check_distinct_names_them(self, analysis):
+        pts = [0.1, 0.5j, -0.3, 0.5j + 1e-13, -0.3]
+        with pytest.raises(ArgumentError) as expected:
+            check_distinct(pts)
+        assert "points 1 and 3 coincide" in str(expected.value)
+        with pytest.raises(ArgumentError, match=re.escape(str(expected.value))):
+            analysis(pts)
+
+    def test_anchor_report_checks_distinct_points_at_most_three_times(self, monkeypatch):
+        from interp_lab import fuchsian, gramian
+
+        calls, check = [], gramian.check_distinct
+
+        def spy(points, *args):
+            calls.append(len(points))
+            return check(points, *args)
+
+        monkeypatch.setattr(gramian, "check_distinct", spy)
+        monkeypatch.setattr(fuchsian, "check_distinct", spy)
+        gens = [MobiusMap(0.0, 0.8), MobiusMap(0.0, 0.8j)]
+        rep = analyze_gamma_sequence([0.1 + 0.2j, -0.3 + 0.1j, 0.25 - 0.35j], gens, 60, 4)
+        assert rep.orbit_point_count == 483
+        assert len(calls) <= 3

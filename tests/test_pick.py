@@ -407,13 +407,43 @@ class TestInteriorPointConstants:
 
     def test_small_data_constant_is_relatively_accurate(self, monkeypatch):
         results = spy_on_solver(monkeypatch)
-        pts, values = [(0, 0), (0.5, 0.3)], np.array([0, 0.5e-8])
+        # Three points: two-point constants are exact without a solve.
+        pts, values = [(0, 0), (0.5, 0.3), (-0.4 + 0.1j, 0.2 - 0.5j)], np.array([0, 0.5e-8, 0.3e-8j])
         c = pick_constant_for_values(pts, BIDISC, values)
         assert len(results) == 1
-        bound = np.sqrt(checked_dual(bidisc_r(pts), np.ones((2, 2)),
+        bound = np.sqrt(checked_dual(bidisc_r(pts), np.ones((3, 3)),
                                      np.outer(values, np.conj(values)), results[0].dual))
         assert bound <= c * (1 + 1e-12)
         assert c - bound <= 1e-3 * bound
+
+
+class TestTwoPointConstants:
+    def test_certified_end_is_exact_without_a_solve(self, monkeypatch):
+        from interp_lab import KernelSpec, pick, sdp
+        from interp_lab.pick import inverse_kernel_stack
+
+        def no_two_point_solve(r, *args):
+            assert r.shape[1] > 2, "interior-point solve on two points"
+            return sdp.barrier_solve(r, *args)
+
+        monkeypatch.setattr(pick, "barrier_solve", no_two_point_solve)
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            d = int(rng.integers(2, 4))
+            spec = ProductKernelSpec(tuple(SZEGO if rng.random() < 0.5 else KernelSpec((0.6, 0.3))
+                                           for _ in range(d)))
+            z = 0.95 * np.sqrt(rng.uniform(size=(2, d))) * np.exp(2j * np.pi * rng.uniform(size=(2, d)))
+            w = 0.95 * np.sqrt(rng.uniform(size=2)) * np.exp(2j * np.pi * rng.uniform(size=2))
+            pts = [tuple(p) for p in z]
+            m = condition_a_constant(pts, spec)
+            nv = condition_b_constant(pts, spec)
+            c = pick_constant_for_values(pts, spec, w)
+            r, eye, ones = inverse_kernel_stack(pts, spec), np.eye(2), np.ones((2, 2))
+            cases = [(m, eye, ones, 1.0), (-nv, eye, -ones, 1.0), (c * c, ones, np.outer(w, np.conj(w)), c * c)]
+            for u, a, b, scale in cases:
+                # A dual bound from a solve run to a 1e-12 gap, checked from scratch.
+                bound = checked_dual(r, a, b, sdp.barrier_solve(r, a, b, (u - 1.0, u), 1e-12, 1e-7).dual)
+                assert -1e-12 * scale <= u - bound <= 1e-10 * scale
 
 
 def pick_target(values, bound):

@@ -18,7 +18,9 @@ from interp_lab import (  # noqa: E402
     ProductKernelSpec,
     check_certificate,
     enumerate_group,
+    kernel_matrix,
     orbit_set,
+    partition_separated,
     rho_semimetric,
     weak_separation,
 )
@@ -75,6 +77,37 @@ def test_orbit_keeps_points_apart_and_covers_every_image(inputs):
     for z in points:
         for g in group.elements:
             assert np.min(np.abs(kept - g(z))) <= DUPLICATE_TOL + 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(disk_points, min_size=1, max_size=10), kernel_specs())
+def test_kernel_matrix_is_psd(points, spec):
+    k = kernel_matrix(spec, points)
+    w = np.linalg.eigvalsh(k)
+    assert w[0] >= -len(points) * np.finfo(float).eps * w[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(st.lists(disk_points, min_size=n, max_size=n),
+                                                     min_size=1, max_size=3)),
+       st.lists(kernel_specs(), min_size=3, max_size=3))
+def test_product_kernel_matrix_is_product_of_factor_matrices(coords, specs):
+    product = ProductKernelSpec(tuple(specs[:len(coords)]))
+    factors = [kernel_matrix(spec, z) for spec, z in zip(product.factors, coords)]
+    assert np.allclose(kernel_matrix(product, list(zip(*coords))), np.prod(factors, axis=0),
+                       rtol=1e-14, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(disk_points, min_size=1, max_size=12), kernel_specs(), st.floats(0.05, 0.95))
+def test_partition_classes_cover_each_index_once_and_are_separated(points, spec, epsilon):
+    assume(min((abs(z - w) for z, w in itertools.combinations(points, 2)), default=1.0) > 1e-3)
+    result = partition_separated(points, spec, epsilon)
+    assert sorted(i for idx in result.class_indices for i in idx) == list(range(len(points)))
+    for idx, cls in zip(result.class_indices, result.classes):
+        assert list(cls) == [points[i] for i in idx]
+        for i, j in itertools.combinations(idx, 2):
+            assert rho_semimetric(spec, points[i], points[j]) >= epsilon - 1e-12
 
 
 BIDISC = ProductKernelSpec((SZEGO, SZEGO))
