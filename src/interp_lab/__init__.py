@@ -39,7 +39,6 @@ from .sdp import (
     project_psd,
 )
 from .pick import (
-    AglerDecomposition,
     PickProblem,
     agler_feasible,
     condition_a_constant,
@@ -92,7 +91,6 @@ __all__ = [
     "dykstra_solve",
     "project_affine",
     "project_psd",
-    "AglerDecomposition",
     "PickProblem",
     "agler_feasible",
     "condition_a_constant",

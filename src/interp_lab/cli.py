@@ -150,8 +150,7 @@ def _cmd_analyze_polydisc(payload: dict, cfg: dict) -> tuple[dict, list[str]]:
     _require_keys(payload, {"schema_version", "points", "kernels"}, {"config"})
     pts = _poly_point_list(payload["points"], "points")
     spec = _kernel_list(payload["kernels"], "kernels", len(pts[0]))
-    kwargs = dict(bisection_tol=cfg["bisection_tol"], sdp_tol=cfg["sdp_tol"],
-                  sdp_max_iters=cfg["sdp_max_iters"])
+    kwargs = dict(bisection_tol=cfg["bisection_tol"], sdp_tol=cfg["sdp_tol"])
     g = gramian.normalized_gramian(pts, spec)
     riesz = gramian.riesz_bounds(g, cfg["riesz_tolerance"])
     results = {

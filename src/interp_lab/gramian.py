@@ -58,9 +58,9 @@ class RieszReport:
     tolerance: float
 
 
-def _normalized(points, kernel) -> np.ndarray:
-    # The public diagnostics call this helper, never one another, so when the
-    # layers are traced from outside each one's time stays its own.
+def normalized_gramian(points, kernel) -> np.ndarray:
+    """Normalized Gramian ``K_ij / sqrt(K_ii K_jj)``, exactly Hermitian with unit
+    diagonal, for any kernel that :func:`kernels.kernel_matrix` takes."""
     pts = list(points)
     check_distinct(pts)
     k = kernels.kernel_matrix(kernel, pts)
@@ -70,12 +70,6 @@ def _normalized(points, kernel) -> np.ndarray:
     k /= np.sqrt(np.outer(d, d))
     np.fill_diagonal(k, 1.0)
     return k
-
-
-def normalized_gramian(points, kernel) -> np.ndarray:
-    """Normalized Gramian ``K_ij / sqrt(K_ii K_jj)``, exactly Hermitian with unit
-    diagonal, for any kernel that :func:`kernels.kernel_matrix` takes."""
-    return _normalized(points, kernel)
 
 
 def riesz_bounds(g, tolerance: float = 1e-3) -> RieszReport:
@@ -113,7 +107,7 @@ def min_semimetric(g) -> float:
 
 def weak_separation(points, kernel) -> float:
     """Minimum pairwise kernel semimetric over a point set (needs n >= 2)."""
-    return min_semimetric(_normalized(points, kernel))
+    return min_semimetric(normalized_gramian(points, kernel))
 
 
 def strong_separation_disk(points) -> float:

@@ -122,10 +122,6 @@ def inverse_kernel_stack(points, spec: kernels.ProductKernelSpec) -> np.ndarray:
                      for factor, z in zip(spec.factors, coords)])
 
 
-# The blocks of a Schur-product decomposition, with the solver's certificate.
-AglerDecomposition = SdpResult
-
-
 def _distinct_slices(r: np.ndarray) -> list[int]:
     """Slices equal to no earlier one: blocks on equal slices merge, G∘R + G'∘R = (G+G')∘R."""
     return [l for l in range(len(r))
@@ -180,11 +176,9 @@ def agler_feasible(points, specs, target, tol: float = DEFAULT_TOL,
     return _solve_with_stack(r, target, tol, max_iters)
 
 
-def _target_verdict(points, specs, sdp_tol: float, sdp_max_iters: int):
-    """Set-up shared by the constants: the distinct slices of the R stack, the
-    unit-diagonal Gramians Ĝ_l of their kernels K_l = 1/R_l and, last, their
-    product Ĝ, and the feasibility verdict of a target T over the R stack.
-    T ∘ K_l is a one-block decomposition; any decomposition keeps T ∘ Π_l K_l PSD."""
+def _slices_and_gramians(points, specs) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct R slices and the unit-diagonal Gramians Ĝ_l of K_l = 1/R_l, then their
+    product Ĝ.  T ∘ K_l decomposes T in one block; any decomposition keeps T ∘ Π_l K_l ⪰ 0."""
     spec = as_product_spec(specs)
     pts = as_poly_points(points, spec.dimension)
     check_distinct(pts)
@@ -194,51 +188,59 @@ def _target_verdict(points, specs, sdp_tol: float, sdp_max_iters: int):
     g = d[:, :, None] * d[:, None, :] / distinct
     g = hermitian_part(np.concatenate([g, np.prod(g, axis=0)[None]]))
     g[:, range(len(pts)), range(len(pts))] = 1.0
-    return distinct, g, lambda target: _solve_with_stack(r, target, sdp_tol, sdp_max_iters).feasible
+    return distinct, g
 
 
-def _certified_end(r, a, c, necessary: float, certified: float, gap: float, tol: float) -> float:
-    """Smallest u at which u·A − C decomposes over the R stack, within ``gap``.
-
-    Where the closed-form ends differ by more than ``gap``, one interior-point
-    solve tightens both; its primal end is re-checked from scratch and
-    clipped to the bracket.  Without a checked primal end the closed-form
-    certified end comes back, so an uncertified number is never returned.
+def _checked_bracket(r, a, c, necessary: float, certified: float, gap: float, tol: float):
+    """Checked ends (lower, upper) of the smallest u at which u·A − C decomposes
+    over the R stack.  Where the closed-form ends differ by more than ``gap``, one
+    interior-point solve tightens them, re-checked from scratch: its blocks at
+    ``res.upper``; its dual Y by Re⟨A,Y⟩ > 0 and every conj(R_l)∘Y ⪰ 0, which give
+    u ≥ Re⟨C,Y⟩/Re⟨A,Y⟩ as u·⟨A,Y⟩ − ⟨C,Y⟩ = Σ_l ⟨G_l, conj(R_l)∘Y⟩ ≥ 0.
 
     For n <= 2 the certified end is exact, so no solve runs: with Ĝ_l = [[1,
     g_l], [ḡ_l, 1]] and PSD H_l = [[p_l, q_l], [q̄_l, s_l]], M·I − J = Σ_l H_l ∘
     Ĝ_l^{∘−1} gives 1 = |Σ q_l/g_l| ≤ Σ √(p_l s_l)/|g_l| ≤ (M − 1)/min_l |g_l|,
     so M ≥ 1 + min_l |g_l|, the certified end; N and C follow the same way.
     """
-    if certified - necessary <= gap or r.shape[1] <= 2:
-        return certified
+    if r.shape[1] <= 2:
+        return certified, certified
+    if certified - necessary <= gap:
+        return necessary, certified
     res = barrier_solve(r, a, c, (necessary, certified), gap, tol)
-    if res.blocks is not None and res.upper < certified:
+    if res.upper < certified:
         residual, margin = check_certificate(res.blocks, AffineConstraint(r, res.upper * a - c))
         if residual <= tol and margin >= -tol:
-            return max(necessary, res.upper)
-    return certified
+            certified = max(necessary, res.upper)
+    if np.real(np.vdot(a, res.dual)) > 0.0 and np.min(eigvalsh_hermitian(np.conj(r) * res.dual)) >= 0.0:
+        necessary = max(necessary, float(np.real(np.vdot(c, res.dual)) / np.real(np.vdot(a, res.dual))))
+    return necessary, certified
 
 
 def condition_a_constant(points, specs, *, bisection_tol: float = BISECTION_TOL,
-                         sdp_tol: float = DEFAULT_TOL, sdp_max_iters: int = DEFAULT_MAX_ITERS) -> float:
+                         sdp_tol: float = DEFAULT_TOL) -> float:
     """Smallest M >= 1 such that M*I - J admits a PSD Schur-product decomposition;
     it lies in [max(1, λmax(Ĝ)), max(1, min_l λmax(Ĝ_l))]."""
-    r, g, _ = _target_verdict(points, specs, sdp_tol, sdp_max_iters)
+    r, g = _slices_and_gramians(points, specs)
     n, top = r.shape[1], eigvalsh_hermitian(g)[:, -1]
-    return _certified_end(r, np.eye(n), np.ones((n, n)), max(1.0, top[-1]),
-                          max(1.0, min(top[:-1])), bisection_tol, sdp_tol)
+    return _checked_bracket(r, np.eye(n), np.ones((n, n)), max(1.0, top[-1]),
+                            max(1.0, min(top[:-1])), bisection_tol, sdp_tol)[1]
+
+
+def _condition_b_bracket(points, specs, gap: float, tol: float) -> tuple[float, float]:
+    """Checked ends (certified, dual) of the largest N at which J − N·I decomposes (u = −N)."""
+    r, g = _slices_and_gramians(points, specs)
+    n, bottom = r.shape[1], eigvalsh_hermitian(g)[:, 0]
+    lower, upper = _checked_bracket(r, np.eye(n), -np.ones((n, n)), -min(1.0, bottom[-1]),
+                                    -max(0.0, max(bottom[:-1])), gap, tol)
+    return -upper, -lower
 
 
 def condition_b_constant(points, specs, *, bisection_tol: float = BISECTION_TOL,
-                         sdp_tol: float = DEFAULT_TOL, sdp_max_iters: int = DEFAULT_MAX_ITERS) -> float:
+                         sdp_tol: float = DEFAULT_TOL) -> float:
     """Largest N in [0, 1] such that J - N*I admits a PSD Schur-product
     decomposition; it lies in [max(0, max_l λmin(Ĝ_l)), min(1, λmin(Ĝ))]."""
-    r, g, _ = _target_verdict(points, specs, sdp_tol, sdp_max_iters)
-    n, bottom = r.shape[1], eigvalsh_hermitian(g)[:, 0]
-    # Solved for u = -N, the smallest u at which u*I + J decomposes.
-    return -_certified_end(r, np.eye(n), -np.ones((n, n)), -min(1.0, bottom[-1]),
-                           -max(0.0, max(bottom[:-1])), bisection_tol, sdp_tol)
+    return _condition_b_bracket(points, specs, bisection_tol, sdp_tol)[0]
 
 
 def _pick_norm(g: np.ndarray, w: np.ndarray) -> float:
@@ -252,12 +254,11 @@ def _pick_norm(g: np.ndarray, w: np.ndarray) -> float:
 
 
 def pick_constant_for_values(points, specs, values, *, bisection_tol: float = 1e-6,
-                             sdp_tol: float = DEFAULT_TOL,
-                             sdp_max_iters: int = DEFAULT_MAX_ITERS) -> float:
+                             sdp_tol: float = DEFAULT_TOL) -> float:
     """Minimal norm bound C for which the interpolation data is feasible, i.e.
     C^2*J - W decomposes; it lies in [√μ(Ĝ), min_l √μ(Ĝ_l)].  C scales with the
     values, so values below unit size are solved at unit size."""
-    r, g, _ = _target_verdict(points, specs, sdp_tol, sdp_max_iters)
+    r, g = _slices_and_gramians(points, specs)
     n, vals = r.shape[1], np.asarray([complex(v) for v in values])
     if len(vals) != n:
         raise ArgumentError(f"{n} points but {len(vals)} values")
@@ -266,19 +267,18 @@ def pick_constant_for_values(points, specs, values, *, bisection_tol: float = 1e
     if scale * min(norms[:-1]) > np.sqrt(BRACKET_LIMIT):
         raise BudgetError(f"interpolation constant: none certified below {np.sqrt(BRACKET_LIMIT):g}")
     # Solved for u = C^2: a gap of 2·tol·√μ(Ĝ) on u is at most tol on C.
-    u = _certified_end(r, np.ones((n, n)), np.outer(vals, np.conj(vals)) / scale ** 2,
-                       norms[-1] ** 2, min(norms[:-1]) ** 2, 2.0 * bisection_tol * norms[-1], sdp_tol)
+    u = _checked_bracket(r, np.ones((n, n)), np.outer(vals, np.conj(vals)) / scale ** 2,
+                         norms[-1] ** 2, min(norms[:-1]) ** 2, 2.0 * bisection_tol * norms[-1], sdp_tol)[1]
     return scale * float(np.sqrt(u))
 
 
-def vector_valued_feasible(points, specs, n_bound: float, *, sdp_tol: float = DEFAULT_TOL,
-                           sdp_max_iters: int = DEFAULT_MAX_ITERS) -> bool:
-    """Feasibility of J - N*I: existence of the norm-sqrt(N) column interpolant
-    sending each point to the matching coordinate vector; BudgetError when undecided."""
+def vector_valued_feasible(points, specs, n_bound: float, *, sdp_tol: float = DEFAULT_TOL) -> bool:
+    """Feasibility of J - N*I (the norm-sqrt(N) interpolant sending each point to its
+    coordinate vector), from N's checked bracket: True up to its certified end, False
+    above its dual end, BudgetError in between, a band at most BISECTION_TOL wide."""
     if not 0.0 < n_bound <= 1.0:
         raise DomainError(f"N must lie in (0, 1], got {n_bound}")
-    r, _, feasible = _target_verdict(points, specs, sdp_tol, sdp_max_iters)
-    verdict = feasible(np.ones(r.shape[1:]) - n_bound * np.eye(r.shape[1]))
-    if verdict is None:
-        raise BudgetError(f"J - {n_bound:g}*I undecided within {sdp_max_iters} iterations")
-    return verdict
+    certified, dual = _condition_b_bracket(points, specs, BISECTION_TOL, sdp_tol)
+    if certified < n_bound <= dual:
+        raise BudgetError(f"J - {n_bound:g}*I undecided: N lies in [{certified:.9g}, {dual:.9g}]")
+    return n_bound <= certified

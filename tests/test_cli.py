@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from interp_lab.cli import _COMMANDS, run
+from interp_lab.cli import _COMMANDS, CONFIG_DEFAULTS, run
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -366,6 +366,21 @@ class TestReadmePayloads:
         if command == "pick":
             # the example violates the Schwarz lemma: f(0) = 0, |f(0.5)| = 0.6
             assert report["results"]["feasible"] is False
+
+
+def readme_config_defaults() -> dict:
+    """{key: default} from the table under README's "Config keys" heading."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("### Config keys", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", section, re.MULTILINE)
+    return {key: float(default) for key, default in rows}
+
+
+class TestReadmeConfigTable:
+    def test_keys_and_defaults_match_config_defaults(self):
+        assert readme_config_defaults() == {key: float(v) for key, v in CONFIG_DEFAULTS.items()}
 
 
 class TestPolydiscAnchor:

@@ -193,6 +193,15 @@ class TestPickConstantForValues:
 
 
 class TestVectorValuedFeasible:
+    @pytest.fixture(autouse=True)
+    def no_dykstra(self, monkeypatch):
+        from interp_lab import pick
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("Dykstra run in vector_valued_feasible")
+
+        monkeypatch.setattr(pick, "dykstra_solve", no_run)
+
     def test_single_point_full_bound(self):
         assert vector_valued_feasible([(0.2, 0.1)], BIDISC, 1.0)
 
@@ -202,12 +211,29 @@ class TestVectorValuedFeasible:
     def test_above_threshold(self):
         assert not vector_valued_feasible([0, 0.5], SZEGO, 0.2)
 
+    def test_anchor_decided_outside_the_bracket(self):
+        # N's checked bracket on the anchor is [0.0735724, 0.0735796].
+        assert vector_valued_feasible(ANCHOR, BIDISC, 0.07)
+        assert vector_valued_feasible(ANCHOR, BIDISC, 0.0735)
+        assert not vector_valued_feasible(ANCHOR, BIDISC, 0.074)
+
     def test_undecided_raises_budget_error(self):
-        # N* ≈ 0.0735724 on the anchor: J - 0.07*I decomposes, but neither
-        # shortcut applies and 3 sweeps decide nothing.
-        anchor = [(0, 0), (0.5, 0.3 + 0.2j), (-0.4 + 0.1j, 0.2 - 0.5j)]
+        # Inside N's checked bracket neither verdict is certified.
         with pytest.raises(BudgetError):
-            vector_valued_feasible(anchor, BIDISC, 0.07, sdp_max_iters=3)
+            vector_valued_feasible(ANCHOR, BIDISC, condition_b_constant(ANCHOR, BIDISC) + 1e-9)
+
+    def test_random_bidisc_sets_decided_by_the_bracket(self):
+        from interp_lab.pick import BISECTION_TOL, _condition_b_bracket
+
+        rng = np.random.default_rng(3)
+        for _ in range(6):
+            z = 0.8 * np.sqrt(rng.uniform(size=(5, 2))) * np.exp(2j * np.pi * rng.uniform(size=(5, 2)))
+            pts = [tuple(row) for row in z]
+            n_lo, n_hi = _condition_b_bracket(pts, BIDISC, BISECTION_TOL, 1e-7)
+            assert n_lo == condition_b_constant(pts, BIDISC)
+            assert 0.0 < n_lo <= n_hi <= n_lo + BISECTION_TOL
+            assert vector_valued_feasible(pts, BIDISC, 0.9 * n_lo)
+            assert not vector_valued_feasible(pts, BIDISC, min(1.0, 1.1 * n_hi + 1e-3))
 
     def test_domain_check(self):
         with pytest.raises(DomainError):
@@ -280,7 +306,7 @@ class TestSmallScaleData:
         c1 = pick_constant_for_values([0, 0.5], SZEGO, [0, 0.5 * scale])
         assert c1 == pytest.approx(scale, rel=1e-12)
         c2 = pick_constant_for_values([(0, 0), (0.5, 0.3)], BIDISC, [0, 0.5 * scale],
-                                      bisection_tol=1e-2 * scale, sdp_max_iters=1000)
+                                      bisection_tol=1e-2 * scale)
         assert c2 == pytest.approx(scale, rel=1e-2)
 
 
@@ -316,7 +342,7 @@ class TestClosedFormBrackets:
         pts, values = [(0, 0), (0.5, 0.3)], np.array([0, 0.5])
         (g1, g2), g = slice_gramians(pts)
         lam = [np.linalg.eigvalsh(x) for x in (g1, g2, g)]
-        budget = dict(bisection_tol=1e-2, sdp_max_iters=1000)
+        budget = dict(bisection_tol=1e-2)
         m = condition_a_constant(pts, BIDISC, **budget)
         assert max(1, lam[2][-1]) - 1e-12 <= m <= max(1, min(lam[0][-1], lam[1][-1])) + 1e-12
         nv = condition_b_constant(pts, BIDISC, **budget)
