@@ -107,10 +107,9 @@ def _resolve_config(payload: dict, file_config: dict) -> dict:
 
 def _require_keys(payload: dict, required: set[str], optional: set[str]) -> None:
     _expect(isinstance(payload, dict), "payload", "expected a JSON object")
-    keys = set(payload)
-    missing = required - keys
+    missing = required - set(payload)
     _expect(not missing, "payload", f"missing keys: {sorted(missing)}")
-    unknown = keys - required - optional
+    unknown = set(payload) - required - optional
     _expect(not unknown, "payload", f"unknown keys: {sorted(unknown)}")
     version = payload.get("schema_version")
     _expect(isinstance(version, int) and not isinstance(version, bool)
@@ -138,11 +137,8 @@ def _cmd_analyze_disk(payload: dict, cfg: dict) -> tuple[dict, list[str]]:
     results.update(_riesz_fields(gramian.riesz_bounds(g, cfg["riesz_tolerance"])))
     results["weak_separation"] = gramian.min_semimetric(g) if n >= 2 else None
     results["strong_separation"] = gramian.strong_separation_disk(pts)
-    if n >= 2:
-        per_point = gramian.multiplier_separation(pts, spec, alpha=cfg["multiplier_alpha"])
-        results["multiplier_separation"] = {"per_point": per_point, "min": min(per_point)}
-    else:
-        results["multiplier_separation"] = None
+    sep = gramian.multiplier_separation(pts, spec, alpha=cfg["multiplier_alpha"]) if n >= 2 else None
+    results["multiplier_separation"] = sep and {"per_point": sep, "min": min(sep)}
     return results, []
 
 
@@ -238,15 +234,11 @@ def _cmd_partition(payload: dict, cfg: dict) -> tuple[dict, list[str]]:
     pts = _complex_list(payload["points"], "points")
     spec = _kernel_spec(payload["kernel"], "kernel")
     epsilon = _as_number(payload["epsilon"], "epsilon")
-    warnings: list[str] = []
     result = partition.partition_separated(pts, spec, epsilon)
     result = partition.verify_partition(result, spec, cfg["riesz_tolerance"])
-    if result.carleson_constant > cfg["bessel_warn_threshold"]:
-        warnings.append(
-            f"full-set Carleson constant {result.carleson_constant:.6g} exceeds "
-            f"{cfg['bessel_warn_threshold']:.6g}; the Bessel hypothesis looks violated "
-            "at this prefix"
-        )
+    carleson, threshold = result.carleson_constant, cfg["bessel_warn_threshold"]
+    warnings = [f"full-set Carleson constant {carleson:.6g} exceeds {threshold:.6g}; the Bessel "
+                "hypothesis looks violated at this prefix"] if carleson > threshold else []
     results = {
         "n_points": len(pts),
         "epsilon": result.epsilon,
@@ -255,7 +247,7 @@ def _cmd_partition(payload: dict, cfg: dict) -> tuple[dict, list[str]]:
         "per_class_lambda_min": list(result.per_class_lambda_min),
         "all_riesz": result.all_riesz,
         "riesz_tolerance": result.tolerance,
-        "carleson_constant": result.carleson_constant,
+        "carleson_constant": carleson,
     }
     return results, warnings
 
@@ -298,14 +290,13 @@ def _check_finite(node, path: str = "results") -> None:
             _check_finite(v, f"{path}[{i}]")
 
 
+def _header(command: str | None) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "tool": TOOL_NAME, "version": __version__,
+            "command": command}
+
+
 def _error_report(command: str | None, kind: str, message: str) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "tool": TOOL_NAME,
-        "version": __version__,
-        "command": command,
-        "error": {"type": kind, "message": message},
-    }
+    return {**_header(command), "error": {"type": kind, "message": message}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,10 +332,7 @@ def run(argv=None) -> int:
         _expect(isinstance(payload, dict), "payload", "expected a JSON object")
         results, warnings = _COMMANDS[args.command](payload, cfg)
         report = {
-            "schema_version": SCHEMA_VERSION,
-            "tool": TOOL_NAME,
-            "version": __version__,
-            "command": args.command,
+            **_header(args.command),
             "input_digest": _payload_digest(payload),
             "config": cfg,
             "results": results,

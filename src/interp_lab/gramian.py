@@ -72,22 +72,28 @@ def normalized_gramian(points, kernel) -> np.ndarray:
     return k
 
 
+def _check_tolerance(tolerance: float) -> float:
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ArgumentError(f"tolerance must be finite and >= 0, got {tolerance}")
+    return float(tolerance)
+
+
 def riesz_bounds(g, tolerance: float = 1e-3) -> RieszReport:
     """Extreme eigenvalues of a normalized Gramian.
 
     ``carleson_constant`` is the top eigenvalue (the Bessel bound of the
     finite prefix); ``is_riesz`` holds when the bottom eigenvalue clears
-    ``tolerance``.
+    ``tolerance``, which must be finite and >= 0.
     """
+    tolerance = _check_tolerance(tolerance)
     g = np.asarray(g, dtype=complex)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ArgumentError(f"expected a square matrix, got shape {g.shape}")
     if np.max(np.abs(np.diagonal(g) - 1.0)) > 1e-8:
         raise ArgumentError("expected a normalized Gramian (unit diagonal)")
     w = eigvalsh_hermitian(g)
-    lam_min = float(w[0])
-    lam_max = float(w[-1])
-    return RieszReport(lam_min, lam_max, lam_max, bool(lam_min > tolerance), float(tolerance))
+    lam_min, lam_max = float(w[0]), float(w[-1])
+    return RieszReport(lam_min, lam_max, lam_max, bool(lam_min > tolerance), tolerance)
 
 
 def semimetric_matrix(g) -> np.ndarray:

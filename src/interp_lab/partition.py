@@ -8,12 +8,13 @@ eigenvalue of the class's normalized Gramian clears a tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._linalg import certified_top_eigenvalue
 from .errors import ArgumentError
-from .gramian import normalized_gramian, riesz_bounds, semimetric_matrix
+from .gramian import _check_tolerance, normalized_gramian, riesz_bounds, semimetric_matrix
 
 DEFAULT_RIESZ_TOL = 1e-3
 
@@ -24,8 +25,10 @@ class PartitionResult:
 
     ``classes`` holds the points; ``class_indices`` the matching positions in
     the input; ``carleson_constant`` the top eigenvalue of the whole set's
-    normalized Gramian.  ``per_class_lambda_min`` and ``all_riesz`` stay None
-    until :func:`verify_partition` fills them.
+    normalized Gramian (:func:`certified_top_eigenvalue`); ``_blocks`` its kernel
+    and each class's principal block, bit for bit the class's own normalized
+    Gramian.  ``per_class_lambda_min`` and ``all_riesz`` stay None until
+    :func:`verify_partition` fills them.
     """
 
     classes: tuple[tuple, ...]
@@ -35,6 +38,7 @@ class PartitionResult:
     all_riesz: bool | None = None
     tolerance: float | None = None
     carleson_constant: float | None = None
+    _blocks: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def partition_separated(points, kernel, epsilon: float) -> PartitionResult:
@@ -59,27 +63,33 @@ def partition_separated(points, kernel, epsilon: float) -> PartitionResult:
         classes=tuple(tuple(pts[i] for i in idx) for idx in indices),
         class_indices=tuple(tuple(idx) for idx in indices),
         epsilon=float(epsilon),
-        carleson_constant=riesz_bounds(g).carleson_constant,
+        carleson_constant=certified_top_eigenvalue(g),
+        _blocks=(kernel, tuple(g[np.ix_(idx, idx)] for idx in indices)),
     )
 
 
 def verify_partition(result: PartitionResult, kernel,
                      tolerance: float = DEFAULT_RIESZ_TOL) -> PartitionResult:
-    """Fill in per-class bottom eigenvalues; a class passes when it exceeds ``tolerance``."""
+    """Fill in per-class bottom eigenvalues; a class passes when it exceeds ``tolerance``.
+
+    The stored blocks serve the partition's own kernel; another kernel builds each class's Gramian.
+    """
+    tolerance = _check_tolerance(tolerance)
     if not result.classes:
         raise ArgumentError("partition has no classes")
+    stored = result._blocks[1] if result._blocks and result._blocks[0] == kernel else None
     lambda_mins = []
-    for cls in result.classes:
+    for k, cls in enumerate(result.classes):
         if not cls:
             raise ArgumentError("partition contains an empty class")
         if len(cls) == 1:
             lambda_mins.append(1.0)
             continue
-        report = riesz_bounds(normalized_gramian(cls, kernel), tolerance)
-        lambda_mins.append(report.lambda_min)
+        g = stored[k] if stored else normalized_gramian(cls, kernel)
+        lambda_mins.append(riesz_bounds(g, tolerance).lambda_min)
     return replace(
         result,
         per_class_lambda_min=tuple(lambda_mins),
         all_riesz=bool(all(lm > tolerance for lm in lambda_mins)),
-        tolerance=float(tolerance),
+        tolerance=tolerance,
     )

@@ -429,6 +429,43 @@ class TestPartitionGramian:
         assert report["results"]["carleson_constant"] == pytest.approx(np.linalg.eigvalsh(g)[-1], abs=1e-12)
 
 
+def seeded_partition_payload(seed, n=120):
+    rng = np.random.default_rng(seed)
+    z = 0.9 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    return {"schema_version": 1, "points": [[p.real, p.imag] for p in z],
+            "kernel": {"coeffs": [1]}, "epsilon": 0.5}
+
+
+class TestPartitionReport:
+    def test_one_gramian_build_per_report(self, tmp_path, capsys, monkeypatch):
+        from interp_lab import gramian, partition
+
+        builds = []
+        for module in (gramian, partition):
+            build = module.normalized_gramian
+
+            def counted(pts, kernel, build=build):
+                builds.append(len(pts))
+                return build(pts, kernel)
+
+            monkeypatch.setattr(module, "normalized_gramian", counted)
+        payload = seeded_partition_payload(7401)
+        code, report = run_cli(capsys, ["partition", write_payload(tmp_path, payload)])
+        assert code == 0
+        assert sum(len(cls) > 1 for cls in report["results"]["classes"]) >= 2
+        assert builds == [len(payload["points"])]
+
+    def test_byte_identical_apart_from_wall_time(self, tmp_path, capsys):
+        path = write_payload(tmp_path, seeded_partition_payload(7402))
+        texts = []
+        for name in ("first.json", "second.json"):
+            out = tmp_path / name
+            assert run(["partition", path, "--output", str(out), "--quiet"]) == 0
+            texts.append(re.sub(r'\n *"wall_time_s": [^\n]*', "", out.read_text()))
+        assert texts[0] == texts[1]
+        assert '"carleson_constant"' in texts[0] and "wall_time_s" not in texts[0]
+
+
 def readme_usage() -> str:
     """The usage line in README's "Command-line interface" section."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")

@@ -80,6 +80,14 @@ class TestRieszBounds:
         with pytest.raises(ArgumentError):
             riesz_bounds(np.array([[2.0, 0.0], [0.0, 2.0]]))
 
+    @pytest.mark.parametrize("tolerance", [-1.0, -1e-300, float("nan"), float("inf")])
+    def test_rejects_negative_or_nonfinite_tolerance(self, tolerance):
+        with pytest.raises(ArgumentError, match="tolerance"):
+            riesz_bounds(normalized_gramian([0, 0.5], SZEGO), tolerance)
+
+    def test_zero_tolerance_accepted(self):
+        assert riesz_bounds(np.eye(2), 0).tolerance == 0.0
+
 
 class TestWeakSeparation:
     def test_pair(self):

@@ -1,10 +1,17 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from interp_lab import (
     SZEGO,
     ArgumentError,
+    KernelSpec,
+    normalized_gramian,
+    partition,
     partition_separated,
     rho_semimetric,
+    riesz_bounds,
     verify_partition,
     weak_separation,
 )
@@ -96,3 +103,58 @@ class TestVerifyPartition:
         assert len(result.classes) == 1
         verified = verify_partition(result, SZEGO)
         assert verified.all_riesz is True
+
+
+def per_class_build(classes, kernel):
+    """Bottom eigenvalue of each class's own normalized Gramian, built afresh."""
+    return tuple(1.0 if len(cls) == 1 else riesz_bounds(normalized_gramian(cls, kernel)).lambda_min
+                 for cls in classes)
+
+
+class TestStoredClassGramians:
+    @pytest.mark.parametrize("n, kernel", [(200, SZEGO), (300, KernelSpec((0.6, 0.3))), (400, SZEGO)],
+                             ids=["szego-200", "two-coeff-300", "szego-400"])
+    def test_lambda_min_equals_a_per_class_build(self, n, kernel):
+        pts = random_disk_points(np.random.default_rng(7300 + n), n)
+        verified = verify_partition(partition_separated(pts, kernel, 0.5), kernel)
+        assert max(len(cls) for cls in verified.classes) > 1
+        assert verified.per_class_lambda_min == per_class_build(verified.classes, kernel)
+
+    def test_equal_kernel_uses_the_stored_blocks(self, monkeypatch):
+        pts = random_disk_points(np.random.default_rng(7301), 60)
+        result = partition_separated(pts, SZEGO, 0.5)
+
+        def refuse(*args):
+            raise AssertionError("a class Gramian was rebuilt")
+
+        monkeypatch.setattr(partition, "normalized_gramian", refuse)
+        verified = verify_partition(result, KernelSpec((1.0,)))
+        monkeypatch.undo()
+        assert verified.per_class_lambda_min == per_class_build(result.classes, SZEGO)
+
+    def test_other_kernel_builds_each_class(self):
+        pts = random_disk_points(np.random.default_rng(7302), 200)
+        result = partition_separated(pts, SZEGO, 0.5)
+        other = KernelSpec((0.6, 0.3))
+        verified = verify_partition(result, other)
+        assert verified.per_class_lambda_min == per_class_build(result.classes, other)
+        assert verified.per_class_lambda_min != verify_partition(result, SZEGO).per_class_lambda_min
+
+    def test_blocks_stay_out_of_repr_and_equality(self):
+        result = partition_separated([0, 0.01, 0.9], SZEGO, 0.5)
+        assert "_blocks" not in repr(result)
+        assert result == replace(result, _blocks=None)
+
+
+class TestVerifyPartitionTolerance:
+    @pytest.mark.parametrize("tolerance", [-1.0, -1e-300, float("nan"), float("inf")])
+    def test_rejects_negative_or_nonfinite_tolerance(self, tolerance):
+        result = partition_separated([0, 0.01, 0.9], SZEGO, 0.5)
+        with pytest.raises(ArgumentError, match="tolerance"):
+            verify_partition(result, SZEGO, tolerance)
+
+    def test_singleton_classes_alone_still_checked(self):
+        result = partition_separated([0, 0.01], SZEGO, 0.5)
+        with pytest.raises(ArgumentError, match="tolerance"):
+            verify_partition(result, SZEGO, -1)
+        assert verify_partition(result, SZEGO, 0).all_riesz is True
