@@ -16,20 +16,20 @@ import time
 
 import numpy as np
 
-from . import __version__, fuchsian, gramian, kernels, partition, pick
+from . import __version__, fuchsian, gramian, kernels, partition, pick, sdp
 from .errors import ArgumentError, BudgetError, DomainError, NumericError
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "interp-lab"
 
 CONFIG_DEFAULTS = {
-    "riesz_tolerance": 1e-3,
-    "sdp_tol": 1e-7,
-    "sdp_max_iters": 50000,
-    "bisection_tol": 1e-5,
+    "riesz_tolerance": gramian.DEFAULT_RIESZ_TOL,
+    "sdp_tol": sdp.DEFAULT_TOL,
+    "sdp_max_iters": sdp.DEFAULT_MAX_ITERS,
+    "bisection_tol": pick.BISECTION_TOL,
     "multiplier_alpha": 1.0,
-    "sv_cutoff": 1e-6,
-    "group_max_elements": 10000,
+    "sv_cutoff": fuchsian.DEFAULT_SV_CUTOFF,
+    "group_max_elements": fuchsian.DEFAULT_GROUP_CAP,
     "bessel_warn_threshold": 100.0,
 }
 

@@ -13,6 +13,7 @@ reported as diagnostics, not error bounds.
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 from . import kernels
 from .errors import ArgumentError, BudgetError, DomainError, NumericError
 from .gramian import (
+    DEFAULT_RIESZ_TOL,
     DUPLICATE_TOL,
     RieszReport,
     check_distinct,
@@ -157,9 +159,10 @@ def enumerate_group(generators, max_word_length: int,
                     max_elements: int = DEFAULT_GROUP_CAP) -> GroupWordList:
     """Breadth-first enumeration of group elements up to a word length.
 
-    Elements are deduplicated by their action on the fixed test points
-    (buckets quantized at 1e-8, verified pairwise at 1e-10 inside a bucket).
-    Exceeding ``max_elements`` raises :class:`BudgetError`.
+    Elements are deduplicated by their action on the fixed test points: each
+    is filed in its cell of a 1e-8 grid, and a candidate is compared at
+    ``ACTION_TOL`` with the elements of every cell within ``ACTION_TOL`` of its
+    action.  Exceeding ``max_elements`` raises :class:`BudgetError`.
     """
     gens = tuple(generators)
     for g in gens:
@@ -174,8 +177,12 @@ def enumerate_group(generators, max_word_length: int,
     elements: list[MobiusMap] = [IDENTITY]
     actions: list[tuple[complex, ...]] = [_action_values(IDENTITY)]
 
-    def key_of(action) -> tuple[int, ...]:
-        return tuple(round(x / grid) for v in action for x in (v.real, v.imag))
+    def key_of(action, shift: float = 0.0) -> tuple[int, ...]:
+        return tuple(round((x + shift) / grid) for v in action for x in (v.real, v.imag))
+
+    def near_keys(action):  # each coordinate's cell and any within ACTION_TOL of it
+        edges = zip(key_of(action, -ACTION_TOL), key_of(action, ACTION_TOL))
+        return itertools.product(*({lo, hi} for lo, hi in edges))
 
     buckets: dict[tuple[int, ...], list[int]] = {key_of(actions[0]): [0]}
     steps = gens + tuple(g.inverse() for g in gens)
@@ -186,14 +193,14 @@ def enumerate_group(generators, max_word_length: int,
             for step in steps:
                 cand = compose(step, word)
                 action = _action_values(cand)
-                bucket = buckets.setdefault(key_of(action), [])
-                if any(_same_action(action, actions[i]) for i in bucket):
+                if any(_same_action(action, actions[i])
+                       for key in near_keys(action) for i in buckets.get(key, ())):
                     continue
                 if len(elements) >= max_elements:
                     raise BudgetError(
                         f"group enumeration exceeded the cap of {max_elements} elements"
                     )
-                bucket.append(len(elements))
+                buckets.setdefault(key_of(action), []).append(len(elements))
                 elements.append(cand)
                 actions.append(action)
                 new_frontier.append(cand)
@@ -228,7 +235,7 @@ def orbit_set(points, group: GroupWordList) -> list[OrbitPoint]:
     meet.  An image within ``ORBIT_COLLISION_TOL`` of another input point
     raises :class:`ArgumentError` naming the offending pair.
     """
-    pts = np.array([kernels.as_disk_point(p) for p in points], dtype=complex)
+    pts = kernels.as_points(points, 1)[:, 0]
     check_distinct(pts)
     images = _images(group.elements, pts).T
     others = ~np.eye(len(pts), dtype=bool)[:, None, :]
@@ -344,13 +351,11 @@ def gamma_kernel(generators, degree: int,
 
 def invariance_residual(kernel, maps, grid=DEFAULT_RESIDUAL_GRID) -> float:
     """max |K(g(z), w) - K(z, w)| over the grid pairs and the given maps."""
-    pts = [kernels.as_disk_point(p) for p in grid]
-    if not pts:
-        raise ArgumentError("need a nonempty grid")
+    pts = kernels.as_points(grid, 1)[:, 0]
     m = len(pts)
     best = 0.0
     for images in _images(tuple(maps), pts):
-        k = kernels.kernel_matrix(kernel, [*pts, *images])
+        k = kernels.kernel_matrix(kernel, np.concatenate([pts, images]))
         best = max(best, float(np.max(np.abs(k[m:, :m] - k[:m, :m]))))
     return best
 
@@ -376,7 +381,7 @@ class GammaSequenceReport:
 
 def analyze_gamma_sequence(points, generators, degree: int, group_length: int, *,
                            sv_cutoff: float = DEFAULT_SV_CUTOFF,
-                           riesz_tolerance: float = 1e-3,
+                           riesz_tolerance: float = DEFAULT_RIESZ_TOL,
                            max_elements: int = DEFAULT_GROUP_CAP) -> GammaSequenceReport:
     """Group-kernel Gramian bounds plus disk-side diagnostics of the orbit set.
 
@@ -384,9 +389,7 @@ def analyze_gamma_sequence(points, generators, degree: int, group_length: int, *
     truncated invariant kernel; the orbit numbers apply the Szego kernel to
     the images of the points under every enumerated group element.
     """
-    pts = [kernels.as_disk_point(p) for p in points]
-    if not pts:
-        raise ArgumentError("need at least one point")
+    pts = kernels.as_points(points, 1)[:, 0]
     gens = tuple(generators)
     warns = generator_warnings(gens)
 
@@ -409,7 +412,7 @@ def analyze_gamma_sequence(points, generators, degree: int, group_length: int, *
     gamma_riesz = riesz_bounds(g, riesz_tolerance)
     gamma_weak = min_semimetric(g) if len(pts) >= 2 else None
 
-    orbit_pts = [item.point for item in orbit]
+    orbit_pts = np.array([item.point for item in orbit])
     og = normalized_gramian(orbit_pts, kernels.SZEGO)
     orbit_riesz = riesz_bounds(og, riesz_tolerance)
     orbit_weak = min_semimetric(og) if len(orbit_pts) >= 2 else None

@@ -21,30 +21,30 @@ from .errors import ArgumentError, NumericError
 # below meaningful resolution for double-precision kernel evaluation.
 DUPLICATE_TOL = 1e-12
 
+# Default bottom eigenvalue a normalized Gramian must clear to be Riesz.
+DEFAULT_RIESZ_TOL = 1e-3
+
 # Scale for "PSD within tolerance" feasibility margins: min eigenvalue >= -PSD_TOL_PER_POINT * n.
 PSD_TOL_PER_POINT = 1e-10
 
 
 def check_distinct(points, tol: float = DUPLICATE_TOL) -> None:
     """Raise :class:`ArgumentError` naming the first pair ``(i, j)``, ``i < j``,
-    of disk or polydisc points within Euclidean distance ``tol``."""
-    try:
-        p = np.array(list(points), dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise ArgumentError(f"points must be numbers or tuples of one dimension: {exc}") from exc
-    if p.ndim == 1:
-        p = p[:, None]
-    sq = np.zeros((len(p), len(p)))
-    for c in p.T:
-        sq += np.abs(c[:, None] - c[None, :]) ** 2
-    _reject_close(np.sqrt(sq), tol)
+    of disk or polydisc points within Euclidean distance ``tol``; the points
+    are validated by :func:`kernels.as_points` first."""
+    p = kernels.as_points(points)
+    if p.shape[1] == 1:
+        _reject_close(np.abs(p - p.T) <= tol, tol)
+    else:
+        _reject_close(sum(np.abs(c[:, None] - c[None, :]) ** 2 for c in p.T) <= tol * tol, tol)
 
 
-def _reject_close(dist: np.ndarray, tol: float) -> None:
-    """The error of :func:`check_distinct` on a matrix of pairwise distances."""
-    close = np.argwhere(np.triu(dist <= tol, 1))
-    if len(close):
-        raise ArgumentError(f"points {close[0][0]} and {close[0][1]} coincide within {tol:g}")
+def _reject_close(close: np.ndarray, tol: float) -> None:
+    """The error of :func:`check_distinct` on the matrix of pairs within ``tol``,
+    searched only when an off-diagonal pair is close."""
+    if np.count_nonzero(close) > len(close):
+        i, j = np.argwhere(np.triu(close, 1))[0]
+        raise ArgumentError(f"points {i} and {j} coincide within {tol:g}")
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class RieszReport:
 def normalized_gramian(points, kernel) -> np.ndarray:
     """Normalized Gramian ``K_ij / sqrt(K_ii K_jj)``, exactly Hermitian with unit
     diagonal, for any kernel that :func:`kernels.kernel_matrix` takes."""
-    pts = list(points)
+    pts = kernels.as_points(points)
     check_distinct(pts)
     k = kernels.kernel_matrix(kernel, pts)
     d = k.diagonal().real.copy()
@@ -78,7 +78,7 @@ def _check_tolerance(tolerance: float) -> float:
     return float(tolerance)
 
 
-def riesz_bounds(g, tolerance: float = 1e-3) -> RieszReport:
+def riesz_bounds(g, tolerance: float = DEFAULT_RIESZ_TOL) -> RieszReport:
     """Extreme eigenvalues of a normalized Gramian.
 
     ``carleson_constant`` is the top eigenvalue (the Bessel bound of the
@@ -122,11 +122,9 @@ def strong_separation_disk(points) -> float:
     The empty product (a single point) is 1.  Szego-kernel quantity: the
     points are plain disk points.
     """
-    z = np.array([kernels.as_disk_point(p) for p in points])
-    if not len(z):
-        raise ArgumentError("need at least one point")
+    z = kernels.as_points(points, 1)[:, 0]
     diff = z[:, None] - z[None, :]
-    _reject_close(np.abs(diff), DUPLICATE_TOL)
+    _reject_close(np.abs(diff) <= DUPLICATE_TOL, DUPLICATE_TOL)
     ph = np.abs(diff / (1.0 - z[:, None] * np.conj(z)[None, :]))
     np.fill_diagonal(ph, 1.0)
     return float(np.min(np.prod(ph, axis=1)))
@@ -145,7 +143,7 @@ def multiplier_separation(points, spec: kernels.KernelSpec, alpha: float = 1.0) 
     """
     if alpha <= 0.0:
         raise ArgumentError(f"alpha must be positive, got {alpha}")
-    pts = [kernels.as_disk_point(p) for p in points]
+    pts = kernels.as_points(points, 1)
     check_distinct(pts)
     n = len(pts)
     k = kernels.kernel_matrix(spec, pts)
@@ -164,10 +162,9 @@ def multiplier_distance(x, s_points, spec: kernels.KernelSpec, alpha: float = 1.
     ``s_points`` and 1 when ``s_points`` is empty."""
     if alpha <= 0.0:
         raise ArgumentError(f"alpha must be positive, got {alpha}")
-    x = kernels.as_disk_point(x)
-    s = [kernels.as_disk_point(p) for p in s_points]
-    if any(abs(x - p) <= DUPLICATE_TOL for p in s):
+    z = kernels.as_points([*s_points, x], 1)[:, 0]
+    if np.any(np.abs(z[:-1] - z[-1]) <= DUPLICATE_TOL):
         return 0.0
-    if not s:
+    if len(z) == 1:
         return 1.0
-    return multiplier_separation([*s, x], spec, alpha)[-1]
+    return multiplier_separation(z, spec, alpha)[-1]

@@ -9,6 +9,7 @@ with ``c_i >= 0`` and ``sum c_i <= 1``.  ``coeffs=[1]`` gives the Szego kernel
 ``1/(1 - z*conj(w))`` of the Hardy space.  Polydisc kernels are entrywise
 products of one-variable factors.
 
+:func:`as_points` validates every point list as one ``(n, d)`` array,
 :func:`inv_kernel_form` evaluates that series, broadcasting over arrays, and
 :func:`kernel_matrix` builds every kernel matrix from it: for a
 :class:`KernelSpec` or the truncated group kernel (``fuchsian.GammaKernelApprox``,
@@ -37,35 +38,43 @@ def as_disk_point(z) -> complex:
         z = complex(z)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"not interpretable as a disk point: {z!r}") from exc
-    # Written so that NaN fails the test too.
-    if not abs(z) <= 1.0 - DISK_BOUNDARY_WALL:
-        raise DomainError(f"point too close to the unit circle: |z| = {abs(z):.12g}")
-    return z
+    return complex(_disk_array(z))
 
 
 def _disk_array(z) -> np.ndarray:
-    """Array form of :func:`as_disk_point`: validates every entry, keeps the shape."""
+    """The one wall check: every entry must lie in the disk ``|z| <= 1 - DISK_BOUNDARY_WALL``.
+
+    Keeps the shape.  The error names the first bad entry's point (its index
+    on the first axis) and its modulus.
+    """
     z = np.asarray(z, dtype=complex)
-    if not np.all(np.abs(z) <= 1.0 - DISK_BOUNDARY_WALL):
-        raise DomainError("point too close to the unit circle or not finite")
+    # Written so that NaN fails the test too.
+    outside = ~(np.abs(z) <= 1.0 - DISK_BOUNDARY_WALL)
+    if outside.any():
+        at = tuple(np.argwhere(outside)[0])
+        point = f"point {at[0]}" if at else "point"
+        raise DomainError(f"{point} too close to the unit circle or not finite: |z| = {abs(z[at]):.12g}")
     return z
 
 
-def as_poly_point(p, dim: int | None = None) -> tuple[complex, ...]:
-    """Validate a polydisc point; a bare scalar is promoted to dimension 1."""
-    if isinstance(p, (complex, float, int)):
-        coords = (as_disk_point(p),)
-    else:
-        try:
-            items = list(p)
-        except TypeError as exc:
-            raise ArgumentError(f"not interpretable as a polydisc point: {p!r}") from exc
-        coords = tuple(as_disk_point(c) for c in items)
-    if not coords:
-        raise ArgumentError("a polydisc point needs at least one coordinate")
-    if dim is not None and len(coords) != dim:
-        raise ArgumentError(f"expected a point of dimension {dim}, got {len(coords)}")
-    return coords
+def as_points(points, dim: int | None = None) -> np.ndarray:
+    """Validate a list of disk or polydisc points as an ``(n, d)`` complex array.
+
+    A number is a point of dimension 1; sequences share one length, ``dim``
+    when given.  A bad shape raises :class:`ArgumentError`, a coordinate
+    outside the wall :class:`DomainError` (see :func:`_disk_array`).
+    """
+    try:
+        p = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ArgumentError(f"points must be numbers or sequences of one length: {exc}") from exc
+    if p.ndim == 1:
+        p = p[:, None]
+    if p.ndim != 2 or not p.size:
+        raise ArgumentError(f"need at least one point with a coordinate, got shape {p.shape}")
+    if dim is not None and p.shape[1] != dim:
+        raise ArgumentError(f"expected points of dimension {dim}, got {p.shape[1]}")
+    return _disk_array(p)
 
 
 @dataclass(frozen=True)
@@ -147,10 +156,8 @@ def eval_kernel(spec: KernelSpec, z, w) -> complex:
 
 def product_kernel(spec: ProductKernelSpec, Z, W) -> complex:
     """Product of factor evaluations at two polydisc points of matching dimension."""
-    Z = as_poly_point(Z, spec.dimension)
-    W = as_poly_point(W, spec.dimension)
     out = 1.0 + 0.0j
-    for factor, zc, wc in zip(spec.factors, Z, W):
+    for factor, zc, wc in zip(spec.factors, *as_points([Z, W], spec.dimension)):
         out *= eval_kernel(factor, zc, wc)
     return out
 
@@ -193,20 +200,15 @@ def kernel_matrix(kernel, points) -> np.ndarray:
     ``z_i * conj(z_j)``, a product kernel the entrywise product of its
     factors' matrices, and a kernel with a ``gram`` method gives ``gram(z)``.
     """
-    pts = list(points)
-    if not pts:
-        raise ArgumentError("need at least one point")
     if isinstance(kernel, ProductKernelSpec):
-        coords = np.array([as_poly_point(p, kernel.dimension) for p in pts]).T
         factors = kernel.factors
     elif isinstance(kernel, KernelSpec):
-        coords = np.array([[as_disk_point(p) for p in pts]])
         factors = (kernel,)
     elif hasattr(kernel, "gram"):
-        return _hermitian(kernel.gram(np.array([as_disk_point(p) for p in pts])))
+        return _hermitian(kernel.gram(as_points(points, 1)[:, 0]))
     else:
         raise ArgumentError(f"no kernel matrix for a {type(kernel).__name__}")
     out = 1.0
-    for factor, z in zip(factors, coords):
+    for factor, z in zip(factors, as_points(points, len(factors)).T):
         out = out / inv_kernel_form(factor, z[:, None], z[None, :])
     return _hermitian(out)

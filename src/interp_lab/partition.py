@@ -14,9 +14,8 @@ import numpy as np
 
 from ._linalg import certified_top_eigenvalue
 from .errors import ArgumentError
-from .gramian import _check_tolerance, normalized_gramian, riesz_bounds, semimetric_matrix
-
-DEFAULT_RIESZ_TOL = 1e-3
+from .gramian import (DEFAULT_RIESZ_TOL, _check_tolerance, normalized_gramian, riesz_bounds,
+                      semimetric_matrix)
 
 
 @dataclass(frozen=True)

@@ -43,14 +43,7 @@ EIG_ROUNDING_UNITS = 4.0
 
 def as_poly_points(points, dim: int | None = None) -> tuple[tuple[complex, ...], ...]:
     """Canonicalize a list of polydisc points to tuples of a common dimension."""
-    pts = [kernels.as_poly_point(p, dim) for p in points]
-    if not pts:
-        raise ArgumentError("need at least one point")
-    d = len(pts[0])
-    for i, p in enumerate(pts):
-        if len(p) != d:
-            raise ArgumentError(f"point {i} has dimension {len(p)}, expected {d}")
-    return tuple(pts)
+    return tuple(map(tuple, kernels.as_points(points, dim).tolist()))
 
 
 def as_product_spec(specs) -> kernels.ProductKernelSpec:
@@ -95,8 +88,7 @@ def pick_matrix(problem: PickProblem, spec: kernels.KernelSpec) -> np.ndarray:
     """One-variable Pick matrix [(C^2 - w_i conj(w_j)) K(z_i, z_j)]."""
     if problem.dimension != 1:
         raise ArgumentError(f"one-variable test needs dimension 1, got {problem.dimension}")
-    flat = [p[0] for p in problem.points]
-    k = kernels.kernel_matrix(spec, flat)
+    k = kernels.kernel_matrix(spec, problem.points)
     w = np.asarray(problem.values)
     return hermitian_part((problem.bound ** 2 - np.outer(w, np.conj(w))) * k)
 
@@ -117,7 +109,7 @@ def pick_psd_test(problem: PickProblem, spec: kernels.KernelSpec) -> tuple[bool,
 
 def inverse_kernel_stack(points, spec: kernels.ProductKernelSpec) -> np.ndarray:
     """Stacked matrices R_l = [1/k_l(p_i^l, p_j^l)], one slice per factor."""
-    coords = np.array(as_poly_points(points, spec.dimension)).T
+    coords = kernels.as_points(points, spec.dimension).T
     return np.stack([kernels.inv_kernel_form(factor, z[:, None], z[None, :])
                      for factor, z in zip(spec.factors, coords)])
 
@@ -167,7 +159,7 @@ def agler_feasible(points, specs, target, tol: float = DEFAULT_TOL,
     """Find PSD blocks G_1..G_d with sum_l G_l ∘ R_l = target, or a certificate
     that none exist; ``feasible`` is None when neither was found within ``max_iters``."""
     spec = as_product_spec(specs)
-    pts = as_poly_points(points, spec.dimension)
+    pts = kernels.as_points(points, spec.dimension)
     target = np.asarray(target, dtype=complex)
     n = len(pts)
     if target.shape != (n, n):
@@ -180,7 +172,7 @@ def _slices_and_gramians(points, specs) -> tuple[np.ndarray, np.ndarray]:
     """Distinct R slices and the unit-diagonal Gramians Ĝ_l of K_l = 1/R_l, then their
     product Ĝ.  T ∘ K_l decomposes T in one block; any decomposition keeps T ∘ Π_l K_l ⪰ 0."""
     spec = as_product_spec(specs)
-    pts = as_poly_points(points, spec.dimension)
+    pts = kernels.as_points(points, spec.dimension)
     check_distinct(pts)
     r = inverse_kernel_stack(pts, spec)
     distinct = r[_distinct_slices(r)]

@@ -510,3 +510,18 @@ class TestGrammar:
         args = build_parser().parse_args([command, "-", "--config", "c.json", "--output", "o.json", "--quiet"])
         assert vars(args) == {"command": command, "input": "-", "config": "c.json",
                               "output": "o.json", "quiet": True}
+
+
+class TestConfigDefaultsFromLibrary:
+    def test_echoed_config_is_the_library_defaults(self, tmp_path, capsys):
+        from interp_lab import fuchsian, gramian, pick, sdp
+
+        code, report = run_cli(capsys, ["analyze-disk", write_payload(tmp_path, DISK_PAYLOAD)])
+        assert code == 0
+        cfg = report["config"]
+        assert cfg["riesz_tolerance"] == gramian.DEFAULT_RIESZ_TOL
+        assert cfg["sdp_tol"] == sdp.DEFAULT_TOL
+        assert cfg["sdp_max_iters"] == sdp.DEFAULT_MAX_ITERS
+        assert cfg["bisection_tol"] == pick.BISECTION_TOL
+        assert cfg["sv_cutoff"] == fuchsian.DEFAULT_SV_CUTOFF
+        assert cfg["group_max_elements"] == fuchsian.DEFAULT_GROUP_CAP

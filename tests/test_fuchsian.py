@@ -250,3 +250,18 @@ class TestAnalyzeGammaSequence:
         rep = analyze_gamma_sequence([0.1 + 0.2j, -0.3 + 0.1j, 0.25 - 0.35j], gens, 60, 4)
         assert rep.orbit_point_count == 483
         assert len(calls) <= 3
+
+
+class TestEnumerateGroupCellEdges:
+    def test_copies_across_a_cell_edge_are_one_element(self):
+        # Two words of one element land 2.8e-17 apart on either side of an
+        # edge of the 1e-8 grid; a free group on two generators has
+        # 2 * 3**3 - 1 = 53 reduced words of length <= 3.
+        gens = [MobiusMap(0, 0.063696175), MobiusMap(0, 0.6j)]
+        assert enumerate_group(gens, 3).size == 53
+        assert enumerate_group([MobiusMap(0, 0.063696175 + 2.5e-9), gens[1]], 3).size == 53
+
+    def test_generators_at_cell_midpoints(self):
+        sizes = {enumerate_group([MobiusMap(0, (k + 0.5) * 1e-8), MobiusMap(0, 0.6j)], 3).size
+                 for k in range(0, 3000, 30)}
+        assert sizes == {53}

@@ -232,3 +232,12 @@ class TestMultiplierSeparation:
     def test_rejects_coinciding_points(self):
         with pytest.raises(ArgumentError):
             multiplier_separation([0.1, 0.5, 0.1], SZEGO)
+
+
+class TestMultiplierSeparationWithoutFactor:
+    def test_all_zero_when_cholesky_fails(self):
+        n = 20
+        z = (1 - 2e-9) * np.exp(1e-10j * np.arange(n))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(kernel_matrix(SZEGO, z) + PSD_TOL_PER_POINT * n * np.eye(n))
+        assert multiplier_separation(z, SZEGO) == [0.0] * n

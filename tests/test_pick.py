@@ -503,3 +503,27 @@ class TestFixedTargetVerdicts:
                 assert dec.feasible is None or dec.feasible is (factor > 1)
                 if dec.feasible is False:
                     assert_checked_farkas(bidisc_r(pts), target, dec.dual)
+
+
+class TestConstantFirstSlice:
+    """Points (x, w_i): the first slice is a constant kernel, so the data is
+    one-variable data on the w_i and M, N and C are the one-variable values."""
+
+    W = [0, 0.5, -0.4j]
+    VALUES = [0.1, 0.3j, -0.2]
+
+    @pytest.mark.parametrize("x", [0.0, 0.3])
+    def test_constants_equal_the_one_variable_values(self, x):
+        pts = [(x, w) for w in self.W]
+        assert condition_a_constant(pts, BIDISC) == pytest.approx(condition_a_constant(self.W, SZEGO), abs=1e-12)
+        assert condition_b_constant(pts, BIDISC) == pytest.approx(condition_b_constant(self.W, SZEGO), abs=1e-12)
+        assert pick_constant_for_values(pts, BIDISC, self.VALUES) == pytest.approx(
+            pick_constant_for_values(self.W, SZEGO, self.VALUES), abs=1e-12)
+
+    def test_rank_one_gramian_has_infinite_pick_norm(self, monkeypatch):
+        from interp_lab import pick
+
+        norms, pick_norm = [], pick._pick_norm
+        monkeypatch.setattr(pick, "_pick_norm", lambda g, w: norms.append(pick_norm(g, w)) or norms[-1])
+        pick_constant_for_values([(0.0, w) for w in self.W], BIDISC, self.VALUES)
+        assert norms[0] == np.inf and all(np.isfinite(norms[1:]))
