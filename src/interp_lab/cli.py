@@ -8,6 +8,7 @@ runs.  Exit codes: 0 success, 2 validation error, 3 numeric or budget error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -58,18 +59,28 @@ def _as_complex(v, path: str) -> complex:
     return complex(_as_number(v[0], f"{path}[0]"), _as_number(v[1], f"{path}[1]"))
 
 
+def _pairs(v: list, path: str, *at: int) -> list[complex]:
+    """The ``[re, im]`` entries of ``v``, each tested inline by the rule of :func:`_as_complex`;
+    a failing entry goes to it for the error, with the path ``path[*at][i]``."""
+    for i, z in enumerate(v):
+        if not (type(z) is list and len(z) == 2 and type(z[0]) in (int, float) and type(z[1]) in (int, float)
+                and abs(z[0]) <= sys.float_info.max and abs(z[1]) <= sys.float_info.max):
+            _as_complex(z, path + "".join(f"[{k}]" for k in (*at, i)))
+    return [complex(re, im) for re, im in v]
+
+
 def _complex_list(v, path: str) -> list[complex]:
     _expect(isinstance(v, list) and v, path, "expected a nonempty list")
-    return [_as_complex(item, f"{path}[{i}]") for i, item in enumerate(v)]
+    return _pairs(v, path)
 
 
 def _poly_point_list(v, path: str) -> list[tuple[complex, ...]]:
     _expect(isinstance(v, list) and v, path, "expected a nonempty list of points")
     out = []
     for i, item in enumerate(v):
-        _expect(isinstance(item, list) and item, f"{path}[{i}]",
-                "expected a point as a list of [re, im] coordinates")
-        out.append(tuple(_as_complex(c, f"{path}[{i}][{j}]") for j, c in enumerate(item)))
+        if not (isinstance(item, list) and item):
+            raise SchemaError(f"{path}[{i}]: expected a point as a list of [re, im] coordinates")
+        out.append(tuple(_pairs(item, path, i)))
     _expect(len({len(p) for p in out}) == 1, path, "points must share one dimension")
     return out
 
@@ -312,6 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser of :func:`run`: built on its first call, then kept for the process.
+_parser = functools.cache(build_parser)
+
+
 def _emit(report: dict, args) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.output:
@@ -323,7 +338,7 @@ def _emit(report: dict, args) -> None:
 
 def run(argv=None) -> int:
     """Entry point: returns the process exit code instead of raising."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
         payload = _load_json(args.input)

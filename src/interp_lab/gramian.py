@@ -28,15 +28,16 @@ DEFAULT_RIESZ_TOL = 1e-3
 PSD_TOL_PER_POINT = 1e-10
 
 
-def check_distinct(points, tol: float = DUPLICATE_TOL) -> None:
+def check_distinct(points, tol: float = DUPLICATE_TOL) -> np.ndarray:
     """Raise :class:`ArgumentError` naming the first pair ``(i, j)``, ``i < j``,
     of disk or polydisc points within Euclidean distance ``tol``; the points
-    are validated by :func:`kernels.as_points` first."""
+    are validated by :func:`kernels.as_points` first, and returned as its array."""
     p = kernels.as_points(points)
     if p.shape[1] == 1:
         _reject_close(np.abs(p - p.T) <= tol, tol)
     else:
         _reject_close(sum(np.abs(c[:, None] - c[None, :]) ** 2 for c in p.T) <= tol * tol, tol)
+    return p
 
 
 def _reject_close(close: np.ndarray, tol: float) -> None:
@@ -61,8 +62,7 @@ class RieszReport:
 def normalized_gramian(points, kernel) -> np.ndarray:
     """Normalized Gramian ``K_ij / sqrt(K_ii K_jj)``, exactly Hermitian with unit
     diagonal, for any kernel that :func:`kernels.kernel_matrix` takes."""
-    pts = kernels.as_points(points)
-    check_distinct(pts)
+    pts = check_distinct(points)
     k = kernels.kernel_matrix(kernel, pts)
     d = k.diagonal().real.copy()
     if not np.all(d > 0.0):

@@ -138,9 +138,12 @@ def inv_kernel_form(spec: KernelSpec, z, w):
     column and a row give the whole matrix).  Strictly bounded away from zero
     on the open disk since the coefficients sum to at most 1.
     """
-    s = _disk_array(z) * np.conj(_disk_array(w))
-    # Horner's rule on the negated sum, in place, so an array input allocates
-    # only ``s`` and the result.
+    return _inv_series(spec, _disk_array(z) * np.conj(_disk_array(w)))
+
+
+def _inv_series(spec: KernelSpec, s):
+    """1 - sum_i c_i s**i at ``s = z*conj(w)`` for checked points, by Horner's rule on
+    the negated sum, in place, so an array ``s`` allocates only the result."""
     acc = -spec.coeffs[-1] * s
     for c in spec.coeffs[-2::-1]:
         acc -= c
@@ -208,7 +211,12 @@ def kernel_matrix(kernel, points) -> np.ndarray:
         return _hermitian(kernel.gram(as_points(points, 1)[:, 0]))
     else:
         raise ArgumentError(f"no kernel matrix for a {type(kernel).__name__}")
+    return _series_matrix(factors, as_points(points, len(factors)))
+
+
+def _series_matrix(factors, p: np.ndarray) -> np.ndarray:
+    """:func:`kernel_matrix` of the product of ``factors`` at points checked by :func:`as_points`."""
     out = 1.0
-    for factor, z in zip(factors, as_points(points, len(factors)).T):
-        out = out / inv_kernel_form(factor, z[:, None], z[None, :])
+    for factor, z in zip(factors, p.T):
+        out = out / _inv_series(factor, z[:, None] * np.conj(z[None, :]))
     return _hermitian(out)

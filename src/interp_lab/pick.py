@@ -12,7 +12,7 @@ interior-point solve brackets it to a certified gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,11 +41,6 @@ BRACKET_LIMIT = 1e6
 EIG_ROUNDING_UNITS = 4.0
 
 
-def as_poly_points(points, dim: int | None = None) -> tuple[tuple[complex, ...], ...]:
-    """Canonicalize a list of polydisc points to tuples of a common dimension."""
-    return tuple(map(tuple, kernels.as_points(points, dim).tolist()))
-
-
 def as_product_spec(specs) -> kernels.ProductKernelSpec:
     """Accept a KernelSpec, a ProductKernelSpec, or a list of factors."""
     if isinstance(specs, kernels.ProductKernelSpec):
@@ -62,18 +57,20 @@ class PickProblem:
     points: tuple[tuple[complex, ...], ...]
     values: tuple[complex, ...]
     bound: float
+    # The validated (n, d) point array, the one that the kernel matrix reads.
+    _array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = as_poly_points(self.points)
+        array = check_distinct(self.points)
         vals = tuple(complex(v) for v in self.values)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_array", array)
+        object.__setattr__(self, "points", tuple(map(tuple, array.tolist())))
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "bound", float(self.bound))
-        if len(pts) != len(vals):
-            raise ArgumentError(f"{len(pts)} points but {len(vals)} values")
+        if len(array) != len(vals):
+            raise ArgumentError(f"{len(array)} points but {len(vals)} values")
         if self.bound <= 0.0:
             raise ArgumentError(f"norm bound must be positive, got {self.bound}")
-        check_distinct(pts)
 
     @property
     def dimension(self) -> int:
@@ -85,12 +82,13 @@ class PickProblem:
 
 
 def pick_matrix(problem: PickProblem, spec: kernels.KernelSpec) -> np.ndarray:
-    """One-variable Pick matrix [(C^2 - w_i conj(w_j)) K(z_i, z_j)]."""
+    """One-variable Pick matrix [(C^2 - w_i conj(w_j)) K(z_i, z_j)], Hermitian up to
+    rounding; :func:`pick_psd_test` symmetrizes it once, in its eigensolve."""
     if problem.dimension != 1:
         raise ArgumentError(f"one-variable test needs dimension 1, got {problem.dimension}")
-    k = kernels.kernel_matrix(spec, problem.points)
+    k = kernels._series_matrix((spec,), problem._array)
     w = np.asarray(problem.values)
-    return hermitian_part((problem.bound ** 2 - np.outer(w, np.conj(w))) * k)
+    return (problem.bound ** 2 - np.outer(w, np.conj(w))) * k
 
 
 def pick_psd_test(problem: PickProblem, spec: kernels.KernelSpec) -> tuple[bool, float]:
@@ -171,15 +169,12 @@ def agler_feasible(points, specs, target, tol: float = DEFAULT_TOL,
 def _slices_and_gramians(points, specs) -> tuple[np.ndarray, np.ndarray]:
     """Distinct R slices and the unit-diagonal Gramians Ĝ_l of K_l = 1/R_l, then their
     product Ĝ.  T ∘ K_l decomposes T in one block; any decomposition keeps T ∘ Π_l K_l ⪰ 0."""
-    spec = as_product_spec(specs)
-    pts = kernels.as_points(points, spec.dimension)
-    check_distinct(pts)
-    r = inverse_kernel_stack(pts, spec)
+    r = inverse_kernel_stack(check_distinct(points), as_product_spec(specs))
     distinct = r[_distinct_slices(r)]
     d = np.sqrt(np.real(np.diagonal(distinct, axis1=1, axis2=2)))
     g = d[:, :, None] * d[:, None, :] / distinct
     g = hermitian_part(np.concatenate([g, np.prod(g, axis=0)[None]]))
-    g[:, range(len(pts)), range(len(pts))] = 1.0
+    g[:, range(r.shape[1]), range(r.shape[1])] = 1.0
     return distinct, g
 
 
@@ -237,7 +232,11 @@ def condition_b_constant(points, specs, *, bisection_tol: float = BISECTION_TOL,
 
 def _pick_norm(g: np.ndarray, w: np.ndarray) -> float:
     """√μ, where μ = λmax(L⁻¹(W∘G)L⁻ᴴ), G = LLᴴ, W = [w_i conj(w_j)], is the
-    spectral norm of L⁻¹ diag(w) L; infinite when G does not factor."""
+    spectral norm of L⁻¹ diag(w) L; infinite when G is singular.  For these kernels
+    that means two parallel kernel functions, |g_ij| = 1, decided to 4 units of
+    rounding before any Cholesky, whose success there would be rounding alone."""
+    if np.max(np.abs(g - np.eye(len(g)))) >= 1.0 - 4.0 * np.finfo(float).eps:
+        return np.inf
     try:
         chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:

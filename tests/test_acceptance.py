@@ -35,7 +35,7 @@ from interp_lab import (
     weak_separation,
 )
 from interp_lab.fuchsian import MobiusMap
-from interp_lab.pick import as_poly_points, as_product_spec, inverse_kernel_stack
+from interp_lab.pick import as_product_spec, inverse_kernel_stack
 from conftest import random_disk_point, random_disk_points, random_kernel_spec
 
 BIDISC = ProductKernelSpec((SZEGO, SZEGO))
@@ -242,7 +242,7 @@ def test_criterion_10_certificate_honesty():
                 continue
             successes += 1
             # recompute the certificate from the returned blocks alone
-            r = inverse_kernel_stack(as_poly_points(pts, None), as_product_spec(spec))
+            r = inverse_kernel_stack(pts, as_product_spec(spec))
             recomposed = np.einsum("lij,lij->ij", np.stack(dec.blocks), r)
             residual = np.linalg.norm(np.asarray(target, dtype=complex) - recomposed)
             margin = min(

@@ -86,3 +86,19 @@ def test_every_command_names_the_point_outside_the_disk(command, capsys, monkeyp
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["type"] == "validation"
     assert error["message"] == "point 1 too close to the unit circle or not finite: |z| = 1.5"
+
+
+@pytest.mark.parametrize("bound, feasible", [(1.0, True), (0.4, False)])
+def test_one_variable_pick_checks_its_points_once(bound, feasible, capsys, monkeypatch):
+    from interp_lab import kernels
+
+    checked, disk_array = [], kernels._disk_array
+    monkeypatch.setattr(kernels, "_disk_array", lambda z: checked.append(np.shape(z)) or disk_array(z))
+    z = [0.0, 0.5, -0.3j, 0.2 + 0.6j, -0.7, 0.1 - 0.1j]
+    payload = {"schema_version": 1, "points": [[[p.real, p.imag]] for p in map(complex, z)],
+               "values": [[0.5 * p.real, 0.5 * p.imag] for p in map(complex, z)], "bound": bound,
+               "kernels": [SZEGO_JSON]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    assert run(["pick", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["feasible"] is feasible
+    assert checked == [(6, 1)]
