@@ -43,7 +43,7 @@ DEFAULT_SV_CUTOFF = 1e-6
 ORBIT_COLLISION_TOL = 1e-9
 
 # Fixed evaluation grid for kernel-invariance residuals.
-DEFAULT_RESIDUAL_GRID = (0.2 + 0.0j, 0.1 + 0.0j, -0.3 + 0.0j, 0.35j, -0.15 - 0.25j)
+RESIDUAL_GRID = (0.2 + 0.0j, 0.1 + 0.0j, -0.3 + 0.0j, 0.35j, -0.15 - 0.25j)
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,6 @@ class MobiusMap:
 
     def inverse(self) -> "MobiusMap":
         return MobiusMap(-self.theta, -self.a * cmath.exp(1j * self.theta))
-
-    def compose(self, other: "MobiusMap") -> "MobiusMap":
-        return compose(self, other)
 
 
 IDENTITY = MobiusMap(0.0, 0j)
@@ -99,19 +96,23 @@ def compose(g: MobiusMap, h: MobiusMap) -> MobiusMap:
     return MobiusMap(theta_new, a_new)
 
 
-def _action_values(m: MobiusMap) -> tuple[complex, ...]:
-    return tuple(m(t) for t in ACTION_TEST_POINTS)
+def _images(maps, z) -> np.ndarray:
+    """``m(z_j)`` for every map and validated disk point, shape (maps, points)."""
+    theta = np.array([m.theta for m in maps])[:, None]
+    a = np.array([m.a for m in maps], dtype=complex)[:, None]
+    z = np.asarray(z, dtype=complex)[None, :]
+    return np.exp(1j * theta) * (z - a) / (1.0 - np.conj(a) * z)
 
 
-def _same_action(v1, v2, tol: float = ACTION_TOL) -> bool:
-    return all(abs(a - b) <= tol for a, b in zip(v1, v2))
+def _same_action(v1, v2) -> bool:
+    return all(abs(a - b) <= ACTION_TOL for a, b in zip(v1, v2))
 
 
-def is_identity(m: MobiusMap, tol: float = ACTION_TOL) -> bool:
-    return _same_action(_action_values(m), ACTION_TEST_POINTS, tol)
+def is_identity(m: MobiusMap) -> bool:
+    return _same_action(_images([m], ACTION_TEST_POINTS)[0], ACTION_TEST_POINTS)
 
 
-def interior_fixed_point(m: MobiusMap, margin: float = 1e-6) -> complex | None:
+def interior_fixed_point(m: MobiusMap) -> complex | None:
     """A fixed point strictly inside the disk, if one exists (elliptic maps)."""
     e = cmath.exp(1j * m.theta)
     if abs(m.a) < 1e-15:
@@ -121,7 +122,7 @@ def interior_fixed_point(m: MobiusMap, margin: float = 1e-6) -> complex | None:
     # Fixed points solve conj(a) z^2 + (e^{i theta} - 1) z - e^{i theta} a = 0.
     roots = np.roots([m.a.conjugate(), e - 1.0, -e * m.a])
     for root in roots:
-        if abs(root) < 1.0 - margin:
+        if abs(root) < 1.0 - 1e-6:
             return complex(root)
     return None
 
@@ -132,9 +133,7 @@ def generator_warnings(generators) -> list[str]:
     for idx, g in enumerate(generators):
         if is_identity(g):
             out.append(f"generator {idx} acts as the identity")
-            continue
-        fp = interior_fixed_point(g)
-        if fp is not None:
+        elif (fp := interior_fixed_point(g)) is not None:
             out.append(
                 f"generator {idx} is elliptic (fixes {fp.real:.6g}{fp.imag:+.6g}i inside the disk); "
                 "the group does not act freely"
@@ -146,8 +145,6 @@ def generator_warnings(generators) -> list[str]:
 class GroupWordList:
     """All reduced words of the generators up to a length, identity included."""
 
-    generators: tuple[MobiusMap, ...]
-    max_word_length: int
     elements: tuple[MobiusMap, ...]
 
     @property
@@ -162,7 +159,9 @@ def enumerate_group(generators, max_word_length: int,
     Elements are deduplicated by their action on the fixed test points: each
     is filed in its cell of a 1e-8 grid, and a candidate is compared at
     ``ACTION_TOL`` with the elements of every cell within ``ACTION_TOL`` of its
-    action.  Exceeding ``max_elements`` raises :class:`BudgetError`.
+    action.  One word length's actions and cells come from one array pass;
+    candidates are then filed in order.  Exceeding ``max_elements`` raises
+    :class:`BudgetError`.
     """
     gens = tuple(generators)
     for g in gens:
@@ -173,58 +172,41 @@ def enumerate_group(generators, max_word_length: int,
     if max_elements < 1:
         raise ArgumentError("max_elements must be at least 1")
 
-    grid = 1e-8
-    elements: list[MobiusMap] = [IDENTITY]
-    actions: list[tuple[complex, ...]] = [_action_values(IDENTITY)]
-
-    def key_of(action, shift: float = 0.0) -> tuple[int, ...]:
-        return tuple(round((x + shift) / grid) for v in action for x in (v.real, v.imag))
-
-    def near_keys(action):  # each coordinate's cell and any within ACTION_TOL of it
-        edges = zip(key_of(action, -ACTION_TOL), key_of(action, ACTION_TOL))
-        return itertools.product(*({lo, hi} for lo, hi in edges))
-
-    buckets: dict[tuple[int, ...], list[int]] = {key_of(actions[0]): [0]}
     steps = gens + tuple(g.inverse() for g in gens)
-    frontier = [IDENTITY]
-    for _ in range(max_word_length):
-        new_frontier: list[MobiusMap] = []
-        for word in frontier:
-            for step in steps:
-                cand = compose(step, word)
-                action = _action_values(cand)
-                if any(_same_action(action, actions[i])
-                       for key in near_keys(action) for i in buckets.get(key, ())):
-                    continue
-                if len(elements) >= max_elements:
-                    raise BudgetError(
-                        f"group enumeration exceeded the cap of {max_elements} elements"
-                    )
-                buckets.setdefault(key_of(action), []).append(len(elements))
-                elements.append(cand)
-                actions.append(action)
-                new_frontier.append(cand)
-        frontier = new_frontier
-        if not frontier:
+    elements: list[MobiusMap] = []
+    actions: list[list[complex]] = []
+    buckets: dict[tuple[int, ...], list[int]] = {}
+    words = [IDENTITY]
+    for length in range(max_word_length + 1):
+        if length:
+            words = [compose(step, word) for word in words for step in steps]
+        values = _images(words, ACTION_TEST_POINTS)
+        # Each action's real and imaginary parts on the 1e-8 grid: the cells ACTION_TOL below, at and above.
+        lo, cell, hi = (np.rint((values.view(float) + shift) / 1e-8).astype(np.int64).tolist()
+                        for shift in (-ACTION_TOL, 0.0, ACTION_TOL))
+        frontier = []
+        for word, action, key, low, high in zip(words, values.tolist(), map(tuple, cell), lo, hi):
+            near = [key] if low == high else itertools.product(*map(set, zip(low, high)))
+            if any(_same_action(action, actions[i]) for k in near for i in buckets.get(k, ())):
+                continue
+            if len(elements) >= max_elements:
+                raise BudgetError(f"group enumeration exceeded the cap of {max_elements} elements")
+            buckets.setdefault(key, []).append(len(elements))
+            elements.append(word)
+            actions.append(action)
+            frontier.append(word)
+        words = frontier
+        if not words:
             break
-    return GroupWordList(gens, max_word_length, tuple(elements))
+    return GroupWordList(tuple(elements))
 
 
 @dataclass(frozen=True)
 class OrbitPoint:
-    """One point of a truncated orbit: which input point, moved by which element."""
+    """One point of a truncated orbit: which input point it is an image of."""
 
     orbit_index: int
-    element_index: int
     point: complex
-
-
-def _images(maps, z) -> np.ndarray:
-    """``m(z_j)`` for every map and validated disk point, shape (maps, points)."""
-    theta = np.array([m.theta for m in maps])[:, None]
-    a = np.array([m.a for m in maps], dtype=complex)[:, None]
-    z = np.asarray(z, dtype=complex)[None, :]
-    return np.exp(1j * theta) * (z - a) / (1.0 - np.conj(a) * z)
 
 
 def orbit_set(points, group: GroupWordList) -> list[OrbitPoint]:
@@ -249,9 +231,7 @@ def orbit_set(points, group: GroupWordList) -> list[OrbitPoint]:
     keep = ~close.any(axis=1)
     for k in np.flatnonzero(~keep):  # dropped only if near a kept image
         keep[k] = not close[k, keep].any()
-    size = group.size
-    return [OrbitPoint(int(k // size), int(k % size), complex(flat[k]))
-            for k in np.flatnonzero(keep)]
+    return [OrbitPoint(int(k // group.size), complex(flat[k])) for k in np.flatnonzero(keep)]
 
 
 def mobius_series(m: MobiusMap, degree: int) -> np.ndarray:
@@ -276,12 +256,10 @@ def composition_matrix(m: MobiusMap, degree: int) -> np.ndarray:
     computed by iterated truncated series multiplication; column 0 is the
     coefficient vector of the constant 1.
     """
-    if degree < 0:
-        raise ArgumentError("degree must be nonnegative")
+    series = mobius_series(m, degree)  # rejects a negative degree
     n1 = degree + 1
     out = np.zeros((n1, n1), dtype=complex)
     out[0, 0] = 1.0
-    series = mobius_series(m, degree)
     for j in range(1, n1):
         out[:, j] = np.convolve(out[:, j - 1], series)[:n1]
     return out
@@ -298,7 +276,6 @@ class GammaKernelApprox:
 
     degree: int
     basis: np.ndarray
-    sv_cutoff: float
     residuals: np.ndarray
 
     @property
@@ -338,20 +315,20 @@ def gamma_kernel(generators, degree: int,
     gens = tuple(generators)
     n1 = degree + 1
     if not gens:
-        return GammaKernelApprox(degree, np.eye(n1, dtype=complex), sv_cutoff, np.zeros(n1))
+        return GammaKernelApprox(degree, np.eye(n1, dtype=complex), np.zeros(n1))
     stack = np.vstack([composition_matrix(g, degree) - np.eye(n1) for g in gens])
-    _, s, vh = np.linalg.svd(stack)
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
     keep = s <= sv_cutoff
     if not keep.any():
         raise NumericError("no invariant direction found; constants should always be fixed")
     # Singular values come sorted descending: reverse so the most invariant
     # direction (the constant) leads.
-    return GammaKernelApprox(degree, vh[keep][::-1].copy(), sv_cutoff, s[keep][::-1].copy())
+    return GammaKernelApprox(degree, vh[keep][::-1].copy(), s[keep][::-1].copy())
 
 
-def invariance_residual(kernel, maps, grid=DEFAULT_RESIDUAL_GRID) -> float:
-    """max |K(g(z), w) - K(z, w)| over the grid pairs and the given maps."""
-    pts = kernels.as_points(grid, 1)[:, 0]
+def invariance_residual(kernel, maps) -> float:
+    """max |K(g(z), w) - K(z, w)| over the ``RESIDUAL_GRID`` pairs and the given maps."""
+    pts = np.array(RESIDUAL_GRID)
     m = len(pts)
     best = 0.0
     for images in _images(tuple(maps), pts):

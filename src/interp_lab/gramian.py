@@ -28,24 +28,23 @@ DEFAULT_RIESZ_TOL = 1e-3
 PSD_TOL_PER_POINT = 1e-10
 
 
-def check_distinct(points, tol: float = DUPLICATE_TOL) -> np.ndarray:
+def check_distinct(points) -> np.ndarray:
     """Raise :class:`ArgumentError` naming the first pair ``(i, j)``, ``i < j``,
-    of disk or polydisc points within Euclidean distance ``tol``; the points
-    are validated by :func:`kernels.as_points` first, and returned as its array."""
+    of disk or polydisc points within Euclidean distance ``DUPLICATE_TOL``; the
+    points are validated by :func:`kernels.as_points` first, and returned as its array."""
     p = kernels.as_points(points)
     if p.shape[1] == 1:
-        _reject_close(np.abs(p - p.T) <= tol, tol)
+        _reject_close(np.abs(p - p.T) <= DUPLICATE_TOL)
     else:
-        _reject_close(sum(np.abs(c[:, None] - c[None, :]) ** 2 for c in p.T) <= tol * tol, tol)
+        _reject_close(sum(np.abs(c[:, None] - c[None, :]) ** 2 for c in p.T) <= DUPLICATE_TOL ** 2)
     return p
 
 
-def _reject_close(close: np.ndarray, tol: float) -> None:
-    """The error of :func:`check_distinct` on the matrix of pairs within ``tol``,
-    searched only when an off-diagonal pair is close."""
+def _reject_close(close: np.ndarray) -> None:
+    """The error of :func:`check_distinct`, searched only when an off-diagonal pair is close."""
     if np.count_nonzero(close) > len(close):
         i, j = np.argwhere(np.triu(close, 1))[0]
-        raise ArgumentError(f"points {i} and {j} coincide within {tol:g}")
+        raise ArgumentError(f"points {i} and {j} coincide within {DUPLICATE_TOL:g}")
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,7 @@ def strong_separation_disk(points) -> float:
     """
     z = kernels.as_points(points, 1)[:, 0]
     diff = z[:, None] - z[None, :]
-    _reject_close(np.abs(diff) <= DUPLICATE_TOL, DUPLICATE_TOL)
+    _reject_close(np.abs(diff) <= DUPLICATE_TOL)
     ph = np.abs(diff / (1.0 - z[:, None] * np.conj(z)[None, :]))
     np.fill_diagonal(ph, 1.0)
     return float(np.min(np.prod(ph, axis=1)))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from ._linalg import eigvalsh_hermitian, frobenius, hermitian_part
-from .errors import ArgumentError, BudgetError, DomainError
+from .errors import ArgumentError, BudgetError, DomainError, NumericError
 from .gramian import PSD_TOL_PER_POINT, check_distinct
 from .sdp import (
     DEFAULT_MAX_ITERS,
@@ -71,6 +71,14 @@ class PickProblem:
             raise ArgumentError(f"{len(array)} points but {len(vals)} values")
         if self.bound <= 0.0:
             raise ArgumentError(f"norm bound must be positive, got {self.bound}")
+        # Every kernel here has k(z, z) <= 1/(1 − |z|²), so below 1e300 no entry or eigenvalue (at most
+        # n entries) of the d = 1 Pick matrix overflows, and below 1e150 no Frobenius norm (a sum of
+        # squares) of C²J − W or of any (C²J − W) ∘ K_l for d >= 2.
+        peak = max(v.real * v.real + v.imag * v.imag for v in vals)
+        scale = len(array) * (self.bound * self.bound + peak) / (1.0 - float(np.abs(array).max()) ** 2)
+        if not scale <= (limit := 1e300 if array.shape[1] == 1 else 1e150):
+            raise NumericError(f"norm bound {self.bound:g} out of range: n*(C^2 + max|w|^2)/(1 - max|z|^2) "
+                               f"= {scale:.3g} exceeds {limit:g}")
 
     @property
     def dimension(self) -> int:
@@ -204,14 +212,19 @@ def _checked_bracket(r, a, c, necessary: float, certified: float, gap: float, to
     return necessary, certified
 
 
+def _condition_a_bracket(points, specs, gap: float, tol: float) -> tuple[float, float]:
+    """Checked ends (dual, certified) of the smallest M at which M·I − J decomposes."""
+    r, g = _slices_and_gramians(points, specs)
+    n, top = r.shape[1], eigvalsh_hermitian(g)[:, -1]
+    return _checked_bracket(r, np.eye(n), np.ones((n, n)), max(1.0, top[-1]),
+                            max(1.0, min(top[:-1])), gap, tol)
+
+
 def condition_a_constant(points, specs, *, bisection_tol: float = BISECTION_TOL,
                          sdp_tol: float = DEFAULT_TOL) -> float:
     """Smallest M >= 1 such that M*I - J admits a PSD Schur-product decomposition;
     it lies in [max(1, λmax(Ĝ)), max(1, min_l λmax(Ĝ_l))]."""
-    r, g = _slices_and_gramians(points, specs)
-    n, top = r.shape[1], eigvalsh_hermitian(g)[:, -1]
-    return _checked_bracket(r, np.eye(n), np.ones((n, n)), max(1.0, top[-1]),
-                            max(1.0, min(top[:-1])), bisection_tol, sdp_tol)[1]
+    return _condition_a_bracket(points, specs, bisection_tol, sdp_tol)[1]
 
 
 def _condition_b_bracket(points, specs, gap: float, tol: float) -> tuple[float, float]:
@@ -244,23 +257,30 @@ def _pick_norm(g: np.ndarray, w: np.ndarray) -> float:
     return float(np.linalg.norm(np.linalg.solve(chol, w[:, None] * chol), 2))
 
 
-def pick_constant_for_values(points, specs, values, *, bisection_tol: float = 1e-6,
-                             sdp_tol: float = DEFAULT_TOL) -> float:
-    """Minimal norm bound C for which the interpolation data is feasible, i.e.
-    C^2*J - W decomposes; it lies in [√μ(Ĝ), min_l √μ(Ĝ_l)].  C scales with the
-    values, so values below unit size are solved at unit size."""
+def _interpolation_bracket(points, specs, values, gap: float, tol: float) -> tuple[float, float]:
+    """Checked ends (dual, certified) of the minimal C at which C²J − W decomposes."""
     r, g = _slices_and_gramians(points, specs)
     n, vals = r.shape[1], np.asarray([complex(v) for v in values])
     if len(vals) != n:
         raise ArgumentError(f"{n} points but {len(vals)} values")
     scale = min(1.0, np.max(np.abs(vals))) or 1.0
-    norms = [_pick_norm(x, vals / scale) for x in g]
+    # Divided by parts: a complex division forms 1/scale, which overflows for a subnormal scale.
+    w = vals.real / scale + 1j * (vals.imag / scale)
+    norms = [_pick_norm(x, w) for x in g]
     if scale * min(norms[:-1]) > np.sqrt(BRACKET_LIMIT):
         raise BudgetError(f"interpolation constant: none certified below {np.sqrt(BRACKET_LIMIT):g}")
-    # Solved for u = C^2: a gap of 2·tol·√μ(Ĝ) on u is at most tol on C.
-    u = _checked_bracket(r, np.ones((n, n)), np.outer(vals, np.conj(vals)) / scale ** 2,
-                         norms[-1] ** 2, min(norms[:-1]) ** 2, 2.0 * bisection_tol * norms[-1], sdp_tol)[1]
-    return scale * float(np.sqrt(u))
+    # Solved for u = C^2: a gap of 2·gap·√μ(Ĝ) on u is at most gap on C.
+    u = _checked_bracket(r, np.ones((n, n)), np.outer(w, np.conj(w)),
+                         norms[-1] ** 2, min(norms[:-1]) ** 2, 2.0 * gap * norms[-1], tol)
+    return scale * float(np.sqrt(u[0])), scale * float(np.sqrt(u[1]))
+
+
+def pick_constant_for_values(points, specs, values, *, bisection_tol: float = 1e-6,
+                             sdp_tol: float = DEFAULT_TOL) -> float:
+    """Minimal norm bound C for which the interpolation data is feasible, i.e.
+    C^2*J - W decomposes; it lies in [√μ(Ĝ), min_l √μ(Ĝ_l)].  C scales with the
+    values, so values below unit size are solved at unit size."""
+    return _interpolation_bracket(points, specs, values, bisection_tol, sdp_tol)[1]
 
 
 def vector_valued_feasible(points, specs, n_bound: float, *, sdp_tol: float = DEFAULT_TOL) -> bool:

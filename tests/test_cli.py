@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from interp_lab.cli import _COMMANDS, CONFIG_DEFAULTS, run
+from interp_lab.errors import NumericError
+from interp_lab.pick import PickProblem
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -129,6 +131,43 @@ class TestPickCommand:
         assert code == 0
         assert report["results"]["feasible"] is None
         assert report["results"]["iterations"] == 3
+
+
+def scaled_pick_payload(dim, bound, far_point=False):
+    """README's two-point pick payload in ``dim`` coordinates, optionally with a third point at 0.999999."""
+    points = [[0, 0], [0.5, 0]] + ([[0.999999, 0]] if far_point else [])
+    return {
+        "schema_version": 1,
+        "points": [[z] * dim for z in points],
+        "values": [[0, 0], [0.6, 0], [0.1, 0]][:len(points)],
+        "bound": bound,
+        "kernels": [{"coeffs": [1]}] * dim,
+    }
+
+
+class TestPickScaleLimit:
+    """A bound at which a Pick matrix could overflow is a numeric error naming it, in every
+    dimension, raised before any matrix is built (warnings are errors under pytest)."""
+
+    @pytest.mark.parametrize("dim, bound, far_point", [(1, 1e200, False), (2, 1e200, False), (1, 1e153, True),
+                                                        (2, 1e153, True), (1, 1e148, True), (2, 1e80, False)])
+    def test_out_of_range_bound_exits_3(self, tmp_path, capsys, dim, bound, far_point):
+        payload = scaled_pick_payload(dim, bound, far_point)
+        code, report = run_cli(capsys, ["pick", write_payload(tmp_path, payload)])
+        assert code == 3
+        assert report["error"]["type"] == "numeric"
+        assert report["error"]["message"].startswith(f"norm bound {bound:g} out of range")
+
+    @pytest.mark.parametrize("dim, bound", [(1, 1e146), (2, 1e70)])
+    def test_large_bound_below_the_limit_is_decided(self, tmp_path, capsys, dim, bound):
+        payload = scaled_pick_payload(dim, bound, far_point=True)
+        code, report = run_cli(capsys, ["pick", write_payload(tmp_path, payload)])
+        assert code == 0
+        assert report["results"]["feasible"] is True
+
+    def test_huge_values_are_a_numeric_error(self):
+        with pytest.raises(NumericError, match="norm bound 1 out of range"):
+            PickProblem(((0,), (0.5,)), (1.5e308 + 1.5e308j, 0), 1.0)
 
 
 class TestPartitionCommand:

@@ -20,7 +20,14 @@ from interp_lab import (
     strong_separation_disk,
     weak_separation,
 )
-from interp_lab.fuchsian import IDENTITY, compose, generator_warnings, interior_fixed_point
+from interp_lab.fuchsian import (
+    ACTION_TEST_POINTS,
+    ACTION_TOL,
+    IDENTITY,
+    compose,
+    generator_warnings,
+    interior_fixed_point,
+)
 from interp_lab.gramian import DUPLICATE_TOL, check_distinct
 from conftest import random_disk_point
 
@@ -265,3 +272,55 @@ class TestEnumerateGroupCellEdges:
         sizes = {enumerate_group([MobiusMap(0, (k + 0.5) * 1e-8), MobiusMap(0, 0.6j)], 3).size
                  for k in range(0, 3000, 30)}
         assert sizes == {53}
+
+
+def reference_group(gens, length):
+    """Breadth-first words of ``gens`` up to ``length``, each kept unless some kept
+    element's scalar action on ACTION_TEST_POINTS agrees with its own within
+    ACTION_TOL at every point: the pairwise rule, O(N^2), with no grid."""
+    steps = list(gens) + [g.inverse() for g in gens]
+    kept, frontier = [IDENTITY], [IDENTITY]
+    actions = [[mobius_apply(IDENTITY, t) for t in ACTION_TEST_POINTS]]
+    for _ in range(length):
+        new = []
+        for word in frontier:
+            for step in steps:
+                cand = compose(step, word)
+                action = [mobius_apply(cand, t) for t in ACTION_TEST_POINTS]
+                if all(max(abs(a - b) for a, b in zip(action, other)) > ACTION_TOL for other in actions):
+                    kept.append(cand)
+                    actions.append(action)
+                    new.append(cand)
+        frontier = new
+    return kept
+
+
+def elliptic(rng, order):
+    """A rotation by 2*pi/order conjugated by a random automorphism: elliptic, of that order."""
+    phi = random_mobius(rng)
+    return compose(phi.inverse(), compose(MobiusMap(2 * np.pi / order, 0), phi))
+
+
+def generator_sets():
+    rng = np.random.default_rng(1207)
+    for i in range(3):  # Schottky pairs as in the benchmark: |a| in [0.8, 0.9], a quarter turn apart
+        r1, r2 = rng.uniform(0.8, 0.9, size=2)
+        phi = rng.uniform(0, 2 * np.pi)
+        yield f"schottky-{i}", [MobiusMap(0, r1 * np.exp(1j * phi)), MobiusMap(0, 1j * r2 * np.exp(1j * phi))], 4
+    for order in (3, 5):
+        yield f"elliptic-{order}", [elliptic(rng, order), random_mobius(rng)], 3
+    yield "elliptic-pair", [elliptic(rng, 4), elliptic(rng, 6)], 4
+    for order in (3, 7, 8):
+        yield f"rotation-{order}", [MobiusMap(2 * np.pi / order, 0)], order
+    for p, q in ((4, 6), (5, 3), (9, 12)):
+        yield f"two-rotations-{p}-{q}", [MobiusMap(2 * np.pi / p, 0), MobiusMap(2 * np.pi / q, 0)], 12
+    yield "cell-edge", [MobiusMap(0, 0.063696175), MobiusMap(0, 0.6j)], 3
+
+
+class TestEnumerateGroupReference:
+    @pytest.mark.parametrize("gens, length", [pytest.param(gens, length, id=name)
+                                              for name, gens, length in generator_sets()])
+    def test_same_elements_in_the_same_order_as_the_pairwise_rule(self, gens, length):
+        expected = reference_group(gens, length)
+        found = enumerate_group(gens, length).elements
+        assert [(g.theta, g.a) for g in found] == [(g.theta, g.a) for g in expected]

@@ -309,6 +309,13 @@ class TestSmallScaleData:
                                       bisection_tol=1e-2 * scale)
         assert c2 == pytest.approx(scale, rel=1e-2)
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-300])
+    def test_interpolation_constant_where_the_square_of_the_scale_underflows(self, scale):
+        # Values of size 1e-160 and below have a square of 0.0, which must never divide.
+        assert pick_constant_for_values([0, 0.5], SZEGO, [0, 0.5 * scale]) == pytest.approx(scale, rel=1e-12)
+        c = pick_constant_for_values(ANCHOR, BIDISC, [scale * p[0] for p in ANCHOR])
+        assert c == pytest.approx(scale, rel=1e-4)
+
 
 class TestClosedFormBrackets:
     @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])

@@ -26,7 +26,18 @@ from interp_lab import (  # noqa: E402
 )
 from interp_lab.fuchsian import interior_fixed_point  # noqa: E402
 from interp_lab.gramian import DUPLICATE_TOL  # noqa: E402
-from interp_lab.pick import _pick_norm, _slices_and_gramians, inverse_kernel_stack  # noqa: E402
+from interp_lab.pick import (  # noqa: E402
+    BISECTION_TOL,
+    _condition_a_bracket,
+    _condition_b_bracket,
+    _interpolation_bracket,
+    _pick_norm,
+    _slices_and_gramians,
+    condition_a_constant,
+    condition_b_constant,
+    inverse_kernel_stack,
+)
+from interp_lab.sdp import DEFAULT_TOL  # noqa: E402
 
 disk_points = st.builds(lambda r, phi: complex(r * np.cos(phi), r * np.sin(phi)),
                         st.floats(0.0, 0.85), st.floats(0.0, 2 * np.pi))
@@ -167,3 +178,62 @@ def test_equal_coordinates_close_the_brackets(data):
     diagonal = [(p[0], p[0]) for p in points]
     for necessary, certified, _ in brackets(diagonal, values).values():
         assert abs(necessary - certified) <= 1e-12 * max(1.0, certified)
+
+
+# The paper's laws on the checked ends of M, N and C.  A certified end's blocks pass
+# check_certificate at sdp_tol: residual and PSD margin within DEFAULT_TOL, so a certified
+# M or N may sit (d + 1)·DEFAULT_TOL on the wrong side of the optimum (for A = I each block
+# pairs with a dual of trace at most 1).  That is the only slack the laws take.
+FACTORS = (SZEGO, KernelSpec((0.6, 0.3)))
+
+
+@st.composite
+def polydisc_data(draw):
+    d, n = draw(st.integers(2, 3)), draw(st.integers(2, 5))
+    coords = [draw(st.lists(bidisc_disk_points, min_size=n, max_size=n)) for _ in range(d)]
+    for z in coords:
+        assume(min(abs(a - b) for a, b in itertools.combinations(z, 2)) > 0.05)
+    specs = [draw(st.sampled_from(FACTORS)) for _ in range(d)]
+    values = draw(st.lists(st.builds(lambda r, phi: r * np.exp(1j * phi), st.floats(0.0, 1.0),
+                                     st.floats(0.0, 2 * np.pi)), min_size=n, max_size=n))
+    return list(zip(*coords)), specs, np.array(values)
+
+
+@settings(max_examples=25, deadline=None)
+@given(polydisc_data())
+def test_interpolation_constant_is_at_most_sqrt_m_over_n(data):
+    """L1: if max|w_i| <= 1 then C(w)² <= M/N, checked as C_dual² <= M_cert/N_cert.
+
+    Proof: W = [w_i conj(w_j)] is PSD, and the Schur product of PSD matrices is
+    PSD, so W ∘ (M·I − J) = M·diag|w|² − W decomposes with blocks W ∘ G_l.
+    M·(I − diag|w|²) is diagonal and PSD, one block on its own.  Their sum
+    M·I − W decomposes, and so does (M/N)·(J − N·I) = (M/N)·J − M·I.  Adding,
+    (M/N)·J − W decomposes: C² <= M/N.  The dual end is at most C.
+    """
+    points, specs, values = data
+    slack = (len(specs) + 1) * DEFAULT_TOL
+    m_cert = condition_a_constant(points, specs)
+    n_cert = condition_b_constant(points, specs)
+    assume(n_cert > slack)
+    c_dual = _interpolation_bracket(points, specs, values, 1e-6, DEFAULT_TOL)[0]
+    assert c_dual ** 2 <= (m_cert + slack) / (n_cert - slack)
+
+
+@settings(max_examples=25, deadline=None)
+@given(polydisc_data(), st.integers(0, 4))
+def test_fewer_points_never_raise_m_or_lower_n(data, dropped):
+    """L2: on S' ⊆ S, M(S') <= M(S) and N(S') >= N(S), checked as
+    M_dual(S') <= M_cert(S) and N_dual(S') >= N_cert(S), for S' = S and S minus a point.
+
+    Proof: the principal submatrix on S' of a PSD block is PSD, and taking it
+    commutes with the Schur product, so restricting a decomposition of M·I − J
+    or J − N·I over S to S' gives one over S'.  The dual ends are at most M(S')
+    and at least N(S').
+    """
+    points, specs, _ = data
+    slack = (len(specs) + 1) * DEFAULT_TOL
+    m_cert, n_cert = condition_a_constant(points, specs), condition_b_constant(points, specs)
+    subset = [p for i, p in enumerate(points) if i != dropped % len(points)]
+    for sub in (points, subset):
+        assert _condition_a_bracket(sub, specs, BISECTION_TOL, DEFAULT_TOL)[0] <= m_cert + slack
+        assert _condition_b_bracket(sub, specs, BISECTION_TOL, DEFAULT_TOL)[1] >= n_cert - slack
