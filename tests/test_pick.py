@@ -479,6 +479,98 @@ class TestTwoPointConstants:
                 assert -1e-12 * scale <= u - bound <= 1e-10 * scale
 
 
+def szego_bidisc_sets():
+    """Szegő bidisc sets of 6, 10 and 16 points, drawn in that order from default_rng(1)
+    with coordinates 0.8·√U·e^{2πiV}."""
+    rng, sets = np.random.default_rng(1), {}
+    for n in (6, 10, 16):
+        z = 0.8 * np.sqrt(rng.uniform(size=(n, 2))) * np.exp(2j * np.pi * rng.uniform(size=(n, 2)))
+        sets[n] = [tuple(p) for p in z]
+    return sets
+
+
+def spy_on_solves(monkeypatch):
+    """Record the arguments and result of every interior-point solve that the constants run."""
+    from interp_lab import pick
+
+    calls, solve = [], pick.barrier_solve
+
+    def spy(*args):
+        calls.append((args, solve(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(pick, "barrier_solve", spy)
+    return calls
+
+
+def assert_checked_primal_end(r, a, b, res):
+    from interp_lab import AffineConstraint, check_certificate
+
+    residual, margin = check_certificate(res.blocks, AffineConstraint(r, res.upper * a - b))
+    assert residual <= 1e-7 and margin >= -1e-7
+
+
+class TestBarrierSchedule:
+    @pytest.mark.parametrize("n", [10, 16])
+    def test_line_searched_solves_take_at_most_45_steps(self, n, monkeypatch):
+        calls = spy_on_solves(monkeypatch)
+        pts = szego_bidisc_sets()[n]
+        condition_a_constant(pts, BIDISC)
+        condition_b_constant(pts, BIDISC)
+        assert len(calls) == 2
+        for (r, a, b, _, gap, _), res in calls:
+            assert res.steps <= 45
+            assert_checked_primal_end(r, a, b, res)
+            assert checked_dual(r, a, b, res.dual) == pytest.approx(res.lower, rel=1e-12)
+            assert res.upper - res.lower <= gap
+
+    def test_anchor_checks_a_primal_end_at_most_twice_per_solve(self, monkeypatch):
+        from interp_lab import pick, sdp
+
+        checks, per_solve = [], []
+        primal, solve = sdp._certified_primal, pick.barrier_solve
+
+        def counted_primal(*args):
+            checks.append(args)
+            return primal(*args)
+
+        def counted_solve(*args):
+            before = len(checks)
+            res = solve(*args)
+            per_solve.append(len(checks) - before)
+            return res
+
+        monkeypatch.setattr(sdp, "_certified_primal", counted_primal)
+        monkeypatch.setattr(pick, "barrier_solve", counted_solve)
+        m = condition_a_constant(ANCHOR, BIDISC)
+        nv = condition_b_constant(ANCHOR, BIDISC)
+        assert len(per_solve) == 2 and 1 <= min(per_solve) and max(per_solve) <= 2
+        assert abs(m - 2.519285694) <= 1e-5
+        assert abs(nv - 0.073572415) <= 1e-5
+
+    def test_budget_exit_returns_a_checked_or_closed_form_end(self, monkeypatch):
+        from interp_lab import sdp
+
+        calls = spy_on_solves(monkeypatch)
+        condition_a_constant(ANCHOR, BIDISC)
+        (r, a, b, bracket, gap, tol), full = calls[0]
+        certified = []
+        for cap in range(1, full.steps):
+            monkeypatch.setattr(sdp, "BARRIER_MAX_STEPS", cap)
+            capped = sdp.barrier_solve(r, a, b, bracket, gap, tol)
+            assert capped.steps == cap and capped.upper - capped.lower > gap
+            m = condition_a_constant(ANCHOR, BIDISC)
+            if capped.upper < np.inf:
+                # The exit checked the last centred point; M is that end or the closed form.
+                assert_checked_primal_end(r, a, b, capped)
+                certified.append(cap)
+                assert m in (bracket[1], max(bracket[0], capped.upper))
+            else:
+                assert m == bracket[1]
+        # Every cap past the first centred point leaves a checked primal end.
+        assert certified and certified == list(range(certified[0], full.steps))
+
+
 def pick_target(values, bound):
     return bound ** 2 - np.outer(values, np.conj(values))
 

@@ -36,6 +36,7 @@ from interp_lab.pick import (  # noqa: E402
     condition_a_constant,
     condition_b_constant,
     inverse_kernel_stack,
+    pick_constant_for_values,
 )
 from interp_lab.sdp import DEFAULT_TOL  # noqa: E402
 
@@ -188,8 +189,8 @@ FACTORS = (SZEGO, KernelSpec((0.6, 0.3)))
 
 
 @st.composite
-def polydisc_data(draw):
-    d, n = draw(st.integers(2, 3)), draw(st.integers(2, 5))
+def polydisc_data(draw, dimensions=st.integers(2, 3)):
+    d, n = draw(dimensions), draw(st.integers(2, 5))
     coords = [draw(st.lists(bidisc_disk_points, min_size=n, max_size=n)) for _ in range(d)]
     for z in coords:
         assume(min(abs(a - b) for a, b in itertools.combinations(z, 2)) > 0.05)
@@ -237,3 +238,26 @@ def test_fewer_points_never_raise_m_or_lower_n(data, dropped):
     for sub in (points, subset):
         assert _condition_a_bracket(sub, specs, BISECTION_TOL, DEFAULT_TOL)[0] <= m_cert + slack
         assert _condition_b_bracket(sub, specs, BISECTION_TOL, DEFAULT_TOL)[1] >= n_cert - slack
+
+
+@settings(max_examples=25, deadline=None)
+@given(polydisc_data(dimensions=st.just(3)))
+def test_appended_factor_never_raises_m_or_c_or_lowers_n(data):
+    """L3: appending a factor to a d = 2 set never raises M or C and never lowers N,
+    checked as M_dual(d + 1) <= M_cert(d), N_dual(d + 1) >= N_cert(d) and
+    C_dual(d + 1)² <= C_cert(d)².
+
+    Proof: G_{d+1} = 0 is PSD and contributes nothing to sum_l G_l ∘ R_l, so every
+    decomposition over d factors is one over d + 1 with whatever coordinates the new
+    factor has.  The constants over d + 1 factors are then at least as good, and the
+    dual ends are at most M and C, and at least N, over d + 1 factors.
+    """
+    points, specs, values = data
+    base, base_specs = [p[:2] for p in points], specs[:2]
+    slack = (len(base_specs) + 1) * DEFAULT_TOL
+    assert (_condition_a_bracket(points, specs, BISECTION_TOL, DEFAULT_TOL)[0]
+            <= condition_a_constant(base, base_specs) + slack)
+    assert (_condition_b_bracket(points, specs, BISECTION_TOL, DEFAULT_TOL)[1]
+            >= condition_b_constant(base, base_specs) - slack)
+    c_dual = _interpolation_bracket(points, specs, values, 1e-6, DEFAULT_TOL)[0]
+    assert c_dual ** 2 <= pick_constant_for_values(base, base_specs, values) ** 2 + slack
