@@ -9,10 +9,10 @@ Dykstra's algorithm alternates two Frobenius projections with correction
 terms: the projection onto the affine slice has a closed form because the
 constraint map acts entrywise, and the PSD projection is an eigenvalue clip.
 It stops at checked blocks or at a checked Farkas dual built from their residual.
-A dual barrier method brackets the smallest ``u`` for which ``u A - C`` decomposes,
-by line-searched Newton steps, and checks a primal end only where the bracket can close.
-Verdicts and bracket ends are re-checked from scratch (residual, eigenvalue margin, dual
-eigenvalues) so a certificate never depends on solver internals.
+A dual barrier method brackets the smallest ``u`` for which ``u A - C``
+decomposes.  Verdicts and bracket ends are re-checked from scratch (residual,
+eigenvalue margin, dual eigenvalues) so a certificate never depends on solver
+internals.
 """
 
 from __future__ import annotations
@@ -236,65 +236,63 @@ def _certified_primal(r, a, c, u: float, blocks, tol: float):
 def barrier_solve(r, a, c, bracket: tuple[float, float], gap: float, tol: float) -> BarrierResult:
     """Bracket ``min u`` such that ``u A - C = sum_l G_l ∘ R_l`` over PSD blocks.
 
-    With ``A`` = I or J, Y = I/n is strictly feasible for the dual: max <C,Y> subject to <A,Y> = 1
-    and S_l = conj(R_l)∘Y >= 0, a lower bound on u as <G∘R, Y> = <G, conj(R)∘Y>.  Newton steps
-    maximize t<C,Y> + sum_l log det S_l, halved from the full step while an S_l does not factor or
-    the gain is under 1/4 of its linear estimate, down to 1/(1 + decrement).  A step dY with
-    multiplier nu gives blocks G_l = (W_l - W_l (conj(R_l)∘dY) W_l) / t, W_l = S_l^-1, that solve
-    sum_l G_l ∘ R_l = (nu/t) A - C and are PSD for a decrement below 1.  A centred point checks the
-    dual end by the eigenvalues of the S_l, the primal end once nu/t is ``gap`` from it, and grows t,
-    until the ends are ``gap`` apart; other exits check the last centred point's primal end.
-    ``bracket`` holds known ends: its lower one joins the dual bound, its width sets t.
+    With ``A`` = I or J, Y = I/n is strictly feasible for the dual: max <C,Y>
+    subject to <A,Y> = 1 and S_l = conj(R_l)∘Y >= 0, a lower bound on u as
+    <G∘R, Y> = <G, conj(R)∘Y>.  Damped Newton steps maximize
+    t<C,Y> + sum_l log det S_l; a step dY with multiplier nu gives blocks
+    G_l = (W_l - W_l (conj(R_l)∘dY) W_l) / t, W_l = S_l^-1, that solve
+    sum_l G_l ∘ R_l = (nu/t) A - C and are PSD for a Newton decrement below 1.
+    Each centred point checks the dual end by the eigenvalues of the S_l, the
+    primal end once nu/t is within ``gap`` of the dual end, and grows t, until
+    the ends are ``gap`` apart; an exit before that checks the primal ends of
+    the centred points it skipped.  ``bracket`` holds known ends: its lower one
+    joins the dual bound, its width sets t.
     """
     d, n, _ = r.shape
-    rc, vec_a, outer = np.conj(r), np.reshape(a, -1), np.einsum("lij,lkm->lijkm", r, np.conj(r))
+    rc = np.conj(r)
+    vec_a = np.reshape(a, -1)
+    outer = np.einsum("lij,lkm->lijkm", r, rc)  # vec R_l vec R_l^H
     y, t = np.eye(n, dtype=complex) / n, d * n / max(bracket[1] - bracket[0], gap)
-    result, centred, chol = BarrierResult(bracket[0], np.inf, y, None, 0), None, np.linalg.cholesky(rc * y)
+    result = BarrierResult(bracket[0], np.inf, y, None, 0)
+    skipped = []  # (nu/t, blocks) of centred points whose primal end was not checked
 
-    def certify(u, w, ds, t):
-        blocks = hermitian_part(w - w @ ds @ w) / t
-        if (primal := _certified_primal(r, a, c, u, blocks, tol)) is not None and primal[0] < result.upper:
+    def certify(u, blocks):
+        primal = _certified_primal(r, a, c, u, blocks, tol)
+        if primal is not None and primal[0] < result.upper:
             result.upper, result.blocks = primal
-    # Bordered Newton system [[H, a], [a^H, 0]], Jacobi-scaled, by LU: H^-1 cancels badly at large t.
-    kkt, rhs = np.zeros((n * n + 1,) * 2, dtype=complex), np.zeros(n * n + 1, dtype=complex)
+    # Bordered Newton system [[H, a], [a^H, 0]] in Jacobi scaling, by LU:
+    # eliminating nu through H^-1 cancels badly at large t.
+    kkt = np.zeros((n * n + 1,) * 2, dtype=complex)
     for step in range(1, BARRIER_MAX_STEPS + 1):
-        result.steps, w = step, np.linalg.inv(chol)
-        w = np.conj(np.swapaxes(w, 1, 2)) @ w  # W_l = L^-H L^-1 stays PSD however S_l is conditioned
-        # H: dY -> sum_l R_l ∘ (W_l (conj(R_l)∘dY) W_l) from the products vec R_l vec R_l^H.
-        hess = np.einsum("lijkm,lik,lmj->ijkm", outer, w, w).reshape(n * n, -1)
-        scale = 1.0 / np.sqrt(np.real(np.diagonal(hess)))
-        kkt[:-1, :-1] = scale[:, None] * hess * scale
-        kkt[:-1, -1] = kkt[-1, :-1] = scale * vec_a
-        rhs[:-1] = scale * (t * c + np.sum(w * r, axis=0)).reshape(-1)  # the gradient
-        try:
-            sol = np.linalg.solve(kkt, rhs)
+        result.steps, s = step, rc * y
+        try:  # W_l = L^-H L^-1 stays PSD however S_l is conditioned
+            w = np.linalg.inv(np.linalg.cholesky(s))
+            w = np.conj(np.swapaxes(w, 1, 2)) @ w
+            # dY -> sum_l R_l ∘ (W_l (conj(R_l)∘dY) W_l), as (W X W)_ij = sum_km W_ik X_km W_mj.
+            hess = np.einsum("lijkm,lik,lmj->ijkm", outer, w, w).reshape(n * n, -1)
+            grad = t * c + np.sum(w * r, axis=0)
+            scale = 1.0 / np.sqrt(np.real(np.diagonal(hess)))
+            kkt[:-1, :-1] = scale[:, None] * hess * scale
+            kkt[:-1, -1] = kkt[-1, :-1] = scale * vec_a
+            sol = np.linalg.solve(kkt, np.append(scale * grad.reshape(-1), 0.0))
         except np.linalg.LinAlgError:
             break
         dy, nu = hermitian_part((scale * sol[:-1]).reshape(n, n)), float(np.real(sol[-1]))
-        decrement, rise = float(np.sqrt(max(np.vdot(sol, rhs).real, 0.0))), t * np.vdot(c, dy).real
+        decrement = float(np.sqrt(max(np.real(np.vdot(dy, grad)), 0.0)))
         if decrement < BARRIER_CENTERED:
-            centred = nu / t, w, rc * dy, t
             dual = float(np.real(np.vdot(c, y)) / np.real(np.vdot(a, y)))
-            if dual > result.lower and np.min(eigvalsh_hermitian(rc * y)) >= 0.0:
+            if dual > result.lower and np.min(eigvalsh_hermitian(s)) >= 0.0:
                 result.lower, result.dual = dual, y
-            if centred[0] - result.lower <= gap:
+            centred = nu / t, hermitian_part(w - w @ (rc * dy) @ w) / t
+            if centred[0] - result.lower <= gap:  # only here can the bracket close
                 certify(*centred)
+            else:
+                skipped.append(centred)
             if result.upper - result.lower <= gap:
                 break
             t *= BARRIER_GROWTH
-        safe, alpha, root = 1.0 / (1.0 + decrement), 2.0, np.diagonal(chol, 0, 1, 2).real
-        while alpha > safe:
-            alpha = max(alpha / 2.0, safe)
-            try:
-                chol = np.linalg.cholesky(rc * (y + alpha * dy))
-            except np.linalg.LinAlgError:
-                continue
-            if alpha <= safe or (alpha * rise + 2.0 * np.log(np.diagonal(chol, 0, 1, 2).real / root).sum()
-                                 >= 0.25 * alpha * decrement ** 2):
-                break
-        else:
-            break
-        y = y + alpha * dy
-    if centred is not None and centred[0] - result.lower > gap:  # not checked at its step
-        certify(*centred)
+        y = y + dy / (1.0 + decrement)
+    if result.upper - result.lower > gap:
+        for centred in skipped:
+            certify(*centred)
     return result

@@ -510,41 +510,42 @@ def assert_checked_primal_end(r, a, b, res):
     assert residual <= 1e-7 and margin >= -1e-7
 
 
+def spy_on_primal_checks(monkeypatch, refuse=lambda u: False):
+    """Record (u, checked end or None) for every primal check in a solve; checks at a
+    u that ``refuse`` flags fail without running."""
+    from interp_lab import sdp
+
+    checks, primal = [], sdp._certified_primal
+
+    def spy(r, a, c, u, blocks, tol):
+        checks.append((u, None if refuse(u) else primal(r, a, c, u, blocks, tol)))
+        return checks[-1][1]
+
+    monkeypatch.setattr(sdp, "_certified_primal", spy)
+    return checks
+
+
 class TestBarrierSchedule:
     @pytest.mark.parametrize("n", [10, 16])
-    def test_line_searched_solves_take_at_most_45_steps(self, n, monkeypatch):
+    def test_random_sets_close_with_one_primal_check_per_solve(self, n, monkeypatch):
         calls = spy_on_solves(monkeypatch)
+        checks = spy_on_primal_checks(monkeypatch)
         pts = szego_bidisc_sets()[n]
         condition_a_constant(pts, BIDISC)
         condition_b_constant(pts, BIDISC)
-        assert len(calls) == 2
+        assert len(calls) == 2 and len(checks) <= 4
         for (r, a, b, _, gap, _), res in calls:
-            assert res.steps <= 45
             assert_checked_primal_end(r, a, b, res)
             assert checked_dual(r, a, b, res.dual) == pytest.approx(res.lower, rel=1e-12)
             assert res.upper - res.lower <= gap
 
     def test_anchor_checks_a_primal_end_at_most_twice_per_solve(self, monkeypatch):
-        from interp_lab import pick, sdp
-
-        checks, per_solve = [], []
-        primal, solve = sdp._certified_primal, pick.barrier_solve
-
-        def counted_primal(*args):
-            checks.append(args)
-            return primal(*args)
-
-        def counted_solve(*args):
-            before = len(checks)
-            res = solve(*args)
-            per_solve.append(len(checks) - before)
-            return res
-
-        monkeypatch.setattr(sdp, "_certified_primal", counted_primal)
-        monkeypatch.setattr(pick, "barrier_solve", counted_solve)
+        calls = spy_on_solves(monkeypatch)
+        checks = spy_on_primal_checks(monkeypatch)
         m = condition_a_constant(ANCHOR, BIDISC)
+        m_checks = len(checks)
         nv = condition_b_constant(ANCHOR, BIDISC)
-        assert len(per_solve) == 2 and 1 <= min(per_solve) and max(per_solve) <= 2
+        assert len(calls) == 2 and 1 <= m_checks <= 2 and 1 <= len(checks) - m_checks <= 2
         assert abs(m - 2.519285694) <= 1e-5
         assert abs(nv - 0.073572415) <= 1e-5
 
@@ -561,7 +562,7 @@ class TestBarrierSchedule:
             assert capped.steps == cap and capped.upper - capped.lower > gap
             m = condition_a_constant(ANCHOR, BIDISC)
             if capped.upper < np.inf:
-                # The exit checked the last centred point; M is that end or the closed form.
+                # The exit checked the centred points it skipped; M is that end or the closed form.
                 assert_checked_primal_end(r, a, b, capped)
                 certified.append(cap)
                 assert m in (bracket[1], max(bracket[0], capped.upper))
@@ -569,6 +570,23 @@ class TestBarrierSchedule:
                 assert m == bracket[1]
         # Every cap past the first centred point leaves a checked primal end.
         assert certified and certified == list(range(certified[0], full.steps))
+
+    def test_failed_near_closure_checks_fall_back_to_skipped_points(self, monkeypatch):
+        from interp_lab import sdp
+
+        calls = spy_on_solves(monkeypatch)
+        condition_a_constant(ANCHOR, BIDISC)
+        (r, a, b, bracket, gap, tol), full = calls[0]
+        # Every check within 1e-4 of M fails, so the bracket cannot close and the
+        # solve runs until Newton fails or the step cap.
+        checks = spy_on_primal_checks(monkeypatch, refuse=lambda u: u < full.upper + 1e-4)
+        res = sdp.barrier_solve(r, a, b, bracket, gap, tol)
+        assert res.upper - res.lower > gap and res.lower <= full.upper
+        passed = [end for _, end in checks if end is not None]
+        assert passed and res.upper == min(u for u, _ in passed) < bracket[1]
+        assert_checked_primal_end(r, a, b, res)
+        # The exit checked every centred point skipped on the way, not only the last.
+        assert len(passed) >= 2
 
 
 def pick_target(values, bound):
