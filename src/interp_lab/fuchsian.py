@@ -104,12 +104,29 @@ def _images(maps, z) -> np.ndarray:
     return np.exp(1j * theta) * (z - a) / (1.0 - np.conj(a) * z)
 
 
-def _same_action(v1, v2) -> bool:
-    return all(abs(a - b) <= ACTION_TOL for a, b in zip(v1, v2))
-
-
 def is_identity(m: MobiusMap) -> bool:
-    return _same_action(_images([m], ACTION_TEST_POINTS)[0], ACTION_TEST_POINTS)
+    return bool(np.all(np.abs(_images([m], ACTION_TEST_POINTS)[0] - ACTION_TEST_POINTS) <= ACTION_TOL))
+
+
+def _file_new(rows: np.ndarray, tol: float, cells: dict) -> list[bool]:
+    """Which rows of complex values lie farther than ``tol`` from every row filed before them.
+
+    Rows are taken in order, and two rows are near when every entry differs by
+    at most ``tol``.  ``cells`` maps a cell of a grid ``100 * tol`` wide (on
+    each real and imaginary part) to the rows kept there; a row is compared
+    with the rows of every cell within ``tol`` of it, and is filed if new.
+    """
+    lo, cell, hi = (np.rint((rows.view(float) + shift) / (100 * tol)).astype(np.int64).tolist()
+                    for shift in (-tol, 0.0, tol))
+    new = []
+    for row, key, low, high in zip(rows.tolist(), map(tuple, cell), lo, hi):
+        near = [key] if low == high else itertools.product(*map(set, zip(low, high)))
+        fresh = not any(all(abs(a - b) <= tol for a, b in zip(row, other))
+                        for k in near for other in cells.get(k, ()))
+        if fresh:
+            cells.setdefault(key, []).append(row)
+        new.append(fresh)
+    return new
 
 
 def interior_fixed_point(m: MobiusMap) -> complex | None:
@@ -156,11 +173,10 @@ def enumerate_group(generators, max_word_length: int,
                     max_elements: int = DEFAULT_GROUP_CAP) -> GroupWordList:
     """Breadth-first enumeration of group elements up to a word length.
 
-    Elements are deduplicated by their action on the fixed test points: each
-    is filed in its cell of a 1e-8 grid, and a candidate is compared at
-    ``ACTION_TOL`` with the elements of every cell within ``ACTION_TOL`` of its
-    action.  One word length's actions and cells come from one array pass;
-    candidates are then filed in order.  Exceeding ``max_elements`` raises
+    Elements are deduplicated by their action on the fixed test points: a
+    candidate is kept unless its action lies within ``ACTION_TOL`` of an
+    element kept before it.  One word length's actions come from one array
+    pass and are filed in order.  Exceeding ``max_elements`` raises
     :class:`BudgetError`.
     """
     gens = tuple(generators)
@@ -174,43 +190,24 @@ def enumerate_group(generators, max_word_length: int,
 
     steps = gens + tuple(g.inverse() for g in gens)
     elements: list[MobiusMap] = []
-    actions: list[list[complex]] = []
-    buckets: dict[tuple[int, ...], list[int]] = {}
+    cells: dict = {}
     words = [IDENTITY]
     for length in range(max_word_length + 1):
         if length:
             words = [compose(step, word) for word in words for step in steps]
-        values = _images(words, ACTION_TEST_POINTS)
-        # Each action's real and imaginary parts on the 1e-8 grid: the cells ACTION_TOL below, at and above.
-        lo, cell, hi = (np.rint((values.view(float) + shift) / 1e-8).astype(np.int64).tolist()
-                        for shift in (-ACTION_TOL, 0.0, ACTION_TOL))
-        frontier = []
-        for word, action, key, low, high in zip(words, values.tolist(), map(tuple, cell), lo, hi):
-            near = [key] if low == high else itertools.product(*map(set, zip(low, high)))
-            if any(_same_action(action, actions[i]) for k in near for i in buckets.get(k, ())):
-                continue
-            if len(elements) >= max_elements:
-                raise BudgetError(f"group enumeration exceeded the cap of {max_elements} elements")
-            buckets.setdefault(key, []).append(len(elements))
-            elements.append(word)
-            actions.append(action)
-            frontier.append(word)
-        words = frontier
+        new = _file_new(_images(words, ACTION_TEST_POINTS), ACTION_TOL, cells)
+        words = [word for word, fresh in zip(words, new) if fresh]
+        if len(elements) + len(words) > max_elements:
+            raise BudgetError(f"group enumeration exceeded the cap of {max_elements} elements")
+        elements.extend(words)
         if not words:
             break
     return GroupWordList(tuple(elements))
 
 
-@dataclass(frozen=True)
-class OrbitPoint:
-    """One point of a truncated orbit: which input point it is an image of."""
-
-    orbit_index: int
-    point: complex
-
-
-def orbit_set(points, group: GroupWordList) -> list[OrbitPoint]:
-    """Images of the input points under every enumerated group element.
+def orbit_set(points, group: GroupWordList) -> tuple[np.ndarray, np.ndarray]:
+    """Images of the input points under every enumerated group element, and
+    the index of the input point each image came from.
 
     An image within ``DUPLICATE_TOL`` of an earlier kept one (point-major,
     element-minor order) is dropped: a stabilized point, or two orbits that
@@ -227,11 +224,8 @@ def orbit_set(points, group: GroupWordList) -> list[OrbitPoint]:
         raise ArgumentError(f"points {i} and {j} lie on the same orbit "
                             f"of the truncated group (element {e})")
     flat = images.ravel()
-    close = np.tril(np.abs(flat[:, None] - flat[None, :]) <= DUPLICATE_TOL, -1)
-    keep = ~close.any(axis=1)
-    for k in np.flatnonzero(~keep):  # dropped only if near a kept image
-        keep[k] = not close[k, keep].any()
-    return [OrbitPoint(int(k // group.size), complex(flat[k])) for k in np.flatnonzero(keep)]
+    kept = np.flatnonzero(_file_new(flat[:, None], DUPLICATE_TOL, {}))
+    return flat[kept], kept // group.size
 
 
 def mobius_series(m: MobiusMap, degree: int) -> np.ndarray:
@@ -371,8 +365,8 @@ def analyze_gamma_sequence(points, generators, degree: int, group_length: int, *
     warns = generator_warnings(gens)
 
     group = enumerate_group(gens, group_length, max_elements)
-    orbit = orbit_set(pts, group)  # rejects coinciding input points
-    dropped = len(pts) * group.size - len(orbit)
+    orbit_pts, _ = orbit_set(pts, group)  # rejects coinciding input points
+    dropped = len(pts) * group.size - len(orbit_pts)
     if dropped:
         warns.append(f"{dropped} orbit images coincided with earlier ones and were dropped "
                      "(stabilized points or meeting orbits)")
@@ -389,7 +383,6 @@ def analyze_gamma_sequence(points, generators, degree: int, group_length: int, *
     gamma_riesz = riesz_bounds(g, riesz_tolerance)
     gamma_weak = min_semimetric(g) if len(pts) >= 2 else None
 
-    orbit_pts = np.array([item.point for item in orbit])
     og = normalized_gramian(orbit_pts, kernels.SZEGO)
     orbit_riesz = riesz_bounds(og, riesz_tolerance)
     orbit_weak = min_semimetric(og) if len(orbit_pts) >= 2 else None

@@ -51,12 +51,14 @@ def partition_separated(points, kernel, epsilon: float) -> PartitionResult:
     pts = list(points)
     g = normalized_gramian(pts, kernel)
     close = semimetric_matrix(g) < epsilon
-    labels = np.zeros(len(pts), dtype=int)
-    for i in range(len(pts)):
-        # First class with no close earlier member; a new class if none.
-        taken = np.zeros(i + 1, dtype=bool)
-        taken[labels[:i][close[i, :i]]] = True
-        labels[i] = np.argmin(taken)
+    # reach[c, i]: class c has a member close to point i.  Each point takes the first class
+    # that does not reach it; a class with no members yet reaches no point.
+    reach = np.zeros_like(close)
+    labels = []
+    for i, column in enumerate(close.T):
+        labels.append(reach[:, i].argmin())
+        reach[labels[-1]] |= column
+    labels = np.array(labels)
     indices = [np.flatnonzero(labels == c).tolist() for c in range(labels.max() + 1)]
     return PartitionResult(
         classes=tuple(tuple(pts[i] for i in idx) for idx in indices),

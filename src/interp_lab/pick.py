@@ -133,11 +133,13 @@ def _solve_with_stack(r: np.ndarray, target: np.ndarray, tol: float, max_iters: 
     collapses to a single block (sums and splits of PSD matrices are PSD),
     and otherwise a single-block candidate T ⊘ R_l that is already PSD is a
     complete certificate.  ``tol`` is absolute, so a target with Frobenius
-    norm below 1 is solved at unit norm; blocks, residual and margin come
-    back in the caller's units.
+    norm below 1 is solved at unit norm, and a larger one is accepted to
+    ``EIG_ROUNDING_UNITS`` units of its rounding, ``eps * ‖T‖_F``, where that
+    exceeds ``tol``; blocks, residual and margin come back in the caller's units.
     """
     scale = min(1.0, frobenius(target)) or 1.0
     constraint = AffineConstraint(r, target / scale)
+    tol = max(tol, EIG_ROUNDING_UNITS * np.finfo(float).eps * frobenius(constraint.target))
     identical = len(_distinct_slices(r)) == 1
     for l in range(1 if identical else constraint.num_blocks):
         blocks = constraint.zero_blocks()

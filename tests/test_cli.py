@@ -132,6 +132,22 @@ class TestPickCommand:
         assert report["results"]["feasible"] is None
         assert report["results"]["iterations"] == 3
 
+    @pytest.mark.parametrize("bound", [1e8, 1e20])
+    def test_bidisc_large_bound_is_feasible(self, tmp_path, capsys, bound):
+        # The single-block candidate's residual is a few eps * ||T||_F, far above the
+        # absolute sdp_tol at these bounds, and within the target's rounding.
+        payload = {
+            "schema_version": 1,
+            "points": [[[0, 0], [0, 0]], [[0.5, 0], [0.3, 0.2]], [[-0.4, 0.1], [0.2, -0.5]]],
+            "values": [[0.3, 0], [0, -0.2], [0.4, 0]],
+            "bound": bound,
+            "kernels": [{"coeffs": [1]}, {"coeffs": [1]}],
+        }
+        code, report = run_cli(capsys, ["pick", write_payload(tmp_path, payload)])
+        assert code == 0
+        assert report["results"]["feasible"] is True
+        assert report["results"]["iterations"] == 1
+
 
 def scaled_pick_payload(dim, bound, far_point=False):
     """README's two-point pick payload in ``dim`` coordinates, optionally with a third point at 0.999999."""
@@ -564,3 +580,12 @@ class TestConfigDefaultsFromLibrary:
         assert cfg["bisection_tol"] == pick.BISECTION_TOL
         assert cfg["sv_cutoff"] == fuchsian.DEFAULT_SV_CUTOFF
         assert cfg["group_max_elements"] == fuchsian.DEFAULT_GROUP_CAP
+
+
+class TestNonFiniteReport:
+    def test_non_finite_result_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(_COMMANDS, "pick", lambda payload, cfg: ({"margins": [0.5, float("nan")]}, []))
+        code, report = run_cli(capsys, ["pick", write_payload(tmp_path, {"schema_version": 1})])
+        assert code == 3
+        assert report["error"] == {"type": "numeric",
+                                   "message": "non-finite value in report at results.margins[1]: nan"}

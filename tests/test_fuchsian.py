@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from interp_lab import (
     SZEGO,
     ArgumentError,
     BudgetError,
+    DomainError,
     MobiusMap,
     analyze_gamma_sequence,
     composition_matrix,
@@ -93,10 +95,10 @@ class TestEnumerateGroup:
 class TestOrbitSet:
     def test_cyclic_orbit_of_zero(self):
         grp = enumerate_group([HYPERBOLIC], 2)
-        orbit = orbit_set([0], grp)
-        pts = sorted(round(o.point.real, 10) for o in orbit)
+        orbit, _ = orbit_set([0], grp)
+        pts = sorted(round(z.real, 10) for z in orbit)
         assert pts == [-0.8, -0.5, 0.0, 0.5, 0.8]
-        assert all(abs(o.point.imag) < 1e-15 for o in orbit)
+        assert all(abs(z.imag) < 1e-15 for z in orbit)
 
     def test_same_orbit_collision(self):
         grp = enumerate_group([HYPERBOLIC], 2)
@@ -104,25 +106,39 @@ class TestOrbitSet:
             orbit_set([0, -0.5], grp)
 
     def test_trivial_group(self):
-        orbit = orbit_set([0], enumerate_group([], 0))
-        assert len(orbit) == 1 and orbit[0].point == 0
+        orbit, _ = orbit_set([0], enumerate_group([], 0))
+        assert len(orbit) == 1 and orbit[0] == 0
 
 
     def test_stabilized_point_keeps_one_image(self):
         rotation = enumerate_group([MobiusMap(2 * np.pi / 3, 0)], 2)
         assert rotation.size == 3
-        orbit = orbit_set([0, 0.5], rotation)
-        assert [o.orbit_index for o in orbit] == [0, 1, 1, 1]
-        assert orbit[0].point == 0
+        orbit, index = orbit_set([0, 0.5], rotation)
+        assert index.tolist() == [0, 1, 1, 1]
+        assert orbit[0] == 0
 
     def test_chain_of_near_images_stays_covered(self):
         # The images of 0 step 1e-12 apart, so an image near a dropped one
         # but not near any kept one must be kept.
         group = enumerate_group([MobiusMap(3.5, 0), MobiusMap(1.0, 1e-12)], 2)
-        kept = np.array([o.point for o in orbit_set([0.5, 0], group)])
+        kept, _ = orbit_set([0.5, 0], group)
         for z in (0.5, 0):
             for g in group.elements:
                 assert np.min(np.abs(kept - g(z))) <= DUPLICATE_TOL
+
+    def test_memory_grows_with_the_images_not_their_pairs(self):
+        # 3 points under the 4373 reduced words of length <= 7: N = 13119 images,
+        # whose pairwise distance matrix alone would take N^2 * 16 B = 2.75 GB.
+        group = enumerate_group([MobiusMap(0.0, 0.8), MobiusMap(0.0, 0.8j)], 7)
+        tracemalloc.start()
+        try:
+            kept, index = orbit_set([0.1 + 0.2j, -0.3 + 0.1j, 0.25 - 0.35j], group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == 3 * group.size == 13119
+        assert np.array_equal(index, np.repeat([0, 1, 2], group.size))
+        assert peak < 50e6
 
     def test_stabilized_point_drop_is_reported_once(self):
         rep = analyze_gamma_sequence([0, 0.5], [MobiusMap(2 * np.pi / 3, 0)], 12, 2)
@@ -324,3 +340,26 @@ class TestEnumerateGroupReference:
         expected = reference_group(gens, length)
         found = enumerate_group(gens, length).elements
         assert [(g.theta, g.a) for g in found] == [(g.theta, g.a) for g in expected]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: MobiusMap(0.0, 1.0), DomainError,
+                 "automorphism parameter must satisfy |a| < 1, got |a| = 1", id="parameter-on-circle"),
+    pytest.param(lambda: mobius_apply(IDENTITY, 1.0), DomainError,
+                 "automorphisms act on the open disk, got |z| = 1", id="point-on-circle"),
+    pytest.param(lambda: enumerate_group([0.5], 1), ArgumentError,
+                 "generators must be MobiusMap, got float", id="generator-type"),
+    pytest.param(lambda: enumerate_group([HYPERBOLIC], -1), ArgumentError,
+                 "max_word_length must be nonnegative, got -1", id="negative-length"),
+    pytest.param(lambda: enumerate_group([HYPERBOLIC], 1, max_elements=0), ArgumentError,
+                 "max_elements must be at least 1", id="zero-cap"),
+    pytest.param(lambda: composition_matrix(HYPERBOLIC, -1), ArgumentError,
+                 "degree must be nonnegative", id="negative-series-degree"),
+    pytest.param(lambda: gamma_kernel([HYPERBOLIC], 0), ArgumentError,
+                 "degree must be at least 1, got 0", id="kernel-degree"),
+    pytest.param(lambda: gamma_kernel([HYPERBOLIC], 4, sv_cutoff=0.0), ArgumentError,
+                 "sv_cutoff must be positive, got 0.0", id="sv-cutoff"),
+])
+def test_rejects_invalid_arguments(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -241,3 +243,16 @@ class TestMultiplierSeparationWithoutFactor:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(kernel_matrix(SZEGO, z) + PSD_TOL_PER_POINT * n * np.eye(n))
         assert multiplier_separation(z, SZEGO) == [0.0] * n
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: riesz_bounds(np.ones((2, 3))), "expected a square matrix, got shape (2, 3)",
+                 id="riesz-shape"),
+    pytest.param(lambda: multiplier_separation([0, 0.5], SZEGO, alpha=0.0), "alpha must be positive, got 0.0",
+                 id="separation-alpha"),
+    pytest.param(lambda: multiplier_distance(0.1, [0.5], SZEGO, alpha=-1.0), "alpha must be positive, got -1.0",
+                 id="distance-alpha"),
+])
+def test_rejects_invalid_arguments(call, message):
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,17 @@ class TestKernelMatrixMatchesScalar:
     def test_plain_callable_rejected(self):
         with pytest.raises(ArgumentError):
             kernel_matrix(lambda z, w: 1.0, [0.1, 0.2])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: as_disk_point("not a point"), "not interpretable as a disk point: 'not a point'",
+                 id="point-type"),
+    pytest.param(lambda: KernelSpec(("a",)), "kernel coefficients must be real numbers: ('a',)",
+                 id="coefficient-type"),
+    pytest.param(lambda: ProductKernelSpec(()), "product kernel needs at least one factor", id="no-factor"),
+    pytest.param(lambda: ProductKernelSpec((SZEGO, 1.0)), "product kernel factors must be KernelSpec, got float",
+                 id="factor-type"),
+])
+def test_rejects_invalid_arguments(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -158,3 +159,12 @@ class TestVerifyPartitionTolerance:
         with pytest.raises(ArgumentError, match="tolerance"):
             verify_partition(result, SZEGO, -1)
         assert verify_partition(result, SZEGO, 0).all_riesz is True
+
+
+@pytest.mark.parametrize("classes, indices, message", [
+    pytest.param((), (), "partition has no classes", id="no-class"),
+    pytest.param(((0.0,), ()), ((0,), ()), "partition contains an empty class", id="empty-class"),
+])
+def test_verify_rejects_malformed_partitions(classes, indices, message):
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        verify_partition(partition.PartitionResult(classes, indices, 0.5), SZEGO)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -648,3 +650,15 @@ class TestConstantFirstSlice:
             norms.clear()
             pick_constant_for_values([(x, w) for w in self.W], BIDISC, self.VALUES)
             assert norms[0] == np.inf and all(np.isfinite(norms[1:])), x
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: PickProblem(((0,), (0.5,)), (0.1,), 1.0), "2 points but 1 values", id="problem-values"),
+    pytest.param(lambda: PickProblem(((0,), (0.5,)), (0.1, 0.2), 0.0), "norm bound must be positive, got 0.0",
+                 id="problem-bound"),
+    pytest.param(lambda: pick_constant_for_values([(0, 0), (0.5, 0.1), (0.2, -0.3)], BIDISC, [0.1, 0.2]),
+                 "3 points but 2 values", id="constant-values"),
+])
+def test_rejects_invalid_arguments(call, message):
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        call()

@@ -80,10 +80,9 @@ def test_orbit_keeps_points_apart_and_covers_every_image(inputs):
     assume(min((abs(z - w) for z, w in itertools.combinations(points, 2)), default=1.0) > 1e-6)
     group = enumerate_group(gens, length)
     try:
-        orbit = orbit_set(points, group)
+        kept, _ = orbit_set(points, group)
     except ArgumentError:
         assume(False)
-    kept = np.array([o.point for o in orbit])
     gaps = np.abs(kept[:, None] - kept[None, :]) + np.eye(len(kept))
     assert np.all(gaps > DUPLICATE_TOL)
     for z in points:
@@ -261,3 +260,91 @@ def test_appended_factor_never_raises_m_or_c_or_lowers_n(data):
             >= condition_b_constant(base, base_specs) - slack)
     c_dual = _interpolation_bracket(points, specs, values, 1e-6, DEFAULT_TOL)[0]
     assert c_dual ** 2 <= pick_constant_for_values(base, base_specs, values) ** 2 + slack
+
+
+def checked_ends(points, specs, values):
+    """Checked ends of M and C as (dual, certified) and of N as (certified, dual)."""
+    return {"M": _condition_a_bracket(points, specs, BISECTION_TOL, DEFAULT_TOL),
+            "N": _condition_b_bracket(points, specs, BISECTION_TOL, DEFAULT_TOL),
+            "C": _interpolation_bracket(points, specs, values, 1e-6, DEFAULT_TOL)}
+
+
+# L4 is an equality, so its two sides meet on every set, and the two sets' ends differ
+# by the rounding of a computation done in another order.  For M and N that is a few
+# eps.  C's closed-form ends come from a Cholesky solve whose relative rounding grows
+# with the Gramian's condition number: up to 1.1e-10 of C² on 2800 generated sets.
+C_ROUNDING = 1e-9
+
+
+def assert_same_constants(data, moved):
+    """M, N and C of ``data`` and ``moved`` agree: each dual end lies on its side of the
+    other set's certified end, within the certified end's (d + 1)·sdp_tol slack, and C²
+    within C_ROUNDING of it besides."""
+    slack = (len(data[1]) + 1) * DEFAULT_TOL
+    ends = checked_ends(*data), checked_ends(*moved)
+    for x, y in (ends, ends[::-1]):
+        assert x["M"][0] <= y["M"][1] + slack
+        assert x["N"][1] >= y["N"][0] - slack
+        assert x["C"][0] ** 2 <= y["C"][1] ** 2 * (1.0 + C_ROUNDING) + slack
+
+
+@settings(max_examples=25, deadline=None)
+@given(polydisc_data(), st.randoms(use_true_random=False))
+def test_permuting_points_with_their_values_keeps_m_n_c(data, random):
+    """L4, points: M, N and C do not change when the points move together with their values.
+
+    Proof: a permutation matrix P maps every R_l to P R_l Pᵀ, I, J and W to themselves
+    after the same relabelling, and PSD blocks G_l to the PSD blocks P G_l Pᵀ, since
+    (P G Pᵀ) ∘ (P R Pᵀ) = P (G ∘ R) Pᵀ.  So decompositions correspond one to one.
+    """
+    points, specs, values = data
+    order = list(range(len(points)))
+    random.shuffle(order)
+    assert_same_constants(data, ([points[i] for i in order], specs, values[order]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(polydisc_data(), st.randoms(use_true_random=False))
+def test_permuting_coordinates_with_their_factors_keeps_m_n_c(data, random):
+    """L4, coordinates: M, N and C do not change when the coordinates move together
+    with their factors.
+
+    Proof: the slice R_l depends only on factor l and coordinate l, so the permutation
+    only relabels the slices, and sum_l G_l ∘ R_l is the same sum in another order.
+    """
+    points, specs, values = data
+    order = list(range(len(specs)))
+    random.shuffle(order)
+    assert_same_constants(data, ([tuple(p[k] for k in order) for p in points],
+                                 [specs[k] for k in order], values))
+
+
+@settings(max_examples=25, deadline=None)
+@given(polydisc_data(), st.floats(0.0, 2 * np.pi))
+def test_unimodular_factor_on_the_values_keeps_m_n_c(data, phi):
+    """L4, values: M, N and C do not change when every value is multiplied by one e^{iφ}.
+
+    Proof: M and N do not read the values, and W = [w_i conj(w_j)] is unchanged by
+    the rotation, since e^{iφ} conj(e^{iφ}) = 1; so is the target C²J − W.
+    """
+    points, specs, values = data
+    assert_same_constants(data, (points, specs, np.exp(1j * phi) * values))
+
+
+@settings(max_examples=25, deadline=None)
+@given(polydisc_data(), st.floats(0.0, 2 * np.pi),
+       st.builds(lambda r, phi: r * np.exp(1j * phi), st.floats(0.0, 0.5), st.floats(0.0, 2 * np.pi)))
+def test_disk_automorphism_on_a_szego_coordinate_keeps_m_n_c(data, theta, a):
+    """L4, automorphisms: M, N and C do not change when one Szegő coordinate of every
+    point moves by one disk automorphism φ(z) = e^{iθ}(z − a)/(1 − ā z).
+
+    Proof: 1 − φ(z) conj(φ(w)) = (1 − |a|²)(1 − z w̄) / ((1 − ā z)(1 − a w̄)), so that
+    slice becomes R' = D R Dᴴ with D = diag(√(1 − |a|²) / (1 − ā z_i)), and the
+    others stay.  Since (D⁻¹ G D⁻ᴴ) ∘ (D R Dᴴ) = G ∘ R and D⁻¹ G D⁻ᴴ is PSD iff G is,
+    the blocks G ↦ D⁻¹ G D⁻ᴴ map decompositions over R to ones over R', and back.
+    """
+    points, specs, values = data
+    assume(SZEGO in specs)
+    l, move = specs.index(SZEGO), MobiusMap(theta, a)
+    moved = [p[:l] + (move(p[l]),) + p[l + 1:] for p in points]
+    assert_same_constants(data, (moved, specs, values))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -229,3 +231,16 @@ class TestFarkasStop:
         res = dykstra_solve(bidisc_constraint(self.ANCHOR, np.ones((3, 3)) - 0.0735 * np.eye(3)), max_iters=2000)
         assert res.feasible is None and res.dual is None
         assert res.iterations < 2000
+
+
+class TestAffineConstraintShapes:
+    def test_one_matrix_is_one_slice(self):
+        r = two_point_constraint(2.0).r_matrices[0]
+        c = AffineConstraint(r, np.eye(2))
+        assert c.num_blocks == 1 and np.array_equal(c.r_matrices, r[None])
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (2,), (1, 2, 2, 2)])
+    def test_rejects_non_square_or_unstacked_r(self, shape):
+        message = f"R matrices must be square and stacked, got shape {shape}"
+        with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+            AffineConstraint(np.ones(shape), np.eye(2))
