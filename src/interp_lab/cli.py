@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -124,24 +125,13 @@ def _require_keys(payload: dict, required: set[str], optional: set[str]) -> None
             "payload.schema_version", f"expected {SCHEMA_VERSION}")
 
 
-def _riesz_fields(report: gramian.RieszReport) -> dict:
-    return {
-        "lambda_min": report.lambda_min,
-        "lambda_max": report.lambda_max,
-        "carleson_constant": report.carleson_constant,
-        "is_riesz": report.is_riesz,
-        "riesz_tolerance": report.tolerance,
-    }
-
-
 def _cmd_analyze_disk(payload: dict, cfg: dict) -> tuple[dict, list[str]]:
     _require_keys(payload, {"schema_version", "points", "kernel"}, {"config"})
     pts = _complex_list(payload["points"], "points")
     spec = _kernel_spec(payload["kernel"], "kernel")
     n = len(pts)
-    results: dict = {"n_points": n}
     g = gramian.normalized_gramian(pts, spec)
-    results.update(_riesz_fields(gramian.riesz_bounds(g, cfg["riesz_tolerance"])))
+    results = {"n_points": n, **asdict(gramian.riesz_bounds(g, cfg["riesz_tolerance"]))}
     results["weak_separation"] = gramian.min_semimetric(g) if n >= 2 else None
     results["strong_separation"] = gramian.strong_separation_disk(pts)
     sep = gramian.multiplier_separation(pts, spec, alpha=cfg["multiplier_alpha"]) if n >= 2 else None
@@ -212,26 +202,12 @@ def _cmd_analyze_fuchsian(payload: dict, cfg: dict) -> tuple[dict, list[str]]:
     degree = payload["degree"]
     _expect(isinstance(degree, int) and not isinstance(degree, bool) and degree >= 1,
             "degree", "expected an integer >= 1")
-    report = fuchsian.analyze_gamma_sequence(
+    results = asdict(fuchsian.analyze_gamma_sequence(
         pts, gens, degree, word_length,
         sv_cutoff=cfg["sv_cutoff"], riesz_tolerance=cfg["riesz_tolerance"],
         max_elements=cfg["group_max_elements"],
-    )
-    results = {
-        "n_points": report.point_count,
-        "degree": report.degree,
-        "group_size": report.group_size,
-        "kernel_rank": report.kernel_rank,
-        "kernel_residuals": list(report.kernel_residuals),
-        "invariance_residual": report.invariance_residual,
-        "gamma_riesz": _riesz_fields(report.gamma_riesz),
-        "gamma_weak_separation": report.gamma_weak_separation,
-        "orbit_point_count": report.orbit_point_count,
-        "orbit_riesz": _riesz_fields(report.orbit_riesz),
-        "orbit_weak_separation": report.orbit_weak_separation,
-        "orbit_strong_separation": report.orbit_strong_separation,
-    }
-    return results, list(report.warnings)
+    ))
+    return results, list(results.pop("warnings"))
 
 
 def _cmd_partition(payload: dict, cfg: dict) -> tuple[dict, list[str]]:

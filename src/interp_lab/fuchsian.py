@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,12 +55,15 @@ class MobiusMap:
     a: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta))
+        theta = float(self.theta)
+        object.__setattr__(self, "theta", theta)
         a = complex(self.a)
         object.__setattr__(self, "a", a)
+        if not math.isfinite(theta):
+            raise DomainError(f"automorphism angle must be finite, got {theta}")
         # Map parameters may legitimately approach the circle (long words do),
         # so only strict membership is enforced, not the evaluation wall.
-        if abs(a) >= 1.0 - 1e-15:
+        if not abs(a) < 1.0 - 1e-15:
             raise DomainError(f"automorphism parameter must satisfy |a| < 1, got |a| = {abs(a):.17g}")
 
     def __call__(self, z) -> complex:
@@ -304,7 +308,7 @@ def gamma_kernel(generators, degree: int,
     """
     if degree < 1:
         raise ArgumentError(f"degree must be at least 1, got {degree}")
-    if sv_cutoff <= 0.0:
+    if not sv_cutoff > 0.0:
         raise ArgumentError(f"sv_cutoff must be positive, got {sv_cutoff}")
     gens = tuple(generators)
     n1 = degree + 1
@@ -335,7 +339,7 @@ def invariance_residual(kernel, maps) -> float:
 class GammaSequenceReport:
     """Finite-prefix diagnostics of a point sequence under a group action."""
 
-    point_count: int
+    n_points: int
     degree: int
     group_size: int
     kernel_rank: int
@@ -389,7 +393,7 @@ def analyze_gamma_sequence(points, generators, degree: int, group_length: int, *
     orbit_strong = strong_separation_disk(orbit_pts)
 
     return GammaSequenceReport(
-        point_count=len(pts),
+        n_points=len(pts),
         degree=degree,
         group_size=group.size,
         kernel_rank=kern.rank,

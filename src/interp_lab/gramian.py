@@ -55,7 +55,7 @@ class RieszReport:
     lambda_max: float
     carleson_constant: float
     is_riesz: bool
-    tolerance: float
+    riesz_tolerance: float
 
 
 def normalized_gramian(points, kernel) -> np.ndarray:
@@ -88,6 +88,8 @@ def riesz_bounds(g, tolerance: float = DEFAULT_RIESZ_TOL) -> RieszReport:
     g = np.asarray(g, dtype=complex)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ArgumentError(f"expected a square matrix, got shape {g.shape}")
+    if not np.isfinite(g).all():
+        raise ArgumentError("expected a matrix of finite entries")
     if np.max(np.abs(np.diagonal(g) - 1.0)) > 1e-8:
         raise ArgumentError("expected a normalized Gramian (unit diagonal)")
     w = eigvalsh_hermitian(g)
@@ -140,8 +142,8 @@ def multiplier_separation(points, spec: kernels.KernelSpec, alpha: float = 1.0) 
     ``(A^-1)_ii`` is the squared norm of column i of ``L^-1``.  Without a
     Cholesky factor not even delta = 0 passes, and every delta is 0.
     """
-    if alpha <= 0.0:
-        raise ArgumentError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ArgumentError(f"alpha must be finite and > 0, got {alpha}")
     pts = kernels.as_points(points, 1)
     check_distinct(pts)
     n = len(pts)
@@ -159,8 +161,8 @@ def multiplier_distance(x, s_points, spec: kernels.KernelSpec, alpha: float = 1.
     """Largest value at ``x`` of a unit multiplier vanishing on ``s_points``: the
     entry of ``x`` in :func:`multiplier_separation`, 0 when ``x`` lies in
     ``s_points`` and 1 when ``s_points`` is empty."""
-    if alpha <= 0.0:
-        raise ArgumentError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ArgumentError(f"alpha must be finite and > 0, got {alpha}")
     z = kernels.as_points([*s_points, x], 1)[:, 0]
     if np.any(np.abs(z[:-1] - z[-1]) <= DUPLICATE_TOL):
         return 0.0

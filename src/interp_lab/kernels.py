@@ -94,11 +94,11 @@ class KernelSpec:
         object.__setattr__(self, "coeffs", coeffs)
         if not coeffs:
             raise DomainError("kernel needs at least one coefficient")
-        if any(c < 0.0 for c in coeffs):
+        if not all(c >= 0.0 for c in coeffs):
             raise DomainError(f"kernel coefficients must be nonnegative: {coeffs}")
         if not any(c > 0.0 for c in coeffs):
             raise DomainError("kernel needs at least one positive coefficient")
-        if sum(coeffs) > 1.0 + 1e-12:
+        if not sum(coeffs) <= 1.0 + 1e-12:
             raise DomainError(f"kernel coefficients must sum to at most 1: sum = {sum(coeffs)}")
 
     def __call__(self, z, w) -> complex:

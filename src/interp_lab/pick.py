@@ -69,7 +69,7 @@ class PickProblem:
         object.__setattr__(self, "bound", float(self.bound))
         if len(array) != len(vals):
             raise ArgumentError(f"{len(array)} points but {len(vals)} values")
-        if self.bound <= 0.0:
+        if not self.bound > 0.0:
             raise ArgumentError(f"norm bound must be positive, got {self.bound}")
         # Every kernel here has k(z, z) <= 1/(1 − |z|²), so below 1e300 no entry or eigenvalue (at most
         # n entries) of the d = 1 Pick matrix overflows, and below 1e150 no Frobenius norm (a sum of
@@ -214,8 +214,16 @@ def _checked_bracket(r, a, c, necessary: float, certified: float, gap: float, to
     return necessary, certified
 
 
+def _check_tolerances(gap: float, tol: float) -> None:
+    """The caller's ``bisection_tol`` (``gap``) and ``sdp_tol`` (``tol``), each finite and > 0."""
+    for name, value in (("bisection_tol", gap), ("sdp_tol", tol)):
+        if not 0.0 < value < np.inf:
+            raise ArgumentError(f"{name} must be finite and > 0, got {value}")
+
+
 def _condition_a_bracket(points, specs, gap: float, tol: float) -> tuple[float, float]:
     """Checked ends (dual, certified) of the smallest M at which M·I − J decomposes."""
+    _check_tolerances(gap, tol)
     r, g = _slices_and_gramians(points, specs)
     n, top = r.shape[1], eigvalsh_hermitian(g)[:, -1]
     return _checked_bracket(r, np.eye(n), np.ones((n, n)), max(1.0, top[-1]),
@@ -231,6 +239,7 @@ def condition_a_constant(points, specs, *, bisection_tol: float = BISECTION_TOL,
 
 def _condition_b_bracket(points, specs, gap: float, tol: float) -> tuple[float, float]:
     """Checked ends (certified, dual) of the largest N at which J − N·I decomposes (u = −N)."""
+    _check_tolerances(gap, tol)
     r, g = _slices_and_gramians(points, specs)
     n, bottom = r.shape[1], eigvalsh_hermitian(g)[:, 0]
     lower, upper = _checked_bracket(r, np.eye(n), -np.ones((n, n)), -min(1.0, bottom[-1]),
@@ -261,6 +270,7 @@ def _pick_norm(g: np.ndarray, w: np.ndarray) -> float:
 
 def _interpolation_bracket(points, specs, values, gap: float, tol: float) -> tuple[float, float]:
     """Checked ends (dual, certified) of the minimal C at which C²J − W decomposes."""
+    _check_tolerances(gap, tol)
     r, g = _slices_and_gramians(points, specs)
     n, vals = r.shape[1], np.asarray([complex(v) for v in values])
     if len(vals) != n:

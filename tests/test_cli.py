@@ -423,6 +423,42 @@ class TestReadmePayloads:
             assert report["results"]["feasible"] is False
 
 
+RIESZ_KEYS = ["carleson_constant", "is_riesz", "lambda_max", "lambda_min", "riesz_tolerance"]
+
+RESULT_KEYS = {
+    "analyze-disk": sorted(["n_points", *RIESZ_KEYS, "weak_separation", "strong_separation",
+                            "multiplier_separation"]),
+    "analyze-polydisc": ["M", "N", "dimension", "gramian_lambda_max", "gramian_lambda_min", "n_points"],
+    "analyze-fuchsian": ["degree", "gamma_riesz", "gamma_weak_separation", "group_size", "invariance_residual",
+                         "kernel_rank", "kernel_residuals", "n_points", "orbit_point_count", "orbit_riesz",
+                         "orbit_strong_separation", "orbit_weak_separation"],
+    "pick": ["bound", "dimension", "feasible", "margin", "method", "n_points"],
+    "pick-d2": ["affine_residual", "bound", "dimension", "feasible", "iterations", "method", "n_points",
+                "psd_margin"],
+    "partition": ["all_riesz", "carleson_constant", "class_count", "classes", "epsilon", "n_points",
+                  "per_class_lambda_min", "riesz_tolerance"],
+}
+
+
+class TestResultKeys:
+    """The key set of every command's results: README's payloads, plus a d = 2 pick."""
+
+    CASES = [pytest.param(c, c, json.loads(t), id=c) for c, t in readme_payloads()] + [
+        pytest.param("pick", "pick-d2", scaled_pick_payload(2, 1.0), id="pick-d2")]
+
+    @pytest.mark.parametrize("command,case,payload", CASES)
+    def test_result_keys(self, tmp_path, capsys, command, case, payload):
+        code, report = run_cli(capsys, [command, write_payload(tmp_path, payload)])
+        assert code == 0
+        results = report["results"]
+        assert sorted(results) == RESULT_KEYS[case]
+        if command == "analyze-disk":
+            assert sorted(results["multiplier_separation"]) == ["min", "per_point"]
+        if command == "analyze-fuchsian":
+            assert sorted(results["gamma_riesz"]) == RIESZ_KEYS
+            assert sorted(results["orbit_riesz"]) == RIESZ_KEYS
+
+
 def readme_config_defaults() -> dict:
     """{key: default} from the table under README's "Config keys" heading."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")

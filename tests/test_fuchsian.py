@@ -345,6 +345,12 @@ class TestEnumerateGroupReference:
 @pytest.mark.parametrize("call, error, message", [
     pytest.param(lambda: MobiusMap(0.0, 1.0), DomainError,
                  "automorphism parameter must satisfy |a| < 1, got |a| = 1", id="parameter-on-circle"),
+    pytest.param(lambda: MobiusMap(0.0, np.nan), DomainError,
+                 "automorphism parameter must satisfy |a| < 1, got |a| = nan", id="parameter-nan"),
+    pytest.param(lambda: MobiusMap(np.nan, 0.5), DomainError,
+                 "automorphism angle must be finite, got nan", id="angle-nan"),
+    pytest.param(lambda: MobiusMap(np.inf, 0.5), DomainError,
+                 "automorphism angle must be finite, got inf", id="angle-inf"),
     pytest.param(lambda: mobius_apply(IDENTITY, 1.0), DomainError,
                  "automorphisms act on the open disk, got |z| = 1", id="point-on-circle"),
     pytest.param(lambda: enumerate_group([0.5], 1), ArgumentError,
@@ -359,6 +365,8 @@ class TestEnumerateGroupReference:
                  "degree must be at least 1, got 0", id="kernel-degree"),
     pytest.param(lambda: gamma_kernel([HYPERBOLIC], 4, sv_cutoff=0.0), ArgumentError,
                  "sv_cutoff must be positive, got 0.0", id="sv-cutoff"),
+    pytest.param(lambda: gamma_kernel([HYPERBOLIC], 10, sv_cutoff=np.nan), ArgumentError,
+                 "sv_cutoff must be positive, got nan", id="sv-cutoff-nan"),
 ])
 def test_rejects_invalid_arguments(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -88,7 +88,7 @@ class TestRieszBounds:
             riesz_bounds(normalized_gramian([0, 0.5], SZEGO), tolerance)
 
     def test_zero_tolerance_accepted(self):
-        assert riesz_bounds(np.eye(2), 0).tolerance == 0.0
+        assert riesz_bounds(np.eye(2), 0).riesz_tolerance == 0.0
 
 
 class TestWeakSeparation:
@@ -248,10 +248,20 @@ class TestMultiplierSeparationWithoutFactor:
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: riesz_bounds(np.ones((2, 3))), "expected a square matrix, got shape (2, 3)",
                  id="riesz-shape"),
-    pytest.param(lambda: multiplier_separation([0, 0.5], SZEGO, alpha=0.0), "alpha must be positive, got 0.0",
+    pytest.param(lambda: riesz_bounds([[1, np.nan], [np.nan, 1]]), "expected a matrix of finite entries",
+                 id="riesz-nan-entry"),
+    pytest.param(lambda: riesz_bounds([[np.nan, 0], [0, 1]]), "expected a matrix of finite entries",
+                 id="riesz-nan-diagonal"),
+    pytest.param(lambda: multiplier_separation([0, 0.5], SZEGO, alpha=0.0), "alpha must be finite and > 0, got 0.0",
                  id="separation-alpha"),
-    pytest.param(lambda: multiplier_distance(0.1, [0.5], SZEGO, alpha=-1.0), "alpha must be positive, got -1.0",
+    pytest.param(lambda: multiplier_separation([0, 0.5, -0.3j], SZEGO, alpha=np.nan),
+                 "alpha must be finite and > 0, got nan", id="separation-alpha-nan"),
+    pytest.param(lambda: multiplier_separation([0, 0.5, -0.3j], SZEGO, alpha=np.inf),
+                 "alpha must be finite and > 0, got inf", id="separation-alpha-inf"),
+    pytest.param(lambda: multiplier_distance(0.1, [0.5], SZEGO, alpha=-1.0), "alpha must be finite and > 0, got -1.0",
                  id="distance-alpha"),
+    pytest.param(lambda: multiplier_distance(0.1, [0.5], SZEGO, alpha=np.nan), "alpha must be finite and > 0, got nan",
+                 id="distance-alpha-nan"),
 ])
 def test_rejects_invalid_arguments(call, message):
     with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):

@@ -76,6 +76,10 @@ class TestKernelSpecValidation:
         with pytest.raises(DomainError):
             KernelSpec((0.5, -0.1))
 
+    def test_rejects_nan(self):
+        with pytest.raises(DomainError):
+            KernelSpec((0.5, float("nan")))
+
     def test_rejects_sum_above_one(self):
         with pytest.raises(DomainError):
             KernelSpec((0.7, 0.7))

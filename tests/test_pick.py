@@ -332,7 +332,7 @@ class TestClosedFormBrackets:
         def no_solve(*args, **kwargs):
             raise AssertionError("feasibility solve on identical slices")
 
-        monkeypatch.setattr(pick, "_solve_with_stack", no_solve)
+        monkeypatch.setattr(pick, "barrier_solve", no_solve)
         z = random_disk_points(rng, 4, max_radius=0.8, min_separation=0.1)
         w = np.linalg.eigvalsh(normalized_gramian(z, SZEGO))
         pts = [(p, p) for p in z]
@@ -656,6 +656,16 @@ class TestConstantFirstSlice:
     pytest.param(lambda: PickProblem(((0,), (0.5,)), (0.1,), 1.0), "2 points but 1 values", id="problem-values"),
     pytest.param(lambda: PickProblem(((0,), (0.5,)), (0.1, 0.2), 0.0), "norm bound must be positive, got 0.0",
                  id="problem-bound"),
+    pytest.param(lambda: PickProblem(((0,), (0.5,)), (0.1, 0.2), np.nan), "norm bound must be positive, got nan",
+                 id="problem-bound-nan"),
+    pytest.param(lambda: condition_a_constant(ANCHOR, BIDISC, bisection_tol=np.nan),
+                 "bisection_tol must be finite and > 0, got nan", id="constant-a-bisection-tol-nan"),
+    pytest.param(lambda: condition_b_constant(ANCHOR, BIDISC, sdp_tol=np.nan),
+                 "sdp_tol must be finite and > 0, got nan", id="constant-b-sdp-tol-nan"),
+    pytest.param(lambda: pick_constant_for_values(ANCHOR, BIDISC, [0.1, 0.2, 0.3], bisection_tol=0.0),
+                 "bisection_tol must be finite and > 0, got 0.0", id="constant-c-bisection-tol-zero"),
+    pytest.param(lambda: pick_constant_for_values(ANCHOR, BIDISC, [0.1, 0.2, 0.3], sdp_tol=np.inf),
+                 "sdp_tol must be finite and > 0, got inf", id="constant-c-sdp-tol-inf"),
     pytest.param(lambda: pick_constant_for_values([(0, 0), (0.5, 0.1), (0.2, -0.3)], BIDISC, [0.1, 0.2]),
                  "3 points but 2 values", id="constant-values"),
 ])
