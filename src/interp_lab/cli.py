@@ -242,21 +242,16 @@ _COMMANDS = {
 }
 
 
-def _load_json(path: str):
+def _load_json(path: str) -> tuple[str, object]:
     def reject(constant):
         raise ArgumentError(f"{path}: {constant} is not a finite number")
 
     if path == "-":
         text = sys.stdin.read()
     else:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
-    return json.loads(text, parse_constant=reject)
-
-
-def _payload_digest(payload) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return text, json.loads(text, parse_constant=reject)
 
 
 def _check_finite(node, path: str = "results") -> None:
@@ -311,20 +306,21 @@ def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        payload = _load_json(args.input)
-        file_cfg = _load_json(args.config) if args.config else {}
+        text, payload = _load_json(args.input)
+        file_cfg = _load_json(args.config)[1] if args.config else {}
         cfg = _resolve_config(payload if isinstance(payload, dict) else {}, file_cfg)
         results, warnings = _COMMANDS[args.command](payload, cfg)
         report = {
             **_header(args.command),
-            "input_digest": _payload_digest(payload),
+            # The payload's bytes as read: surrogateescape gives back stdin's undecodable bytes.
+            "input_digest": "sha256:" + hashlib.sha256(text.encode("utf-8", "surrogateescape")).hexdigest(),
             "config": cfg,
             "results": results,
             "warnings": warnings,
             "wall_time_s": time.perf_counter() - start,
         }
         _check_finite(report["results"])
-    except (json.JSONDecodeError, OSError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         _emit(_error_report(args.command, "input", str(exc)), args)
         return 2
     except (ArgumentError, DomainError) as exc:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -315,6 +316,23 @@ class TestValidation:
         assert code == 2
         assert report["error"]["type"] == "input"
 
+    # The byte 0xff inside a JSON string is not UTF-8: an input error, not a traceback.
+    def test_invalid_utf8_payload(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"schema_version": 1, "points": [[0, 0]], "kernel": {"coeffs": [1]}, "x": "\xff"}')
+        code, report = run_cli(capsys, ["analyze-disk", str(path)])
+        assert code == 2
+        assert report["error"]["type"] == "input"
+        assert "input_digest" not in report
+
+    def test_invalid_utf8_config(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"riesz_tolerance": 0.2, "x": "\xff"}')
+        code, report = run_cli(capsys, ["analyze-disk", write_payload(tmp_path, DISK_PAYLOAD),
+                                        "--config", str(path)])
+        assert code == 2
+        assert report["error"]["type"] == "input"
+
 
 class TestConfigRanges:
     @pytest.mark.parametrize("config", [{"sdp_max_iters": 1.5}, {"group_max_elements": 2.5}])
@@ -399,6 +417,61 @@ class TestIoFlags:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["results"]["strong_separation"] == pytest.approx(0.5, abs=1e-9)
+
+
+def sha256_digest(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+class TestInputDigest:
+    """``input_digest`` is the sha256 of the payload bytes as read, not of a re-encoding."""
+
+    CRLF_BYTES = json.dumps(DISK_PAYLOAD, indent=2).replace("\n", "\r\n").encode()
+
+    def test_file_digest_is_sha256_of_its_bytes(self, tmp_path, capsys):
+        path = write_payload(tmp_path, DISK_PAYLOAD)
+        code, report = run_cli(capsys, ["analyze-disk", path])
+        assert code == 0
+        with open(path, "rb") as fh:
+            assert report["input_digest"] == sha256_digest(fh.read())
+
+    def test_stdin_digest_is_sha256_of_the_bytes_fed(self):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-m", "interp_lab", "analyze-disk", "-"],
+                              input=self.CRLF_BYTES, capture_output=True, env=env)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["input_digest"] == sha256_digest(self.CRLF_BYTES)
+
+    def test_crlf_file_digest_is_of_the_raw_bytes(self, tmp_path, capsys):
+        path = tmp_path / "crlf.json"
+        path.write_bytes(self.CRLF_BYTES)
+        code, report = run_cli(capsys, ["analyze-disk", str(path)])
+        assert code == 0
+        assert report["input_digest"] == sha256_digest(self.CRLF_BYTES)
+        assert report["input_digest"] != sha256_digest(self.CRLF_BYTES.replace(b"\r\n", b"\n"))
+
+    @pytest.mark.parametrize("dumps", [
+        pytest.param(lambda p: json.dumps(p, indent=4), id="whitespace"),
+        pytest.param(lambda p: json.dumps(dict(reversed(list(p.items())))), id="key-order"),
+    ])
+    def test_same_payload_other_text(self, tmp_path, capsys, dumps):
+        reports = []
+        for name, text in (("a.json", json.dumps(DISK_PAYLOAD)), ("b.json", dumps(DISK_PAYLOAD))):
+            (tmp_path / name).write_text(text)
+            code, report = run_cli(capsys, ["analyze-disk", str(tmp_path / name)])
+            assert code == 0
+            reports.append(report)
+        assert reports[0]["input_digest"] != reports[1]["input_digest"]
+        assert reports[0]["results"] == reports[1]["results"]
+
+    @pytest.mark.parametrize("command,payload", [
+        pytest.param("analyze-disk", dict(DISK_PAYLOAD, points=[[0, 0], [1.2, 0]]), id="validation"),
+        pytest.param("pick", DISK_PAYLOAD, id="missing-keys"),
+    ])
+    def test_error_report_has_no_digest(self, tmp_path, capsys, command, payload):
+        code, report = run_cli(capsys, [command, write_payload(tmp_path, payload)])
+        assert code == 2
+        assert "error" in report and "input_digest" not in report
 
 
 def readme_payloads():

@@ -91,6 +91,17 @@ class TestEnumerateGroup:
         with pytest.raises(BudgetError):
             enumerate_group([HYPERBOLIC, MobiusMap(0.1, 0.4j)], 6, max_elements=20)
 
+    # Reduced words in two free generators: 1 + sum over l = 1..L of 4·3^(l−1) elements.
+    FREE_PAIR = [MobiusMap(0, 0.95), MobiusMap(0, 0.95j)]
+
+    def test_free_group_size_at_length_seven(self):
+        assert enumerate_group(self.FREE_PAIR, 7, max_elements=20000).size == 4373
+
+    @pytest.mark.xfail(strict=True, reason="the Euclidean near-duplicate filter merges distinct "
+                       "elements at long words (12,507 of 13,121); ROADMAP item 7")
+    def test_free_group_size_at_length_eight(self):
+        assert enumerate_group(self.FREE_PAIR, 8, max_elements=20000).size == 13121
+
 
 class TestOrbitSet:
     def test_cyclic_orbit_of_zero(self):

@@ -652,6 +652,10 @@ class TestConstantFirstSlice:
             assert norms[0] == np.inf and all(np.isfinite(norms[1:])), x
 
 
+# ANCHOR's values 0.3, -0.2i, 0.4 at bound 0.78: the target 0.78²J − W of their Agler test.
+ANCHOR_TARGET = 0.78 ** 2 - np.outer([0.3, -0.2j, 0.4], np.conj([0.3, -0.2j, 0.4]))
+
+
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: PickProblem(((0,), (0.5,)), (0.1,), 1.0), "2 points but 1 values", id="problem-values"),
     pytest.param(lambda: PickProblem(((0,), (0.5,)), (0.1, 0.2), 0.0), "norm bound must be positive, got 0.0",
@@ -668,6 +672,16 @@ class TestConstantFirstSlice:
                  "sdp_tol must be finite and > 0, got inf", id="constant-c-sdp-tol-inf"),
     pytest.param(lambda: pick_constant_for_values([(0, 0), (0.5, 0.1), (0.2, -0.3)], BIDISC, [0.1, 0.2]),
                  "3 points but 2 values", id="constant-values"),
+    pytest.param(lambda: agler_feasible(ANCHOR, BIDISC, ANCHOR_TARGET, tol=np.nan),
+                 "tol must be finite and > 0, got nan", id="agler-tol-nan"),
+    pytest.param(lambda: agler_feasible(ANCHOR, BIDISC, ANCHOR_TARGET, tol=0.0),
+                 "tol must be finite and > 0, got 0.0", id="agler-tol-zero"),
+    pytest.param(lambda: agler_feasible(ANCHOR, BIDISC, ANCHOR_TARGET, max_iters=0),
+                 "max_iters must be an integer >= 1, got 0", id="agler-max-iters-zero"),
+    pytest.param(lambda: agler_feasible(ANCHOR, BIDISC, ANCHOR_TARGET, max_iters=-5),
+                 "max_iters must be an integer >= 1, got -5", id="agler-max-iters-negative"),
+    pytest.param(lambda: agler_feasible(ANCHOR, BIDISC, ANCHOR_TARGET, max_iters=2.5),
+                 "max_iters must be an integer >= 1, got 2.5", id="agler-max-iters-fractional"),
 ])
 def test_rejects_invalid_arguments(call, message):
     with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
