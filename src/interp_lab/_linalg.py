@@ -31,8 +31,9 @@ def eigvalsh_hermitian(a) -> np.ndarray:
 def certified_top_eigenvalue(a) -> float:
     """Top eigenvalue of an exactly Hermitian ``A``: the top Ritz value ``theta <= lambda_max``
     of Lanczos (full reorthogonalization from ``1/sqrt(n)``, at most 64 steps, stopped at
-    residual ``<= 1e-13 theta``) when a Cholesky factor of ``(1 + 1e-12) theta I - A``
-    proves ``lambda_max < (1 + 1e-12) theta``, and the full eigensolve's value otherwise.
+    residual ``<= 1e-13 theta``) when ``lambda_max <= (1 + 1e-12) theta`` is proved: first in
+    O(n^2) by a Kato-Temple bound, else by a Cholesky factor of ``(1 + 1e-12) theta I - A``.
+    Otherwise the full eigensolve gives the value.
     """
     a = np.asarray(a, dtype=complex)
     n = len(a)
@@ -50,6 +51,15 @@ def certified_top_eigenvalue(a) -> float:
             break
         tri[k + 1, k] = tri[k, k + 1] = beta
         basis[k + 1] = w / beta
+    # sum(lambda_i^2) = ||A||_F^2 puts every other eigenvalue in [-b, b]; gamma covers rounding.
+    x = vecs[:, -1] @ basis[:k + 1]
+    x /= np.linalg.norm(x)
+    ax, frob = a @ x, np.linalg.norm(a)
+    rho = np.vdot(x, ax).real
+    res, gamma = np.linalg.norm(ax - rho * x), n * np.finfo(float).eps * frob
+    b = np.sqrt(max((frob + gamma) ** 2 - (rho - gamma) ** 2, 0.0))
+    if rho - gamma > b and rho + gamma + (res + gamma) ** 2 / (rho - gamma - b) <= (1.0 + 1e-12) * theta:
+        return float(theta)
     shifted = -a
     shifted.flat[::n + 1] += (1.0 + 1e-12) * theta
     try:

@@ -12,6 +12,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -298,16 +299,20 @@ def _emit(report: dict, args) -> None:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     if not args.quiet:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:  # the reader left: keep the exit code, and flush at exit to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def run(argv=None) -> int:
     """Entry point: returns the process exit code instead of raising."""
     args = _parser().parse_args(argv)
     start = time.perf_counter()
+    source = args.input  # the file an input error names
     try:
         text, payload = _load_json(args.input)
-        file_cfg = _load_json(args.config)[1] if args.config else {}
+        file_cfg = _load_json(source := args.config)[1] if args.config else {}
         cfg = _resolve_config(payload if isinstance(payload, dict) else {}, file_cfg)
         results, warnings = _COMMANDS[args.command](payload, cfg)
         report = {
@@ -321,7 +326,7 @@ def run(argv=None) -> int:
         }
         _check_finite(report["results"])
     except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
-        _emit(_error_report(args.command, "input", str(exc)), args)
+        _emit(_error_report(args.command, "input", f"{'<stdin>' if source == '-' else source}: {exc}"), args)
         return 2
     except (ArgumentError, DomainError) as exc:
         _emit(_error_report(args.command, "validation", str(exc)), args)

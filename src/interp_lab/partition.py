@@ -22,12 +22,12 @@ from .gramian import (DEFAULT_RIESZ_TOL, _check_tolerance, normalized_gramian, r
 class PartitionResult:
     """Epsilon-separated classes of the input, with optional Riesz verdicts.
 
-    ``classes`` holds the points; ``class_indices`` the matching positions in
-    the input; ``carleson_constant`` the top eigenvalue of the whole set's
-    normalized Gramian (:func:`certified_top_eigenvalue`); ``_blocks`` its kernel
-    and each class's principal block, bit for bit the class's own normalized
-    Gramian.  ``per_class_lambda_min`` and ``all_riesz`` stay None until
-    :func:`verify_partition` fills them.
+    ``classes`` holds the points; ``class_indices`` the matching positions in the input;
+    ``carleson_constant`` the top eigenvalue of the whole set's normalized Gramian, proved
+    within a factor ``1 + 1e-12`` (:func:`certified_top_eigenvalue`); ``_blocks`` its kernel
+    and each class's principal block, bit for bit the class's own normalized Gramian.
+    ``per_class_lambda_min`` and ``all_riesz`` stay None until :func:`verify_partition`
+    fills them.
     """
 
     classes: tuple[tuple, ...]

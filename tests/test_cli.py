@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import re
@@ -309,12 +310,22 @@ class TestValidation:
         assert code == 2
         assert report["error"]["type"] == "input"
 
-    def test_malformed_json(self, tmp_path, capsys):
+    def test_malformed_json(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "bad.json"
         path.write_text("{ not json")
         code, report = run_cli(capsys, ["analyze-disk", str(path)])
         assert code == 2
         assert report["error"]["type"] == "input"
+        assert report["error"]["message"].startswith(f"{path}: Expecting property name")
+        # The same text as config, after a good payload on stdin: the message names the config.
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(DISK_PAYLOAD)))
+        code, report = run_cli(capsys, ["analyze-disk", "-", "--config", str(path)])
+        assert code == 2
+        assert report["error"]["message"].startswith(f"{path}: Expecting property name")
+        monkeypatch.setattr(sys, "stdin", io.StringIO("{ not json"))
+        code, report = run_cli(capsys, ["analyze-disk", "-"])
+        assert code == 2
+        assert report["error"]["message"].startswith("<stdin>: Expecting property name")
 
     # The byte 0xff inside a JSON string is not UTF-8: an input error, not a traceback.
     def test_invalid_utf8_payload(self, tmp_path, capsys):
@@ -332,6 +343,7 @@ class TestValidation:
                                         "--config", str(path)])
         assert code == 2
         assert report["error"]["type"] == "input"
+        assert report["error"]["message"].startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
 
 
 class TestConfigRanges:
@@ -417,6 +429,22 @@ class TestIoFlags:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["results"]["strong_separation"] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_closed_stdout_keeps_the_exit_code(tmp_path):
+    # The reader has gone before the report is written: exit 2 for the validation error,
+    # not a BrokenPipeError traceback and exit 1.
+    path = write_payload(tmp_path, dict(DISK_PAYLOAD, points=[[0, 0], [1.5, 0]]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "interp_lab", "analyze-disk", path],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == ""
 
 
 def sha256_digest(data: bytes) -> str:
