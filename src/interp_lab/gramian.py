@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from ._linalg import eigvalsh_hermitian
+from ._linalg import hermitian_part
 from .errors import ArgumentError, NumericError
 
 # Euclidean distance below which two points are treated as the same point;
@@ -59,14 +59,15 @@ class RieszReport:
 
 
 def normalized_gramian(points, kernel) -> np.ndarray:
-    """Normalized Gramian ``K_ij / sqrt(K_ii K_jj)``, exactly Hermitian with unit
-    diagonal, for any kernel that :func:`kernels.kernel_matrix` takes."""
+    """Normalized Gramian ``K_ij / sqrt(K_ii K_jj)``, exactly Hermitian with unit diagonal, for
+    any kernel that :func:`kernels.kernel_matrix` takes; normalized in place (one real temporary)."""
     pts = check_distinct(points)
     k = kernels.kernel_matrix(kernel, pts)
     d = k.diagonal().real.copy()
     if not np.all(d > 0.0):
         raise NumericError(f"kernel diagonal not positive: min {np.min(d)}")
-    k /= np.sqrt(np.outer(d, d))
+    scale = np.outer(d, d)
+    k /= np.sqrt(scale, out=scale)
     np.fill_diagonal(k, 1.0)
     return k
 
@@ -82,7 +83,7 @@ def riesz_bounds(g, tolerance: float = DEFAULT_RIESZ_TOL) -> RieszReport:
 
     ``carleson_constant`` is the top eigenvalue (the Bessel bound of the
     finite prefix); ``is_riesz`` holds when the bottom eigenvalue clears
-    ``tolerance``, which must be finite and >= 0.
+    ``tolerance``, which must be finite and >= 0.  An exactly Hermitian ``g`` is solved uncopied.
     """
     tolerance = _check_tolerance(tolerance)
     g = np.asarray(g, dtype=complex)
@@ -92,14 +93,20 @@ def riesz_bounds(g, tolerance: float = DEFAULT_RIESZ_TOL) -> RieszReport:
         raise ArgumentError("expected a matrix of finite entries")
     if np.max(np.abs(np.diagonal(g) - 1.0)) > 1e-8:
         raise ArgumentError("expected a normalized Gramian (unit diagonal)")
-    w = eigvalsh_hermitian(g)
+    hermitian = all((g[j:, j:j + 64] == g[j:j + 64, j:].T.conj()).all() for j in range(0, len(g), 64))
+    try:
+        w = np.linalg.eigvalsh(g if hermitian else hermitian_part(g))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigenvalue computation failed: {exc}") from exc
     lam_min, lam_max = float(w[0]), float(w[-1])
     return RieszReport(lam_min, lam_max, lam_max, bool(lam_min > tolerance), tolerance)
 
 
 def semimetric_matrix(g) -> np.ndarray:
-    """Pairwise kernel semimetric ``sqrt(1 - |G_ij|^2)`` of a normalized Gramian."""
-    return np.sqrt(np.clip(1.0 - np.abs(g) ** 2, 0.0, 1.0))
+    """Pairwise kernel semimetric ``sqrt(1 - |G_ij|^2)`` of a normalized Gramian, in place."""
+    rho = np.abs(g)
+    np.subtract(1.0, np.square(rho, out=rho), out=rho)
+    return np.sqrt(np.clip(rho, 0.0, 1.0, out=rho), out=rho)
 
 
 def min_semimetric(g) -> float:
@@ -121,12 +128,17 @@ def strong_separation_disk(points) -> float:
     """min over j of prod_{k != j} of the pseudo-hyperbolic distances.
 
     The empty product (a single point) is 1.  Szego-kernel quantity: the
-    points are plain disk points.
+    points are plain disk points.  As ``|1 - z conj(w)|^2 = |z - w|^2 + (1 - |z|^2)(1 - |w|^2)``,
+    two real n×n buffers give the squared pseudo-hyperbolic distances, with no complex division.
     """
     z = kernels.as_points(points, 1)[:, 0]
-    diff = z[:, None] - z[None, :]
-    _reject_close(np.abs(diff) <= DUPLICATE_TOL)
-    ph = np.abs(diff / (1.0 - z[:, None] * np.conj(z)[None, :]))
+    dist, other = (np.subtract.outer(c, c) for c in (z.real, z.imag))
+    dist *= dist
+    dist += np.square(other, out=other)
+    _reject_close(dist <= DUPLICATE_TOL ** 2)
+    m = 1.0 - (z.real ** 2 + z.imag ** 2)
+    np.add(np.multiply.outer(m, m, out=other), dist, out=other)
+    ph = np.sqrt(np.divide(dist, other, out=dist), out=dist)
     np.fill_diagonal(ph, 1.0)
     return float(np.min(np.prod(ph, axis=1)))
 

@@ -142,9 +142,13 @@ def inv_kernel_form(spec: KernelSpec, z, w):
 
 
 def _inv_series(spec: KernelSpec, s):
-    """1 - sum_i c_i s**i at ``s = z*conj(w)`` for checked points, by Horner's rule on
-    the negated sum, in place, so an array ``s`` allocates only the result."""
-    acc = -spec.coeffs[-1] * s
+    """1 - sum_i c_i s**i at ``s = z*conj(w)`` for checked points, by Horner's rule on the
+    negated sum, in place: one coefficient overwrites an array ``s``, more allocate the result."""
+    if len(spec.coeffs) == 1:
+        acc = s
+        acc *= -spec.coeffs[0]
+    else:
+        acc = -spec.coeffs[-1] * s
     for c in spec.coeffs[-2::-1]:
         acc -= c
         acc *= s
@@ -188,10 +192,11 @@ def pseudo_hyperbolic(z, w) -> float:
 
 
 def _hermitian(a: np.ndarray) -> np.ndarray:
-    """Overwrite the lower triangle with the conjugated upper one and drop the
-    imaginary part of the diagonal, so ``a`` is exactly Hermitian."""
-    lower = np.tri(a.shape[0], k=-1, dtype=bool)
-    a[lower] = a.T[lower].conj()
+    """Overwrite the lower triangle with the conjugated upper one, 64 columns at a
+    time, and drop the imaginary part of the diagonal, so ``a`` is exactly Hermitian."""
+    n = len(a)
+    for j in range(0, n, 64):
+        np.copyto(a[j:, j:j + 64], a[j:j + 64, j:].T.conj(), where=np.tri(n - j, min(64, n - j), -1, bool))
     np.fill_diagonal(a, a.diagonal().real)
     return a
 
@@ -215,8 +220,10 @@ def kernel_matrix(kernel, points) -> np.ndarray:
 
 
 def _series_matrix(factors, p: np.ndarray) -> np.ndarray:
-    """:func:`kernel_matrix` of the product of ``factors`` at points checked by :func:`as_points`."""
-    out = 1.0
+    """:func:`kernel_matrix` of the product of ``factors`` at points checked by :func:`as_points`,
+    in the first factor's buffer: its series, inverted in place, with later factors' divided in."""
+    out = None
     for factor, z in zip(factors, p.T):
-        out = out / _inv_series(factor, z[:, None] * np.conj(z[None, :]))
+        s = _inv_series(factor, z[:, None] * np.conj(z[None, :]))
+        out = np.divide(1.0, s, out=s) if out is None else np.divide(out, s, out=out)
     return _hermitian(out)

@@ -25,6 +25,7 @@ from .sdp import (
     DEFAULT_TOL,
     AffineConstraint,
     SdpResult,
+    _check_parameters,
     barrier_solve,
     check_certificate,
     dykstra_solve,
@@ -166,9 +167,7 @@ def agler_feasible(points, specs, target, tol: float = DEFAULT_TOL,
                    max_iters: int = DEFAULT_MAX_ITERS) -> SdpResult:
     """Find PSD blocks G_1..G_d with sum_l G_l ∘ R_l = target, or a certificate
     that none exist; ``feasible`` is None when neither was found within ``max_iters``."""
-    _check_tolerances(tol=tol)
-    if not (isinstance(max_iters, (int, np.integer)) and max_iters >= 1):
-        raise ArgumentError(f"max_iters must be an integer >= 1, got {max_iters}")
+    _check_parameters(max_iters, tol=tol)
     spec = as_product_spec(specs)
     pts = kernels.as_points(points, spec.dimension)
     target = np.asarray(target, dtype=complex)
@@ -217,16 +216,9 @@ def _checked_bracket(r, a, c, necessary: float, certified: float, gap: float, to
     return necessary, certified
 
 
-def _check_tolerances(**tolerances: float) -> None:
-    """Each of the caller's named tolerances finite and > 0."""
-    for name, value in tolerances.items():
-        if not 0.0 < value < np.inf:
-            raise ArgumentError(f"{name} must be finite and > 0, got {value}")
-
-
 def _condition_a_bracket(points, specs, gap: float, tol: float) -> tuple[float, float]:
     """Checked ends (dual, certified) of the smallest M at which M·I − J decomposes."""
-    _check_tolerances(bisection_tol=gap, sdp_tol=tol)
+    _check_parameters(bisection_tol=gap, sdp_tol=tol)
     r, g = _slices_and_gramians(points, specs)
     n, top = r.shape[1], eigvalsh_hermitian(g)[:, -1]
     return _checked_bracket(r, np.eye(n), np.ones((n, n)), max(1.0, top[-1]),
@@ -242,7 +234,7 @@ def condition_a_constant(points, specs, *, bisection_tol: float = BISECTION_TOL,
 
 def _condition_b_bracket(points, specs, gap: float, tol: float) -> tuple[float, float]:
     """Checked ends (certified, dual) of the largest N at which J − N·I decomposes (u = −N)."""
-    _check_tolerances(bisection_tol=gap, sdp_tol=tol)
+    _check_parameters(bisection_tol=gap, sdp_tol=tol)
     r, g = _slices_and_gramians(points, specs)
     n, bottom = r.shape[1], eigvalsh_hermitian(g)[:, 0]
     lower, upper = _checked_bracket(r, np.eye(n), -np.ones((n, n)), -min(1.0, bottom[-1]),
@@ -273,7 +265,7 @@ def _pick_norm(g: np.ndarray, w: np.ndarray) -> float:
 
 def _interpolation_bracket(points, specs, values, gap: float, tol: float) -> tuple[float, float]:
     """Checked ends (dual, certified) of the minimal C at which C²J − W decomposes."""
-    _check_tolerances(bisection_tol=gap, sdp_tol=tol)
+    _check_parameters(bisection_tol=gap, sdp_tol=tol)
     r, g = _slices_and_gramians(points, specs)
     n, vals = r.shape[1], np.asarray([complex(v) for v in values])
     if len(vals) != n:

@@ -159,6 +159,15 @@ def _farkas_dual(blocks, constraint: AffineConstraint, tol: float) -> np.ndarray
     return y if eigvalsh_hermitian(s).min() >= 0.0 and np.vdot(constraint.target, y).real < bound else None
 
 
+def _check_parameters(max_iters=1, **tolerances: float) -> None:
+    """Each named tolerance finite and > 0, ``max_iters`` an integer >= 1; else :class:`ArgumentError`."""
+    for name, value in tolerances.items():
+        if not 0.0 < value < np.inf:
+            raise ArgumentError(f"{name} must be finite and > 0, got {value}")
+    if not (isinstance(max_iters, (int, np.integer)) and max_iters >= 1):
+        raise ArgumentError(f"max_iters must be an integer >= 1, got {max_iters}")
+
+
 def dykstra_solve(constraint: AffineConstraint, tol: float = DEFAULT_TOL,
                   max_iters: int = DEFAULT_MAX_ITERS,
                   record_residuals: bool = False) -> SdpResult:
@@ -169,7 +178,9 @@ def dykstra_solve(constraint: AffineConstraint, tol: float = DEFAULT_TOL,
     measures infeasibility; success requires the from-scratch certificate
     ``affine_residual <= tol`` and ``psd_margin >= -tol``.  When the sets do not
     meet, the residual tends to their displacement: ``_farkas_dual`` at sweeps 1, 2, 4, 8, ...
+    Bad ``tol`` or ``max_iters``: :class:`ArgumentError`, as in :func:`pick.agler_feasible`.
     """
+    _check_parameters(max_iters, tol=tol)
     x = constraint.zero_blocks()
     p = constraint.zero_blocks()
     q = constraint.zero_blocks()

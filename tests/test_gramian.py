@@ -1,4 +1,7 @@
+import math
 import re
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +9,8 @@ import pytest
 from interp_lab import (
     SZEGO,
     ArgumentError,
+    KernelSpec,
+    ProductKernelSpec,
     kernel_matrix,
     multiplier_distance,
     multiplier_separation,
@@ -15,8 +20,94 @@ from interp_lab import (
     strong_separation_disk,
     weak_separation,
 )
-from interp_lab.gramian import PSD_TOL_PER_POINT, check_distinct
+from interp_lab._linalg import hermitian_part
+from interp_lab.gramian import PSD_TOL_PER_POINT, check_distinct, semimetric_matrix
 from conftest import random_disk_points, random_kernel_spec
+
+TWO_COEFF = KernelSpec((0.6, 0.3))
+
+
+def reference_kernel_matrix(kernel, points):
+    """The kernel matrix as built before the in-place builders: one fresh array per
+    operation and the lower triangle filled through an n×n mask."""
+    factors = kernel.factors if isinstance(kernel, ProductKernelSpec) else (kernel,)
+    p = np.asarray(points, dtype=complex).reshape(len(points), -1)
+    out = 1.0
+    for factor, z in zip(factors, p.T):
+        s = z[:, None] * np.conj(z[None, :])
+        acc = -factor.coeffs[-1] * s
+        for c in factor.coeffs[-2::-1]:
+            acc -= c
+            acc *= s
+        acc += 1.0
+        out = out / acc
+    return reference_hermitian(out)
+
+
+def reference_hermitian(a):
+    lower = np.tri(a.shape[0], k=-1, dtype=bool)
+    a[lower] = a.T[lower].conj()
+    np.fill_diagonal(a, a.diagonal().real)
+    return a
+
+
+def reference_normalized_gramian(kernel, points):
+    k = reference_kernel_matrix(kernel, points)
+    d = k.diagonal().real.copy()
+    k /= np.sqrt(np.outer(d, d))
+    np.fill_diagonal(k, 1.0)
+    return k
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestBuiltInPlace:
+    """The in-place builders give the bits of the expressions they replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 130])
+    @pytest.mark.parametrize("kernel", [SZEGO, TWO_COEFF, ProductKernelSpec((SZEGO, SZEGO)),
+                                        ProductKernelSpec((TWO_COEFF, SZEGO))],
+                             ids=["szego", "two-coeff", "bidisc-szego", "bidisc-mixed"])
+    def test_kernel_gramian_and_semimetric_bits(self, kernel, n):
+        rng = np.random.default_rng(7100 + n)
+        coords = [random_disk_points(rng, n) for _ in range(getattr(kernel, "dimension", 1))]
+        points = list(zip(*coords)) if isinstance(kernel, ProductKernelSpec) else coords[0]
+        assert same_bits(kernel_matrix(kernel, points), reference_kernel_matrix(kernel, points))
+        g = normalized_gramian(points, kernel)
+        assert same_bits(g, reference_normalized_gramian(kernel, points))
+        assert same_bits(semimetric_matrix(g), np.sqrt(np.clip(1.0 - np.abs(g) ** 2, 0.0, 1.0)))
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 130])
+    def test_hermitian_fill_bits(self, n):
+        from interp_lab.kernels import _hermitian
+
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert same_bits(_hermitian(a.copy()), reference_hermitian(a.copy()))
+
+
+@pytest.mark.parametrize("call, before, after", [
+    pytest.param(lambda z, g: normalized_gramian(z, SZEGO), 2.06, 1.59, id="normalized-gramian"),
+    pytest.param(lambda z, g: semimetric_matrix(g), 1.00, 0.50, id="semimetric-matrix"),
+    pytest.param(lambda z, g: strong_separation_disk(z), 3.00, 1.09, id="strong-separation"),
+    pytest.param(lambda z, g: riesz_bounds(g), 1.18, 0.41, id="riesz-bounds"),
+])
+def test_scratch_peak(call, before, after):
+    # Peak traced memory of one call at n = 300, in units of one complex n×n array
+    # (16 n^2 bytes), the result included; measured before -> after the in-place builders.
+    n = 300
+    z = random_disk_points(np.random.default_rng(300), n)
+    g = normalized_gramian(z, SZEGO)
+    call(z, g)
+    tracemalloc.start()
+    try:
+        call(z, g)
+        peak = tracemalloc.get_traced_memory()[1] / (16 * n * n)
+    finally:
+        tracemalloc.stop()
+    assert peak < (before + after) / 2
 
 
 class TestCheckDistinct:
@@ -78,6 +169,34 @@ class TestRieszBounds:
             r = riesz_bounds(normalized_gramian(pts, spec))
             assert r.lambda_min + r.lambda_max == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.fixture
+    def solver_inputs(self, monkeypatch):
+        """Records each matrix handed to ``np.linalg.eigvalsh``."""
+        given, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: given.append(a) or eigvalsh(a))
+        return given
+
+    def test_hermitian_gramian_goes_to_the_eigensolver_as_it_is(self, solver_inputs):
+        g = normalized_gramian(random_disk_points(np.random.default_rng(4), 140), TWO_COEFF)
+        expected = np.linalg.eigvalsh(hermitian_part(g))
+        r = riesz_bounds(g)
+        assert solver_inputs[-1] is g
+        assert (r.lambda_min, r.lambda_max) == (expected[0], expected[-1])
+
+    @pytest.mark.parametrize("one_bit", [False, True], ids=["noisy", "one-bit-off"])
+    def test_non_hermitian_input_gets_its_hermitian_part(self, one_bit, solver_inputs):
+        rng = np.random.default_rng(6)
+        g = np.eye(70) + 0.01 * (rng.standard_normal((70, 70)) + 1j * rng.standard_normal((70, 70)))
+        np.fill_diagonal(g, 1.0)
+        if one_bit:
+            # Exactly Hermitian but one entry above the diagonal, past the first 64 columns.
+            g = hermitian_part(g)
+            g[1, 69] = np.nextafter(g[1, 69].real, 2.0) + 1j * g[1, 69].imag
+        expected = np.linalg.eigvalsh(hermitian_part(g))
+        r = riesz_bounds(g)
+        assert solver_inputs[-1] is not g and same_bits(solver_inputs[-1], hermitian_part(g))
+        assert (r.lambda_min, r.lambda_max) == (expected[0], expected[-1])
+
     def test_requires_unit_diagonal(self):
         with pytest.raises(ArgumentError):
             riesz_bounds(np.array([[2.0, 0.0], [0.0, 2.0]]))
@@ -123,6 +242,26 @@ class TestStrongSeparation:
         ]
         assert min(prods) == pytest.approx(0.25, abs=1e-12)
         assert strong_separation_disk(pts) == pytest.approx(0.25, abs=1e-12)
+
+    def test_matches_exact_rational_arithmetic(self):
+        # The squared product sum over exact rationals: |z - w|^2 / |1 - z conj(w)|^2.
+        rng = np.random.default_rng(11)
+        pts = random_disk_points(rng, 24, 0.9)
+        exact = [(Fraction(z.real), Fraction(z.imag)) for z in pts]
+
+        def rho2(a, b):
+            d2 = (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
+            re, im = 1 - (a[0] * b[0] + a[1] * b[1]), a[0] * b[1] - a[1] * b[0]
+            return d2 / (re * re + im * im)
+
+        squared = min(math.prod(rho2(a, b) for b in exact if b is not a) for a in exact)
+        assert strong_separation_disk(pts) == pytest.approx(math.sqrt(squared), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-13, 0.9e-12])
+    def test_names_the_first_coinciding_pair(self, gap):
+        pts = [0.1, 0.5j, -0.3, 0.5j + gap, -0.3, 0.2]
+        with pytest.raises(ArgumentError, match=r"^points 1 and 3 coincide within 1e-12$"):
+            strong_separation_disk(pts)
 
     def test_monotone_under_refinement(self, rng):
         for _ in range(10):

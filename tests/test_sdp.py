@@ -233,6 +233,20 @@ class TestFarkasStop:
         assert res.iterations < 2000
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    pytest.param(dict(tol=np.nan), "tol must be finite and > 0, got nan", id="tol-nan"),
+    pytest.param(dict(tol=0.0), "tol must be finite and > 0, got 0.0", id="tol-zero"),
+    pytest.param(dict(tol=-5.0), "tol must be finite and > 0, got -5.0", id="tol-negative"),
+    pytest.param(dict(max_iters=np.nan), "max_iters must be an integer >= 1, got nan", id="max-iters-nan"),
+    pytest.param(dict(max_iters=0), "max_iters must be an integer >= 1, got 0", id="max-iters-zero"),
+    pytest.param(dict(max_iters=-5), "max_iters must be an integer >= 1, got -5", id="max-iters-negative"),
+    pytest.param(dict(max_iters=2.5), "max_iters must be an integer >= 1, got 2.5", id="max-iters-fractional"),
+])
+def test_dykstra_rejects_invalid_run_parameters(kwargs, message):
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        dykstra_solve(two_point_constraint(2.0), **kwargs)
+
+
 class TestAffineConstraintShapes:
     def test_one_matrix_is_one_slice(self):
         r = two_point_constraint(2.0).r_matrices[0]
