@@ -1,13 +1,14 @@
 """Disk-automorphism groups and the truncated group-invariant kernel.
 
-Group elements are kept in the normal form ``z -> e^{i theta}(z - a)/(1 - conj(a) z)``.
-Enumeration produces all reduced words up to a length, deduplicated by action
-on three fixed test points.  The invariant kernel is approximated on the span
-of monomials up to a degree: the composition operator of each generator is
-truncated to that span, and the common near-fixed subspace is extracted from
-the singular value decomposition of the stacked operators.  All group-kernel
-outputs are degree-truncated approximations; invariance residuals are
-reported as diagnostics, not error bounds.
+Group elements are kept in the normal form ``z -> e^{i theta}(z - a)/(1 - conj(a) z)``
+and composed as SU(1,1) matrices.  Enumeration produces all reduced words up to
+a length: exactly when ping-pong proves the generators free, otherwise deduplicated
+by action on three fixed test points.  The invariant kernel is approximated on the
+span of monomials up to a degree: the composition operator of each generator is
+truncated to that span, and the common near-fixed subspace is extracted from the
+singular value decomposition of the stacked operators.  All group-kernel outputs
+are degree-truncated approximations; invariance residuals are diagnostics, not
+error bounds.
 """
 
 from __future__ import annotations
@@ -55,9 +56,8 @@ class MobiusMap:
     a: complex
 
     def __post_init__(self):
-        theta = float(self.theta)
+        theta, a = float(self.theta), complex(self.a)
         object.__setattr__(self, "theta", theta)
-        a = complex(self.a)
         object.__setattr__(self, "a", a)
         if not math.isfinite(theta):
             raise DomainError(f"automorphism angle must be finite, got {theta}")
@@ -79,25 +79,30 @@ IDENTITY = MobiusMap(0.0, 0j)
 def mobius_apply(m: MobiusMap, z) -> complex:
     """Evaluate the automorphism at a point of the open disk."""
     z = complex(z)
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:
         raise DomainError(f"automorphisms act on the open disk, got |z| = {abs(z):.12g}")
-    return cmath.exp(1j * m.theta) * (z - m.a) / (1.0 - m.a.conjugate() * z)
+    return complex(_images([m], [z])[0, 0])
+
+
+def _matrices(maps) -> np.ndarray:
+    """SU(1,1) matrices [[h, b], [conj(b), conj(h)]], h = e^{i theta/2}/sqrt(1 - |a|^2), b = -h a."""
+    theta = np.array([m.theta for m in maps])
+    a = np.array([m.a for m in maps], dtype=complex)
+    h = np.exp(0.5j * theta) / np.sqrt(1.0 - (a.real ** 2 + a.imag ** 2))
+    b = -h * a
+    return np.stack([h, b, b.conj(), h.conj()], axis=-1).reshape(-1, 2, 2)
+
+
+def _normal_forms(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, a) of SU(1,1) matrices: theta = angle(h/conj(h)) and a = -b/h."""
+    h, b = mats[..., 0, 0], mats[..., 0, 1]
+    return np.angle(h / h.conj()), -b / h
 
 
 def compose(g: MobiusMap, h: MobiusMap) -> MobiusMap:
-    """Normal form of the composition g ∘ h.
-
-    Works on the 2x2 coefficient matrices: the product's lower-right entry is
-    nonzero whenever |a_g| |a_h| < 1, so renormalization never divides by zero.
-    """
-    eg = cmath.exp(1j * g.theta)
-    eh = cmath.exp(1j * h.theta)
-    p00 = eg * (eh + g.a * h.a.conjugate())
-    p01 = -eg * (eh * h.a + g.a)
-    p11 = 1.0 + g.a.conjugate() * h.a * eh
-    a_new = -p01 / p00
-    theta_new = cmath.phase(p00 / p11)
-    return MobiusMap(theta_new, a_new)
+    """Normal form of the composition g ∘ h, the product of their SU(1,1) matrices."""
+    theta, a = _normal_forms(_matrices([g]) @ _matrices([h]))
+    return MobiusMap(theta[0], a[0])
 
 
 def _images(maps, z) -> np.ndarray:
@@ -108,8 +113,18 @@ def _images(maps, z) -> np.ndarray:
     return np.exp(1j * theta) * (z - a) / (1.0 - np.conj(a) * z)
 
 
-def is_identity(m: MobiusMap) -> bool:
-    return bool(np.all(np.abs(_images([m], ACTION_TEST_POINTS)[0] - ACTION_TEST_POINTS) <= ACTION_TOL))
+def _require_integer(name: str, value) -> None:
+    if not isinstance(value, (int, np.integer)):
+        raise ArgumentError(f"{name} must be an integer, got {value}")
+
+
+def _ping_pong(mats: np.ndarray) -> bool:
+    """Whether the isometric circles |conj(b) z + conj(h)| = 1 of SU(1,1) matrices are pairwise
+    disjoint, compared times |b_i b_j| so that b = 0 fails.  For the generators and their
+    inverses, ping-pong then proves the group free: distinct reduced words are distinct maps."""
+    h, b = mats[:, 0, 0], mats[:, 0, 1]
+    gaps = np.abs(h[:, None] * b - b[:, None] * h) - np.abs(b)[:, None] - np.abs(b)
+    return bool(np.all(gaps[np.triu_indices(len(b), 1)] > 0.0))
 
 
 def _file_new(rows: np.ndarray, tol: float, cells: dict) -> list[bool]:
@@ -134,31 +149,27 @@ def _file_new(rows: np.ndarray, tol: float, cells: dict) -> list[bool]:
 
 
 def interior_fixed_point(m: MobiusMap) -> complex | None:
-    """A fixed point strictly inside the disk, if one exists (elliptic maps)."""
-    e = cmath.exp(1j * m.theta)
-    if abs(m.a) < 1e-15:
-        if abs(e - 1.0) < 1e-14:
-            return None  # identity fixes everything; not elliptic
-        return 0j
-    # Fixed points solve conj(a) z^2 + (e^{i theta} - 1) z - e^{i theta} a = 0.
-    roots = np.roots([m.a.conjugate(), e - 1.0, -e * m.a])
-    for root in roots:
-        if abs(root) < 1.0 - 1e-6:
-            return complex(root)
-    return None
+    """The fixed point inside the disk of an elliptic map, |trace| = |2 Re h| < 2; else None.
+
+    The fixed points solve conj(b) z^2 - 2i Im(h) z - b = 0; the one inside is
+    i b / (Im h + sgn(Im h) sqrt(1 - (Re h)^2)), a form in which nothing cancels.
+    """
+    (h, b), _ = _matrices([m])[0]
+    if not abs(h.real) < 1.0:
+        return None
+    # Adding 0j turns a rotation's -0.0 parts into 0.0.
+    return complex(1j * b / (h.imag + math.copysign(math.sqrt(1.0 - h.real ** 2), h.imag))) + 0j
 
 
 def generator_warnings(generators) -> list[str]:
     """Advisory checks: identity generators and elliptic (interior-fixed-point) ones."""
     out = []
     for idx, g in enumerate(generators):
-        if is_identity(g):
+        if np.all(np.abs(_images([g], ACTION_TEST_POINTS)[0] - ACTION_TEST_POINTS) <= ACTION_TOL):
             out.append(f"generator {idx} acts as the identity")
         elif (fp := interior_fixed_point(g)) is not None:
-            out.append(
-                f"generator {idx} is elliptic (fixes {fp.real:.6g}{fp.imag:+.6g}i inside the disk); "
-                "the group does not act freely"
-            )
+            out.append(f"generator {idx} is elliptic (fixes {fp.real:.6g}{fp.imag:+.6g}i inside the disk); "
+                       "the group does not act freely")
     return out
 
 
@@ -177,30 +188,39 @@ def enumerate_group(generators, max_word_length: int,
                     max_elements: int = DEFAULT_GROUP_CAP) -> GroupWordList:
     """Breadth-first enumeration of group elements up to a word length.
 
-    Elements are deduplicated by their action on the fixed test points: a
-    candidate is kept unless its action lies within ``ACTION_TOL`` of an
-    element kept before it.  One word length's actions come from one array
-    pass and are filed in order.  Exceeding ``max_elements`` raises
-    :class:`BudgetError`.
+    The steps are the generators, then their inverses; a word length is one
+    batched product of step and word matrices, word-major.  When ping-pong
+    proves the group free, the words are the reduced ones, all distinct.
+    Otherwise a candidate is kept unless its action on the fixed test points
+    lies within ``ACTION_TOL`` of an element kept before it.  Exceeding
+    ``max_elements`` raises :class:`BudgetError`.
     """
     gens = tuple(generators)
     for g in gens:
         if not isinstance(g, MobiusMap):
             raise ArgumentError(f"generators must be MobiusMap, got {type(g).__name__}")
+    _require_integer("max_word_length", max_word_length)
+    _require_integer("max_elements", max_elements)
     if max_word_length < 0:
         raise ArgumentError(f"max_word_length must be nonnegative, got {max_word_length}")
     if max_elements < 1:
         raise ArgumentError("max_elements must be at least 1")
 
     steps = gens + tuple(g.inverse() for g in gens)
-    elements: list[MobiusMap] = []
-    cells: dict = {}
-    words = [IDENTITY]
+    step_mats = _matrices(steps)
+    free = _ping_pong(step_mats)
+    elements, cells = [], {}
+    words, cancel = [IDENTITY], np.array([-1])  # per word, the step undoing its last letter; -1: none
     for length in range(max_word_length + 1):
         if length:
-            words = [compose(step, word) for word in words for step in steps]
-        new = _file_new(_images(words, ACTION_TEST_POINTS), ACTION_TOL, cells)
-        words = [word for word, fresh in zip(words, new) if fresh]
+            w, s = np.nonzero(np.arange(len(steps)) != cancel[:, None])
+            theta, a = _normal_forms(step_mats[s] @ _matrices(words)[w])
+            words = list(map(MobiusMap, theta.tolist(), a.tolist()))
+            cancel = (s + len(gens)) % len(steps)
+        if not free:
+            new = _file_new(_images(words, ACTION_TEST_POINTS), ACTION_TOL, cells)
+            words = list(itertools.compress(words, new))
+            cancel = np.full(len(words), -1)
         if len(elements) + len(words) > max_elements:
             raise BudgetError(f"group enumeration exceeded the cap of {max_elements} elements")
         elements.extend(words)
@@ -232,30 +252,21 @@ def orbit_set(points, group: GroupWordList) -> tuple[np.ndarray, np.ndarray]:
     return flat[kept], kept // group.size
 
 
-def mobius_series(m: MobiusMap, degree: int) -> np.ndarray:
-    """Taylor coefficients of the map itself up to the given degree.
-
-    e^{i theta}(z - a) * sum_k (conj(a) z)^k  gives  c_0 = -a e^{i theta} and
-    c_k = e^{i theta} (1 - |a|^2) conj(a)^{k-1} for k >= 1.
-    """
-    if degree < 0:
-        raise ArgumentError("degree must be nonnegative")
-    e = cmath.exp(1j * m.theta)
-    c = np.zeros(degree + 1, dtype=complex)
-    c[0] = -e * m.a
-    c[1:] = e * (1.0 - abs(m.a) ** 2) * m.a.conjugate() ** np.arange(degree)
-    return c
-
-
 def composition_matrix(m: MobiusMap, degree: int) -> np.ndarray:
     """Truncation of f -> f ∘ m on the monomial basis 1, z, ..., z^degree.
 
-    Column j holds the degree-truncated Taylor coefficients of m(z)^j,
-    computed by iterated truncated series multiplication; column 0 is the
-    coefficient vector of the constant 1.
+    Column j holds the degree-truncated Taylor coefficients of m(z)^j, by
+    iterated truncated multiplication with the series of m itself:
+    e^{i theta}(z - a) * sum_k (conj(a) z)^k  gives  c_0 = -a e^{i theta} and
+    c_k = e^{i theta} (1 - |a|^2) conj(a)^{k-1} for k >= 1.
     """
-    series = mobius_series(m, degree)  # rejects a negative degree
-    n1 = degree + 1
+    _require_integer("degree", degree)
+    if degree < 0:
+        raise ArgumentError("degree must be nonnegative")
+    e, n1 = cmath.exp(1j * m.theta), degree + 1
+    series = np.zeros(n1, dtype=complex)
+    series[0] = -e * m.a
+    series[1:] = e * (1.0 - abs(m.a) ** 2) * m.a.conjugate() ** np.arange(degree)
     out = np.zeros((n1, n1), dtype=complex)
     out[0, 0] = 1.0
     for j in range(1, n1):
@@ -306,6 +317,7 @@ def gamma_kernel(generators, degree: int,
     space is fixed and the result is the truncated Szego kernel.  Constants
     are exactly fixed, so the kept basis is never empty.
     """
+    _require_integer("degree", degree)
     if degree < 1:
         raise ArgumentError(f"degree must be at least 1, got {degree}")
     if not sv_cutoff > 0.0:
@@ -326,13 +338,10 @@ def gamma_kernel(generators, degree: int,
 
 def invariance_residual(kernel, maps) -> float:
     """max |K(g(z), w) - K(z, w)| over the ``RESIDUAL_GRID`` pairs and the given maps."""
-    pts = np.array(RESIDUAL_GRID)
-    m = len(pts)
-    best = 0.0
-    for images in _images(tuple(maps), pts):
-        k = kernels.kernel_matrix(kernel, np.concatenate([pts, images]))
-        best = max(best, float(np.max(np.abs(k[m:, :m] - k[:m, :m]))))
-    return best
+    pts, m = np.array(RESIDUAL_GRID), len(RESIDUAL_GRID)
+    grams = (kernels.kernel_matrix(kernel, np.concatenate([pts, images]))
+             for images in _images(tuple(maps), pts))
+    return max((float(np.max(np.abs(k[m:, :m] - k[:m, :m]))) for k in grams), default=0.0)
 
 
 @dataclass
@@ -384,26 +393,16 @@ def analyze_gamma_sequence(points, generators, degree: int, group_length: int, *
     inv_res = invariance_residual(kern, gens) if gens else 0.0
 
     g = normalized_gramian(pts, kern)
-    gamma_riesz = riesz_bounds(g, riesz_tolerance)
-    gamma_weak = min_semimetric(g) if len(pts) >= 2 else None
-
     og = normalized_gramian(orbit_pts, kernels.SZEGO)
-    orbit_riesz = riesz_bounds(og, riesz_tolerance)
-    orbit_weak = min_semimetric(og) if len(orbit_pts) >= 2 else None
-    orbit_strong = strong_separation_disk(orbit_pts)
-
     return GammaSequenceReport(
-        n_points=len(pts),
-        degree=degree,
-        group_size=group.size,
-        kernel_rank=kern.rank,
+        n_points=len(pts), degree=degree, group_size=group.size, kernel_rank=kern.rank,
         kernel_residuals=tuple(float(r) for r in kern.residuals),
         invariance_residual=float(inv_res),
-        gamma_riesz=gamma_riesz,
-        gamma_weak_separation=gamma_weak,
+        gamma_riesz=riesz_bounds(g, riesz_tolerance),
+        gamma_weak_separation=min_semimetric(g) if len(pts) >= 2 else None,
         orbit_point_count=len(orbit_pts),
-        orbit_riesz=orbit_riesz,
-        orbit_weak_separation=orbit_weak,
-        orbit_strong_separation=orbit_strong,
+        orbit_riesz=riesz_bounds(og, riesz_tolerance),
+        orbit_weak_separation=min_semimetric(og) if len(orbit_pts) >= 2 else None,
+        orbit_strong_separation=strong_separation_disk(orbit_pts),
         warnings=tuple(warns),
     )

@@ -141,7 +141,6 @@ class SdpResult:
     affine_residual: float
     psd_margin: float
     iterations: int
-    residual_history: list[float] | None = None
     dual: np.ndarray | None = None
 
 
@@ -169,8 +168,7 @@ def _check_parameters(max_iters=1, **tolerances: float) -> None:
 
 
 def dykstra_solve(constraint: AffineConstraint, tol: float = DEFAULT_TOL,
-                  max_iters: int = DEFAULT_MAX_ITERS,
-                  record_residuals: bool = False) -> SdpResult:
+                  max_iters: int = DEFAULT_MAX_ITERS) -> SdpResult:
     """Dykstra's alternating projections between the affine slice and the PSD cone.
 
     Blocks start at zero (deterministic, reproducible runs).  The iterate
@@ -184,7 +182,6 @@ def dykstra_solve(constraint: AffineConstraint, tol: float = DEFAULT_TOL,
     x = constraint.zero_blocks()
     p = constraint.zero_blocks()
     q = constraint.zero_blocks()
-    history: list[float] | None = [] if record_residuals else None
     best_res = np.inf
     best_blocks = x.copy()
     window_best = np.inf
@@ -196,17 +193,15 @@ def dykstra_solve(constraint: AffineConstraint, tol: float = DEFAULT_TOL,
         x = project_psd(y + q)
         q = y + q - x
         res = frobenius(constraint.target - constraint.apply(x))
-        if history is not None:
-            history.append(res)
         if res < best_res:
             best_res = res
             best_blocks = x.copy()
         if res <= tol:
             res2, margin = check_certificate(x, constraint)
             if res2 <= tol and margin >= -tol:
-                return SdpResult(True, x, res2, margin, k, history)
+                return SdpResult(True, x, res2, margin, k)
         if k & (k - 1) == 0 and (dual := _farkas_dual(x, constraint, tol)) is not None:
-            return SdpResult(False, x, *check_certificate(x, constraint), k, history, dual)
+            return SdpResult(False, x, *check_certificate(x, constraint), k, dual)
         if k % STALL_WINDOW == 0:
             improvement = window_best - best_res
             if improvement < STALL_IMPROVEMENT:
@@ -216,7 +211,7 @@ def dykstra_solve(constraint: AffineConstraint, tol: float = DEFAULT_TOL,
                 break
             window_best = best_res
     res2, margin = check_certificate(best_blocks, constraint)
-    return SdpResult(None, best_blocks, res2, margin, iterations, history)
+    return SdpResult(None, best_blocks, res2, margin, iterations)
 
 
 @dataclass(eq=False)

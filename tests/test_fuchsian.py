@@ -97,10 +97,25 @@ class TestEnumerateGroup:
     def test_free_group_size_at_length_seven(self):
         assert enumerate_group(self.FREE_PAIR, 7, max_elements=20000).size == 4373
 
-    @pytest.mark.xfail(strict=True, reason="the Euclidean near-duplicate filter merges distinct "
-                       "elements at long words (12,507 of 13,121); ROADMAP item 7")
     def test_free_group_size_at_length_eight(self):
         assert enumerate_group(self.FREE_PAIR, 8, max_elements=20000).size == 13121
+
+    @pytest.mark.parametrize("gens, filtered", [
+        pytest.param(FREE_PAIR, False, id="schottky"),
+        pytest.param([MobiusMap(0, 0.3), MobiusMap(0, 0.3j)], True, id="overlapping-circles"),
+    ])
+    def test_near_duplicate_filter_runs_only_without_a_ping_pong_proof(self, gens, filtered, monkeypatch):
+        from interp_lab import fuchsian
+
+        def refuse(*args):
+            raise AssertionError("near-duplicate filter called")
+
+        monkeypatch.setattr(fuchsian, "_file_new", refuse)
+        if filtered:
+            with pytest.raises(AssertionError, match="near-duplicate filter called"):
+                enumerate_group(gens, 3)
+        else:
+            assert enumerate_group(gens, 3).size == 53
 
 
 class TestOrbitSet:
@@ -225,6 +240,19 @@ class TestEllipticDetection:
         warns = generator_warnings([IDENTITY])
         assert len(warns) == 1 and "identity" in warns[0]
 
+    @pytest.mark.parametrize("order", [2, 3, 5, 8, 40])
+    def test_conjugated_rotation_fixes_its_point(self, rng, order):
+        for _ in range(20):
+            m = elliptic(rng, order)
+            p = interior_fixed_point(m)
+            assert abs(p) < 1.0
+            assert abs(m(p) - p) <= 1e-12
+
+    def test_schottky_words_are_hyperbolic(self):
+        # Every element of a Schottky group other than the identity is hyperbolic.
+        group = enumerate_group([MobiusMap(0, 0.8), MobiusMap(0, 0.8j)], 4)
+        assert all(interior_fixed_point(m) is None for m in group.elements[1:])
+
 
 class TestAnalyzeGammaSequence:
     def test_trivial_group_reduces_to_disk_analysis(self):
@@ -342,6 +370,7 @@ def generator_sets():
     for p, q in ((4, 6), (5, 3), (9, 12)):
         yield f"two-rotations-{p}-{q}", [MobiusMap(2 * np.pi / p, 0), MobiusMap(2 * np.pi / q, 0)], 12
     yield "cell-edge", [MobiusMap(0, 0.063696175), MobiusMap(0, 0.6j)], 3
+    yield "overlapping-circles", [MobiusMap(0, 0.3), MobiusMap(0, 0.3j)], 3
 
 
 class TestEnumerateGroupReference:
@@ -370,6 +399,18 @@ class TestEnumerateGroupReference:
                  "max_word_length must be nonnegative, got -1", id="negative-length"),
     pytest.param(lambda: enumerate_group([HYPERBOLIC], 1, max_elements=0), ArgumentError,
                  "max_elements must be at least 1", id="zero-cap"),
+    pytest.param(lambda: enumerate_group([HYPERBOLIC], 2, max_elements=np.nan), ArgumentError,
+                 "max_elements must be an integer, got nan", id="nan-cap"),
+    pytest.param(lambda: enumerate_group([HYPERBOLIC], 2, max_elements=2.5), ArgumentError,
+                 "max_elements must be an integer, got 2.5", id="fractional-cap"),
+    pytest.param(lambda: enumerate_group([HYPERBOLIC], 2.5), ArgumentError,
+                 "max_word_length must be an integer, got 2.5", id="fractional-length"),
+    pytest.param(lambda: gamma_kernel([HYPERBOLIC], 2.5), ArgumentError,
+                 "degree must be an integer, got 2.5", id="fractional-kernel-degree"),
+    pytest.param(lambda: composition_matrix(HYPERBOLIC, 2.5), ArgumentError,
+                 "degree must be an integer, got 2.5", id="fractional-series-degree"),
+    pytest.param(lambda: mobius_apply(HYPERBOLIC, np.nan), DomainError,
+                 "automorphisms act on the open disk, got |z| = nan", id="point-nan"),
     pytest.param(lambda: composition_matrix(HYPERBOLIC, -1), ArgumentError,
                  "degree must be nonnegative", id="negative-series-degree"),
     pytest.param(lambda: gamma_kernel([HYPERBOLIC], 0), ArgumentError,
