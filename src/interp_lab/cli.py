@@ -144,14 +144,13 @@ def _cmd_analyze_polydisc(payload: dict, cfg: dict) -> tuple[dict, list[str]]:
     _require_keys(payload, {"schema_version", "points", "kernels"}, {"config"})
     pts = _poly_point_list(payload["points"], "points")
     spec = _kernel_list(payload["kernels"], "kernels", len(pts[0]))
-    kwargs = dict(bisection_tol=cfg["bisection_tol"], sdp_tol=cfg["sdp_tol"])
     g = gramian.normalized_gramian(pts, spec)
     riesz = gramian.riesz_bounds(g, cfg["riesz_tolerance"])
     results = {
         "n_points": len(pts),
         "dimension": spec.dimension,
-        "M": pick.condition_a_constant(pts, spec, **kwargs),
-        "N": pick.condition_b_constant(pts, spec, **kwargs),
+        "M": pick.condition_a_constant(pts, spec, bisection_tol=cfg["bisection_tol"]),
+        "N": pick.condition_b_constant(pts, spec, bisection_tol=cfg["bisection_tol"]),
         "gramian_lambda_min": riesz.lambda_min,
         "gramian_lambda_max": riesz.lambda_max,
     }
@@ -293,16 +292,22 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _emit(report: dict, args) -> None:
+def _emit(report: dict, args, code: int) -> int:
+    """Write the report and return ``code``; an unwritable output file makes it an input error, exit 2."""
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            code, text = 2, json.dumps(_error_report(args.command, "input", f"{args.output}: {exc}"),
+                                       indent=2, sort_keys=True)
     if not args.quiet:
         try:
             print(text, flush=True)
         except BrokenPipeError:  # the reader left: keep the exit code, and flush at exit to devnull
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 def run(argv=None) -> int:
@@ -326,17 +331,14 @@ def run(argv=None) -> int:
         }
         _check_finite(report["results"])
     except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
-        _emit(_error_report(args.command, "input", f"{'<stdin>' if source == '-' else source}: {exc}"), args)
-        return 2
+        return _emit(_error_report(args.command, "input", f"{'<stdin>' if source == '-' else source}: {exc}"),
+                     args, 2)
     except (ArgumentError, DomainError) as exc:
-        _emit(_error_report(args.command, "validation", str(exc)), args)
-        return 2
+        return _emit(_error_report(args.command, "validation", str(exc)), args, 2)
     except (NumericError, BudgetError) as exc:
-        kind = "budget" if isinstance(exc, BudgetError) else "numeric"
-        _emit(_error_report(args.command, kind, str(exc)), args)
-        return 3
-    _emit(report, args)
-    return 0
+        return _emit(_error_report(args.command, "budget" if isinstance(exc, BudgetError) else "numeric",
+                                   str(exc)), args, 3)
+    return _emit(report, args, 0)
 
 
 def main() -> None:

@@ -320,8 +320,8 @@ def gamma_kernel(generators, degree: int,
     _require_integer("degree", degree)
     if degree < 1:
         raise ArgumentError(f"degree must be at least 1, got {degree}")
-    if not sv_cutoff > 0.0:
-        raise ArgumentError(f"sv_cutoff must be positive, got {sv_cutoff}")
+    if not 0.0 < sv_cutoff < np.inf:  # an infinite cutoff keeps every direction
+        raise ArgumentError(f"sv_cutoff must be finite and > 0, got {sv_cutoff}")
     gens = tuple(generators)
     n1 = degree + 1
     if not gens:

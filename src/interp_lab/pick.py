@@ -12,6 +12,7 @@ interior-point solve brackets it to a certified gap.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,9 +24,11 @@ from .gramian import PSD_TOL_PER_POINT, check_distinct
 from .sdp import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
+    EIG_ROUNDING_UNITS,
     AffineConstraint,
     SdpResult,
     _check_parameters,
+    _decomposes,
     barrier_solve,
     check_certificate,
     dykstra_solve,
@@ -37,10 +40,6 @@ from .sdp import (
 BISECTION_TOL = 1e-5
 BRACKET_LIMIT = 1e6
 
-# Boundary-feasible rank-one Pick matrices reach -1.3 eps * max|lambda| by
-# rounding alone; 4 units stay well below the margins of infeasible data.
-EIG_ROUNDING_UNITS = 4.0
-
 
 def as_product_spec(specs) -> kernels.ProductKernelSpec:
     """Accept a KernelSpec, a ProductKernelSpec, or a list of factors."""
@@ -49,6 +48,15 @@ def as_product_spec(specs) -> kernels.ProductKernelSpec:
     if isinstance(specs, kernels.KernelSpec):
         return kernels.ProductKernelSpec((specs,))
     return kernels.ProductKernelSpec(tuple(specs))
+
+
+def _finite_values(values) -> tuple[complex, ...]:
+    """The values as complex numbers; :class:`ArgumentError` names the first that is not finite."""
+    vals = tuple(complex(v) for v in values)
+    for i, v in enumerate(vals):
+        if not cmath.isfinite(v):
+            raise ArgumentError(f"values[{i}] must be finite, got {v}")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -62,8 +70,8 @@ class PickProblem:
     _array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        vals = _finite_values(self.values)
         array = check_distinct(self.points)
-        vals = tuple(complex(v) for v in self.values)
         object.__setattr__(self, "_array", array)
         object.__setattr__(self, "points", tuple(map(tuple, array.tolist())))
         object.__setattr__(self, "values", vals)
@@ -127,8 +135,10 @@ def _distinct_slices(r: np.ndarray) -> list[int]:
             if not any(np.allclose(r[l], r[m], rtol=0.0, atol=1e-14) for m in range(l))]
 
 
-def _solve_with_stack(r: np.ndarray, target: np.ndarray, tol: float, max_iters: int) -> SdpResult:
-    """Feasibility of sum_l G_l ∘ R_l = target over PSD blocks, as in SdpResult.
+def agler_feasible(points, specs, target, tol: float = DEFAULT_TOL,
+                   max_iters: int = DEFAULT_MAX_ITERS) -> SdpResult:
+    """Find PSD blocks G_1..G_d with sum_l G_l ∘ R_l = target, or a certificate
+    that none exist; ``feasible`` is None when neither was found within ``max_iters``.
 
     Two exact shortcuts precede Dykstra: with one distinct slice the problem
     collapses to a single block (sums and splits of PSD matrices are PSD),
@@ -138,6 +148,13 @@ def _solve_with_stack(r: np.ndarray, target: np.ndarray, tol: float, max_iters: 
     ``EIG_ROUNDING_UNITS`` units of its rounding, ``eps * ‖T‖_F``, where that
     exceeds ``tol``; blocks, residual and margin come back in the caller's units.
     """
+    _check_parameters(max_iters, tol=tol)
+    spec = as_product_spec(specs)
+    pts = kernels.as_points(points, spec.dimension)
+    target = np.asarray(target, dtype=complex)
+    if target.shape != (len(pts),) * 2:
+        raise ArgumentError(f"target shape {target.shape} does not match {len(pts)} points")
+    r = inverse_kernel_stack(pts, spec)
     scale = min(1.0, frobenius(target)) or 1.0
     constraint = AffineConstraint(r, target / scale)
     tol = max(tol, EIG_ROUNDING_UNITS * np.finfo(float).eps * frobenius(constraint.target))
@@ -163,24 +180,10 @@ def _solve_with_stack(r: np.ndarray, target: np.ndarray, tol: float, max_iters: 
     return result
 
 
-def agler_feasible(points, specs, target, tol: float = DEFAULT_TOL,
-                   max_iters: int = DEFAULT_MAX_ITERS) -> SdpResult:
-    """Find PSD blocks G_1..G_d with sum_l G_l ∘ R_l = target, or a certificate
-    that none exist; ``feasible`` is None when neither was found within ``max_iters``."""
-    _check_parameters(max_iters, tol=tol)
-    spec = as_product_spec(specs)
-    pts = kernels.as_points(points, spec.dimension)
-    target = np.asarray(target, dtype=complex)
-    n = len(pts)
-    if target.shape != (n, n):
-        raise ArgumentError(f"target shape {target.shape} does not match {n} points")
-    r = inverse_kernel_stack(pts, spec)
-    return _solve_with_stack(r, target, tol, max_iters)
-
-
-def _slices_and_gramians(points, specs) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct R slices and the unit-diagonal Gramians Ĝ_l of K_l = 1/R_l, then their
-    product Ĝ.  T ∘ K_l decomposes T in one block; any decomposition keeps T ∘ Π_l K_l ⪰ 0."""
+def _slices_and_gramians(points, specs, gap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct R slices, the unit-diagonal Gramians Ĝ_l of K_l = 1/R_l and their product Ĝ, for a
+    checked ``gap``.  T ∘ K_l decomposes T in one block; any decomposition keeps T ∘ Π_l K_l ⪰ 0."""
+    _check_parameters(bisection_tol=gap)
     r = inverse_kernel_stack(check_distinct(points), as_product_spec(specs))
     distinct = r[_distinct_slices(r)]
     d = np.sqrt(np.real(np.diagonal(distinct, axis1=1, axis2=2)))
@@ -190,11 +193,11 @@ def _slices_and_gramians(points, specs) -> tuple[np.ndarray, np.ndarray]:
     return distinct, g
 
 
-def _checked_bracket(r, a, c, necessary: float, certified: float, gap: float, tol: float):
+def _checked_bracket(r, a, c, necessary: float, certified: float, gap: float):
     """Checked ends (lower, upper) of the smallest u at which u·A − C decomposes
     over the R stack.  Where the closed-form ends differ by more than ``gap``, one
-    interior-point solve tightens them, re-checked from scratch: its blocks at
-    ``res.upper``; its dual Y by Re⟨A,Y⟩ > 0 and every conj(R_l)∘Y ⪰ 0, which give
+    interior-point solve tightens them, re-checked from scratch: its blocks at ``res.upper``
+    by ``_decomposes``; its dual Y by Re⟨A,Y⟩ > 0 and every conj(R_l)∘Y ⪰ 0, which give
     u ≥ Re⟨C,Y⟩/Re⟨A,Y⟩ as u·⟨A,Y⟩ − ⟨C,Y⟩ = Σ_l ⟨G_l, conj(R_l)∘Y⟩ ≥ 0.
 
     For n <= 2 the certified end is exact, so no solve runs: with Ĝ_l = [[1,
@@ -206,47 +209,41 @@ def _checked_bracket(r, a, c, necessary: float, certified: float, gap: float, to
         return certified, certified
     if certified - necessary <= gap:
         return necessary, certified
-    res = barrier_solve(r, a, c, (necessary, certified), gap, tol)
-    if res.upper < certified:
-        residual, margin = check_certificate(res.blocks, AffineConstraint(r, res.upper * a - c))
-        if residual <= tol and margin >= -tol:
-            certified = max(necessary, res.upper)
+    res = barrier_solve(r, a, c, (necessary, certified), gap)
+    if res.upper < certified and _decomposes(r, res.upper * a - c, res.blocks):
+        certified = max(necessary, res.upper)
     if np.real(np.vdot(a, res.dual)) > 0.0 and np.min(eigvalsh_hermitian(np.conj(r) * res.dual)) >= 0.0:
         necessary = max(necessary, float(np.real(np.vdot(c, res.dual)) / np.real(np.vdot(a, res.dual))))
     return necessary, certified
 
 
-def _condition_a_bracket(points, specs, gap: float, tol: float) -> tuple[float, float]:
+def _condition_a_bracket(points, specs, gap: float) -> tuple[float, float]:
     """Checked ends (dual, certified) of the smallest M at which M·I − J decomposes."""
-    _check_parameters(bisection_tol=gap, sdp_tol=tol)
-    r, g = _slices_and_gramians(points, specs)
+    r, g = _slices_and_gramians(points, specs, gap)
     n, top = r.shape[1], eigvalsh_hermitian(g)[:, -1]
     return _checked_bracket(r, np.eye(n), np.ones((n, n)), max(1.0, top[-1]),
-                            max(1.0, min(top[:-1])), gap, tol)
+                            max(1.0, min(top[:-1])), gap)
 
 
-def condition_a_constant(points, specs, *, bisection_tol: float = BISECTION_TOL,
-                         sdp_tol: float = DEFAULT_TOL) -> float:
+def condition_a_constant(points, specs, *, bisection_tol: float = BISECTION_TOL) -> float:
     """Smallest M >= 1 such that M*I - J admits a PSD Schur-product decomposition;
     it lies in [max(1, λmax(Ĝ)), max(1, min_l λmax(Ĝ_l))]."""
-    return _condition_a_bracket(points, specs, bisection_tol, sdp_tol)[1]
+    return _condition_a_bracket(points, specs, bisection_tol)[1]
 
 
-def _condition_b_bracket(points, specs, gap: float, tol: float) -> tuple[float, float]:
+def _condition_b_bracket(points, specs, gap: float) -> tuple[float, float]:
     """Checked ends (certified, dual) of the largest N at which J − N·I decomposes (u = −N)."""
-    _check_parameters(bisection_tol=gap, sdp_tol=tol)
-    r, g = _slices_and_gramians(points, specs)
+    r, g = _slices_and_gramians(points, specs, gap)
     n, bottom = r.shape[1], eigvalsh_hermitian(g)[:, 0]
     lower, upper = _checked_bracket(r, np.eye(n), -np.ones((n, n)), -min(1.0, bottom[-1]),
-                                    -max(0.0, max(bottom[:-1])), gap, tol)
+                                    -max(0.0, max(bottom[:-1])), gap)
     return -upper, -lower
 
 
-def condition_b_constant(points, specs, *, bisection_tol: float = BISECTION_TOL,
-                         sdp_tol: float = DEFAULT_TOL) -> float:
+def condition_b_constant(points, specs, *, bisection_tol: float = BISECTION_TOL) -> float:
     """Largest N in [0, 1] such that J - N*I admits a PSD Schur-product
     decomposition; it lies in [max(0, max_l λmin(Ĝ_l)), min(1, λmin(Ĝ))]."""
-    return _condition_b_bracket(points, specs, bisection_tol, sdp_tol)[0]
+    return _condition_b_bracket(points, specs, bisection_tol)[0]
 
 
 def _pick_norm(g: np.ndarray, w: np.ndarray) -> float:
@@ -263,12 +260,11 @@ def _pick_norm(g: np.ndarray, w: np.ndarray) -> float:
     return float(np.linalg.norm(np.linalg.solve(chol, w[:, None] * chol), 2))
 
 
-def _interpolation_bracket(points, specs, values, gap: float, tol: float) -> tuple[float, float]:
+def _interpolation_bracket(points, specs, values, gap: float) -> tuple[float, float]:
     """Checked ends (dual, certified) of the minimal C at which C²J − W decomposes."""
-    _check_parameters(bisection_tol=gap, sdp_tol=tol)
-    r, g = _slices_and_gramians(points, specs)
-    n, vals = r.shape[1], np.asarray([complex(v) for v in values])
-    if len(vals) != n:
+    vals = np.asarray(_finite_values(values))
+    r, g = _slices_and_gramians(points, specs, gap)
+    if len(vals) != (n := r.shape[1]):
         raise ArgumentError(f"{n} points but {len(vals)} values")
     scale = min(1.0, np.max(np.abs(vals))) or 1.0
     # Divided by parts: a complex division forms 1/scale, which overflows for a subnormal scale.
@@ -278,25 +274,24 @@ def _interpolation_bracket(points, specs, values, gap: float, tol: float) -> tup
         raise BudgetError(f"interpolation constant: none certified below {np.sqrt(BRACKET_LIMIT):g}")
     # Solved for u = C^2: a gap of 2·gap·√μ(Ĝ) on u is at most gap on C.
     u = _checked_bracket(r, np.ones((n, n)), np.outer(w, np.conj(w)),
-                         norms[-1] ** 2, min(norms[:-1]) ** 2, 2.0 * gap * norms[-1], tol)
+                         norms[-1] ** 2, min(norms[:-1]) ** 2, 2.0 * gap * norms[-1])
     return scale * float(np.sqrt(u[0])), scale * float(np.sqrt(u[1]))
 
 
-def pick_constant_for_values(points, specs, values, *, bisection_tol: float = 1e-6,
-                             sdp_tol: float = DEFAULT_TOL) -> float:
+def pick_constant_for_values(points, specs, values, *, bisection_tol: float = 1e-6) -> float:
     """Minimal norm bound C for which the interpolation data is feasible, i.e.
     C^2*J - W decomposes; it lies in [√μ(Ĝ), min_l √μ(Ĝ_l)].  C scales with the
     values, so values below unit size are solved at unit size."""
-    return _interpolation_bracket(points, specs, values, bisection_tol, sdp_tol)[1]
+    return _interpolation_bracket(points, specs, values, bisection_tol)[1]
 
 
-def vector_valued_feasible(points, specs, n_bound: float, *, sdp_tol: float = DEFAULT_TOL) -> bool:
+def vector_valued_feasible(points, specs, n_bound: float) -> bool:
     """Feasibility of J - N*I (the norm-sqrt(N) interpolant sending each point to its
     coordinate vector), from N's checked bracket: True up to its certified end, False
     above its dual end, BudgetError in between, a band at most BISECTION_TOL wide."""
     if not 0.0 < n_bound <= 1.0:
         raise DomainError(f"N must lie in (0, 1], got {n_bound}")
-    certified, dual = _condition_b_bracket(points, specs, BISECTION_TOL, sdp_tol)
+    certified, dual = _condition_b_bracket(points, specs, BISECTION_TOL)
     if certified < n_bound <= dual:
         raise BudgetError(f"J - {n_bound:g}*I undecided: N lies in [{certified:.9g}, {dual:.9g}]")
     return n_bound <= certified

@@ -10,9 +10,9 @@ terms: the projection onto the affine slice has a closed form because the
 constraint map acts entrywise, and the PSD projection is an eigenvalue clip.
 It stops at checked blocks or at a checked Farkas dual built from their residual.
 A dual barrier method brackets the smallest ``u`` for which ``u A - C``
-decomposes.  Verdicts and bracket ends are re-checked from scratch (residual,
-eigenvalue margin, dual eigenvalues) so a certificate never depends on solver
-internals.
+decomposes.  Verdicts (to a caller's ``tol``) and bracket ends (to their own rounding)
+are re-checked from scratch, by residual, eigenvalue margin and dual eigenvalues, so a
+certificate never depends on solver internals.
 """
 
 from __future__ import annotations
@@ -37,6 +37,10 @@ STALL_SAFETY = 2.0
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 50000
+
+# Units of eps in every rounding allowance: boundary-feasible rank-one Pick matrices reach
+# -1.3 eps * max|lambda| by rounding alone; 4 units stay well below infeasible margins.
+EIG_ROUNDING_UNITS = 4.0
 
 # Barrier method: Newton steps per solve, growth of the barrier weight t at a
 # centred point, and the Newton decrement below which a point is centred.
@@ -94,10 +98,8 @@ class AffineConstraint:
 
 
 def project_psd(a) -> np.ndarray:
-    """Frobenius-nearest PSD matrix (batched over leading axes).
-
-    Clips negative eigenvalues of the symmetrized input to zero.
-    """
+    """Frobenius-nearest PSD matrix (batched over leading axes): the symmetrized input
+    with its negative eigenvalues clipped to zero."""
     w, v = eigh_hermitian(a)
     w = np.clip(w, 0.0, None)
     out = np.einsum("...ik,...k,...jk->...ij", v, w, np.conj(v))
@@ -120,9 +122,7 @@ def project_affine(blocks, constraint: AffineConstraint) -> np.ndarray:
 def check_certificate(blocks, constraint: AffineConstraint) -> tuple[float, float]:
     """Recompute (affine residual, PSD margin) directly from the blocks."""
     blocks = np.asarray(blocks, dtype=complex)
-    residual = frobenius(constraint.target - constraint.apply(blocks))
-    margin = float(np.min(eigvalsh_hermitian(blocks)))
-    return residual, margin
+    return frobenius(constraint.target - constraint.apply(blocks)), float(np.min(eigvalsh_hermitian(blocks)))
 
 
 @dataclass(eq=False)
@@ -179,23 +179,17 @@ def dykstra_solve(constraint: AffineConstraint, tol: float = DEFAULT_TOL,
     Bad ``tol`` or ``max_iters``: :class:`ArgumentError`, as in :func:`pick.agler_feasible`.
     """
     _check_parameters(max_iters, tol=tol)
-    x = constraint.zero_blocks()
-    p = constraint.zero_blocks()
-    q = constraint.zero_blocks()
-    best_res = np.inf
+    x, p, q = (constraint.zero_blocks() for _ in range(3))
+    best_res = window_best = np.inf
     best_blocks = x.copy()
-    window_best = np.inf
-    iterations = 0
     for k in range(1, max_iters + 1):
-        iterations = k
         y = project_affine(x + p, constraint)
         p = x + p - y
         x = project_psd(y + q)
         q = y + q - x
         res = frobenius(constraint.target - constraint.apply(x))
         if res < best_res:
-            best_res = res
-            best_blocks = x.copy()
+            best_res, best_blocks = res, x.copy()
         if res <= tol:
             res2, margin = check_certificate(x, constraint)
             if res2 <= tol and margin >= -tol:
@@ -204,14 +198,11 @@ def dykstra_solve(constraint: AffineConstraint, tol: float = DEFAULT_TOL,
             return SdpResult(False, x, *check_certificate(x, constraint), k, dual)
         if k % STALL_WINDOW == 0:
             improvement = window_best - best_res
-            if improvement < STALL_IMPROVEMENT:
-                break
-            projected = (best_res - tol) / improvement * STALL_WINDOW
-            if projected > STALL_SAFETY * (max_iters - k):
+            if (improvement < STALL_IMPROVEMENT
+                    or (best_res - tol) / improvement * STALL_WINDOW > STALL_SAFETY * (max_iters - k)):
                 break
             window_best = best_res
-    res2, margin = check_certificate(best_blocks, constraint)
-    return SdpResult(None, best_blocks, res2, margin, iterations)
+    return SdpResult(None, best_blocks, *check_certificate(best_blocks, constraint), k)
 
 
 @dataclass(eq=False)
@@ -227,19 +218,31 @@ class BarrierResult:
     steps: int
 
 
-def _certified_primal(r, a, c, u: float, blocks, tol: float):
-    """(u', blocks') that pass check_certificate, or None: the blocks projected
+def _decomposes(r, target, blocks) -> bool:
+    """Whether ``check_certificate`` finds residual <= a and margin >= -a, the rounding of
+    the check itself: a = EIG_ROUNDING_UNITS (d + n) eps (‖T‖_F + Σ_l ‖|G_l|∘|R_l|‖_F).
+    Entry ij of T − Σ_l G_l∘R_l, d products and d + 1 sums, rounds by about (d + 1) eps
+    (|T_ij| + Σ_l |G_l,ij R_l,ij|); a Hermitian eigensolve of an n×n block is backward
+    stable to about n eps of its size, here weighed through R_l as in the sum."""
+    c = AffineConstraint(r, target)
+    residual, margin = check_certificate(blocks, c)
+    weighed = float(np.linalg.norm(np.abs(blocks) * np.abs(c.r_matrices), axis=(1, 2)).sum())
+    a = EIG_ROUNDING_UNITS * (c.num_blocks + c.size) * np.finfo(float).eps * (frobenius(c.target) + weighed)
+    return residual <= a and margin >= -a
+
+
+def _certified_primal(r, a, c, u: float, blocks):
+    """(u', blocks') that pass :func:`_decomposes`, or None: the blocks projected
     onto the slice at ``u``, each lifted by delta_l (A ⊘ R_l) to PSD margin 0,
     which raises ``u`` by sum_l delta_l."""
     blocks, lift = project_affine(blocks, AffineConstraint(r, u * a - c)), hermitian_part(a / r)
     delta = (np.maximum(0.0, -eigvalsh_hermitian(blocks)[:, 0])
              / np.maximum(eigvalsh_hermitian(lift)[:, 0], np.finfo(float).eps))
     u, blocks = u + float(np.sum(delta)), blocks + delta[:, None, None] * lift
-    residual, margin = check_certificate(blocks, AffineConstraint(r, u * a - c))
-    return (u, blocks) if residual <= tol and margin >= -tol else None
+    return (u, blocks) if _decomposes(r, u * a - c, blocks) else None
 
 
-def barrier_solve(r, a, c, bracket: tuple[float, float], gap: float, tol: float) -> BarrierResult:
+def barrier_solve(r, a, c, bracket: tuple[float, float], gap: float) -> BarrierResult:
     """Bracket ``min u`` such that ``u A - C = sum_l G_l ∘ R_l`` over PSD blocks.
 
     With ``A`` = I or J, Y = I/n is strictly feasible for the dual: max <C,Y>
@@ -263,7 +266,7 @@ def barrier_solve(r, a, c, bracket: tuple[float, float], gap: float, tol: float)
     skipped = []  # (nu/t, blocks) of centred points whose primal end was not checked
 
     def certify(u, blocks):
-        primal = _certified_primal(r, a, c, u, blocks, tol)
+        primal = _certified_primal(r, a, c, u, blocks)
         if primal is not None and primal[0] < result.upper:
             result.upper, result.blocks = primal
     # Bordered Newton system [[H, a], [a^H, 0]] in Jacobi scaling, by LU:

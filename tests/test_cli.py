@@ -431,6 +431,20 @@ class TestIoFlags:
         assert report["results"]["strong_separation"] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_unwritable_output_is_an_input_error(tmp_path):
+    # The report's directory does not exist: exit 2 and an input error naming the
+    # output file, on stdout, with no traceback.
+    out = tmp_path / "missing" / "out.json"
+    proc = subprocess.run([sys.executable, "-m", "interp_lab", "analyze-disk",
+                           write_payload(tmp_path, DISK_PAYLOAD), "--output", str(out)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "input" and error["message"].startswith(f"{out}: ")
+    assert not out.exists()
+
+
 def test_closed_stdout_keeps_the_exit_code(tmp_path):
     # The reader has gone before the report is written: exit 2 for the validation error,
     # not a BrokenPipeError traceback and exit 1.
@@ -594,6 +608,14 @@ class TestPolydiscAnchor:
         assert code == 0
         assert abs(report["results"]["M"] - 2.519284) <= 1e-5
         assert abs(report["results"]["N"] - 0.073577) <= 1e-5
+
+    def test_sdp_tol_leaves_the_constants_alone(self, tmp_path, capsys):
+        # sdp_tol reaches only the d >= 2 pick verdicts; M and N take no tolerance.
+        results = []
+        for tol in (1e-7, 1e-2):
+            payload = write_payload(tmp_path, dict(self.PAYLOAD, config={"sdp_tol": tol}))
+            results.append(run_cli(capsys, ["analyze-polydisc", payload])[1]["results"])
+        assert results[0] == results[1]
 
 
 class TestPartitionGramian:

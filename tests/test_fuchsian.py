@@ -416,9 +416,11 @@ class TestEnumerateGroupReference:
     pytest.param(lambda: gamma_kernel([HYPERBOLIC], 0), ArgumentError,
                  "degree must be at least 1, got 0", id="kernel-degree"),
     pytest.param(lambda: gamma_kernel([HYPERBOLIC], 4, sv_cutoff=0.0), ArgumentError,
-                 "sv_cutoff must be positive, got 0.0", id="sv-cutoff"),
+                 "sv_cutoff must be finite and > 0, got 0.0", id="sv-cutoff"),
     pytest.param(lambda: gamma_kernel([HYPERBOLIC], 10, sv_cutoff=np.nan), ArgumentError,
-                 "sv_cutoff must be positive, got nan", id="sv-cutoff-nan"),
+                 "sv_cutoff must be finite and > 0, got nan", id="sv-cutoff-nan"),
+    pytest.param(lambda: gamma_kernel([HYPERBOLIC], 10, sv_cutoff=np.inf), ArgumentError,
+                 "sv_cutoff must be finite and > 0, got inf", id="sv-cutoff-inf"),
 ])
 def test_rejects_invalid_arguments(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -231,7 +231,7 @@ class TestVectorValuedFeasible:
         for _ in range(6):
             z = 0.8 * np.sqrt(rng.uniform(size=(5, 2))) * np.exp(2j * np.pi * rng.uniform(size=(5, 2)))
             pts = [tuple(row) for row in z]
-            n_lo, n_hi = _condition_b_bracket(pts, BIDISC, BISECTION_TOL, 1e-7)
+            n_lo, n_hi = _condition_b_bracket(pts, BIDISC, BISECTION_TOL)
             assert n_lo == condition_b_constant(pts, BIDISC)
             assert 0.0 < n_lo <= n_hi <= n_lo + BISECTION_TOL
             assert vector_valued_feasible(pts, BIDISC, 0.9 * n_lo)
@@ -427,7 +427,7 @@ class TestInteriorPointConstants:
         from interp_lab import pick
         from interp_lab.sdp import BarrierResult
 
-        def bad_point(r, a, c, bracket, gap, tol):
+        def bad_point(r, a, c, bracket, gap):
             # Claims the necessary end with blocks that decompose nothing.
             return BarrierResult(bracket[0], bracket[0], np.eye(r.shape[1]), np.zeros_like(r), 1)
 
@@ -439,6 +439,22 @@ class TestInteriorPointConstants:
         assert abs(condition_b_constant(pts, BIDISC) - max(0, lam[0][0], lam[1][0])) <= 1e-12
         expected = min(sqrt_mu(g1, values), sqrt_mu(g2, values))
         assert abs(pick_constant_for_values(pts, BIDISC, values) - expected) <= 1e-12 * expected
+
+    def test_near_miss_primal_is_refused(self, monkeypatch):
+        # The anchor's M solve with block 0 shifted by -3e-8·I: well inside a 1e-7
+        # tolerance, far outside the check's rounding, so M is the closed-form end.
+        from interp_lab import pick, sdp
+
+        def near_miss(r, *args):
+            res = sdp.barrier_solve(r, *args)
+            res.blocks[0] -= 3e-8 * np.eye(r.shape[1])
+            return res
+
+        monkeypatch.setattr(pick, "barrier_solve", near_miss)
+        (g1, g2), _ = slice_gramians(ANCHOR)
+        m = condition_a_constant(ANCHOR, BIDISC)
+        assert m == max(1.0, min(np.linalg.eigvalsh(g1)[-1], np.linalg.eigvalsh(g2)[-1]))
+        assert abs(m - 2.627270201) <= 1e-9
 
     def test_small_data_constant_is_relatively_accurate(self, monkeypatch):
         results = spy_on_solver(monkeypatch)
@@ -477,7 +493,7 @@ class TestTwoPointConstants:
             cases = [(m, eye, ones, 1.0), (-nv, eye, -ones, 1.0), (c * c, ones, np.outer(w, np.conj(w)), c * c)]
             for u, a, b, scale in cases:
                 # A dual bound from a solve run to a 1e-12 gap, checked from scratch.
-                bound = checked_dual(r, a, b, sdp.barrier_solve(r, a, b, (u - 1.0, u), 1e-12, 1e-7).dual)
+                bound = checked_dual(r, a, b, sdp.barrier_solve(r, a, b, (u - 1.0, u), 1e-12).dual)
                 assert -1e-12 * scale <= u - bound <= 1e-10 * scale
 
 
@@ -519,8 +535,8 @@ def spy_on_primal_checks(monkeypatch, refuse=lambda u: False):
 
     checks, primal = [], sdp._certified_primal
 
-    def spy(r, a, c, u, blocks, tol):
-        checks.append((u, None if refuse(u) else primal(r, a, c, u, blocks, tol)))
+    def spy(r, a, c, u, blocks):
+        checks.append((u, None if refuse(u) else primal(r, a, c, u, blocks)))
         return checks[-1][1]
 
     monkeypatch.setattr(sdp, "_certified_primal", spy)
@@ -536,7 +552,7 @@ class TestBarrierSchedule:
         condition_a_constant(pts, BIDISC)
         condition_b_constant(pts, BIDISC)
         assert len(calls) == 2 and len(checks) <= 4
-        for (r, a, b, _, gap, _), res in calls:
+        for (r, a, b, _, gap), res in calls:
             assert_checked_primal_end(r, a, b, res)
             assert checked_dual(r, a, b, res.dual) == pytest.approx(res.lower, rel=1e-12)
             assert res.upper - res.lower <= gap
@@ -556,11 +572,11 @@ class TestBarrierSchedule:
 
         calls = spy_on_solves(monkeypatch)
         condition_a_constant(ANCHOR, BIDISC)
-        (r, a, b, bracket, gap, tol), full = calls[0]
+        (r, a, b, bracket, gap), full = calls[0]
         certified = []
         for cap in range(1, full.steps):
             monkeypatch.setattr(sdp, "BARRIER_MAX_STEPS", cap)
-            capped = sdp.barrier_solve(r, a, b, bracket, gap, tol)
+            capped = sdp.barrier_solve(r, a, b, bracket, gap)
             assert capped.steps == cap and capped.upper - capped.lower > gap
             m = condition_a_constant(ANCHOR, BIDISC)
             if capped.upper < np.inf:
@@ -578,11 +594,11 @@ class TestBarrierSchedule:
 
         calls = spy_on_solves(monkeypatch)
         condition_a_constant(ANCHOR, BIDISC)
-        (r, a, b, bracket, gap, tol), full = calls[0]
+        (r, a, b, bracket, gap), full = calls[0]
         # Every check within 1e-4 of M fails, so the bracket cannot close and the
         # solve runs until Newton fails or the step cap.
         checks = spy_on_primal_checks(monkeypatch, refuse=lambda u: u < full.upper + 1e-4)
-        res = sdp.barrier_solve(r, a, b, bracket, gap, tol)
+        res = sdp.barrier_solve(r, a, b, bracket, gap)
         assert res.upper - res.lower > gap and res.lower <= full.upper
         passed = [end for _, end in checks if end is not None]
         assert passed and res.upper == min(u for u, _ in passed) < bracket[1]
@@ -662,14 +678,18 @@ ANCHOR_TARGET = 0.78 ** 2 - np.outer([0.3, -0.2j, 0.4], np.conj([0.3, -0.2j, 0.4
                  id="problem-bound"),
     pytest.param(lambda: PickProblem(((0,), (0.5,)), (0.1, 0.2), np.nan), "norm bound must be positive, got nan",
                  id="problem-bound-nan"),
+    pytest.param(lambda: PickProblem(((0.1,), (0.2,)), (0.3, np.nan), 1.0),
+                 "values[1] must be finite, got (nan+0j)", id="problem-value-nan"),
+    pytest.param(lambda: PickProblem(((0.1,), (0.2,)), (np.inf, 0.3), 1.0),
+                 "values[0] must be finite, got (inf+0j)", id="problem-value-inf"),
+    pytest.param(lambda: pick_constant_for_values(ANCHOR, BIDISC, [0.1, complex(0.2, np.nan), 0.3]),
+                 "values[1] must be finite, got (0.2+nanj)", id="constant-value-nan"),
+    pytest.param(lambda: pick_constant_for_values([0, 0.5], SZEGO, [0.1, -np.inf]),
+                 "values[1] must be finite, got (-inf+0j)", id="constant-value-inf"),
     pytest.param(lambda: condition_a_constant(ANCHOR, BIDISC, bisection_tol=np.nan),
                  "bisection_tol must be finite and > 0, got nan", id="constant-a-bisection-tol-nan"),
-    pytest.param(lambda: condition_b_constant(ANCHOR, BIDISC, sdp_tol=np.nan),
-                 "sdp_tol must be finite and > 0, got nan", id="constant-b-sdp-tol-nan"),
     pytest.param(lambda: pick_constant_for_values(ANCHOR, BIDISC, [0.1, 0.2, 0.3], bisection_tol=0.0),
                  "bisection_tol must be finite and > 0, got 0.0", id="constant-c-bisection-tol-zero"),
-    pytest.param(lambda: pick_constant_for_values(ANCHOR, BIDISC, [0.1, 0.2, 0.3], sdp_tol=np.inf),
-                 "sdp_tol must be finite and > 0, got inf", id="constant-c-sdp-tol-inf"),
     pytest.param(lambda: pick_constant_for_values([(0, 0), (0.5, 0.1), (0.2, -0.3)], BIDISC, [0.1, 0.2]),
                  "3 points but 2 values", id="constant-values"),
     pytest.param(lambda: agler_feasible(ANCHOR, BIDISC, ANCHOR_TARGET, tol=np.nan),

@@ -43,7 +43,6 @@ from interp_lab.pick import (  # noqa: E402
     inverse_kernel_stack,
     pick_constant_for_values,
 )
-from interp_lab.sdp import DEFAULT_TOL  # noqa: E402
 
 disk_points = st.builds(lambda r, phi: complex(r * np.cos(phi), r * np.sin(phi)),
                         st.floats(0.0, 0.85), st.floats(0.0, 2 * np.pi))
@@ -133,7 +132,7 @@ bidisc_disk_points = st.builds(lambda r, phi: complex(r * np.cos(phi), r * np.si
 
 def brackets(points, values):
     """(necessary, certified, certifying slice) for M, N and C."""
-    _, g = _slices_and_gramians(points, BIDISC)
+    _, g = _slices_and_gramians(points, BIDISC, BISECTION_TOL)
     w = np.linalg.eigvalsh(g)
     norms = [_pick_norm(x, values) for x in g]
     return {
@@ -186,9 +185,10 @@ def test_equal_coordinates_close_the_brackets(data):
 
 
 # The paper's laws on the checked ends of M, N and C.  A certified end's blocks pass
-# check_certificate at sdp_tol: residual and PSD margin within DEFAULT_TOL, so a certified
-# M or N may sit (d + 1)·DEFAULT_TOL on the wrong side of the optimum (for A = I each block
-# pairs with a dual of trace at most 1).  That is the only slack the laws take.
+# check_certificate within the rounding of that check, about (d + n) eps of the target's
+# scale, so a certified M or N may sit that far on the wrong side of the optimum.
+# LAW_SLACK bounds it for these sets, and is the only slack the laws take.
+LAW_SLACK = 1e-12
 FACTORS = (SZEGO, KernelSpec((0.6, 0.3)))
 
 
@@ -216,12 +216,11 @@ def test_interpolation_constant_is_at_most_sqrt_m_over_n(data):
     (M/N)·J − W decomposes: C² <= M/N.  The dual end is at most C.
     """
     points, specs, values = data
-    slack = (len(specs) + 1) * DEFAULT_TOL
     m_cert = condition_a_constant(points, specs)
     n_cert = condition_b_constant(points, specs)
-    assume(n_cert > slack)
-    c_dual = _interpolation_bracket(points, specs, values, 1e-6, DEFAULT_TOL)[0]
-    assert c_dual ** 2 <= (m_cert + slack) / (n_cert - slack)
+    assume(n_cert > LAW_SLACK)
+    c_dual = _interpolation_bracket(points, specs, values, 1e-6)[0]
+    assert c_dual ** 2 <= (m_cert + LAW_SLACK) / (n_cert - LAW_SLACK)
 
 
 @settings(max_examples=25, deadline=None)
@@ -236,12 +235,11 @@ def test_fewer_points_never_raise_m_or_lower_n(data, dropped):
     and at least N(S').
     """
     points, specs, _ = data
-    slack = (len(specs) + 1) * DEFAULT_TOL
     m_cert, n_cert = condition_a_constant(points, specs), condition_b_constant(points, specs)
     subset = [p for i, p in enumerate(points) if i != dropped % len(points)]
     for sub in (points, subset):
-        assert _condition_a_bracket(sub, specs, BISECTION_TOL, DEFAULT_TOL)[0] <= m_cert + slack
-        assert _condition_b_bracket(sub, specs, BISECTION_TOL, DEFAULT_TOL)[1] >= n_cert - slack
+        assert _condition_a_bracket(sub, specs, BISECTION_TOL)[0] <= m_cert + LAW_SLACK
+        assert _condition_b_bracket(sub, specs, BISECTION_TOL)[1] >= n_cert - LAW_SLACK
 
 
 @settings(max_examples=25, deadline=None)
@@ -258,20 +256,19 @@ def test_appended_factor_never_raises_m_or_c_or_lowers_n(data):
     """
     points, specs, values = data
     base, base_specs = [p[:2] for p in points], specs[:2]
-    slack = (len(base_specs) + 1) * DEFAULT_TOL
-    assert (_condition_a_bracket(points, specs, BISECTION_TOL, DEFAULT_TOL)[0]
-            <= condition_a_constant(base, base_specs) + slack)
-    assert (_condition_b_bracket(points, specs, BISECTION_TOL, DEFAULT_TOL)[1]
-            >= condition_b_constant(base, base_specs) - slack)
-    c_dual = _interpolation_bracket(points, specs, values, 1e-6, DEFAULT_TOL)[0]
-    assert c_dual ** 2 <= pick_constant_for_values(base, base_specs, values) ** 2 + slack
+    assert (_condition_a_bracket(points, specs, BISECTION_TOL)[0]
+            <= condition_a_constant(base, base_specs) + LAW_SLACK)
+    assert (_condition_b_bracket(points, specs, BISECTION_TOL)[1]
+            >= condition_b_constant(base, base_specs) - LAW_SLACK)
+    c_dual = _interpolation_bracket(points, specs, values, 1e-6)[0]
+    assert c_dual ** 2 <= pick_constant_for_values(base, base_specs, values) ** 2 + LAW_SLACK
 
 
 def checked_ends(points, specs, values):
     """Checked ends of M and C as (dual, certified) and of N as (certified, dual)."""
-    return {"M": _condition_a_bracket(points, specs, BISECTION_TOL, DEFAULT_TOL),
-            "N": _condition_b_bracket(points, specs, BISECTION_TOL, DEFAULT_TOL),
-            "C": _interpolation_bracket(points, specs, values, 1e-6, DEFAULT_TOL)}
+    return {"M": _condition_a_bracket(points, specs, BISECTION_TOL),
+            "N": _condition_b_bracket(points, specs, BISECTION_TOL),
+            "C": _interpolation_bracket(points, specs, values, 1e-6)}
 
 
 # L4 is an equality, so its two sides meet on every set, and the two sets' ends differ
@@ -283,14 +280,12 @@ C_ROUNDING = 1e-9
 
 def assert_same_constants(data, moved):
     """M, N and C of ``data`` and ``moved`` agree: each dual end lies on its side of the
-    other set's certified end, within the certified end's (d + 1)·sdp_tol slack, and C²
-    within C_ROUNDING of it besides."""
-    slack = (len(data[1]) + 1) * DEFAULT_TOL
+    other set's certified end, within LAW_SLACK, and C² within C_ROUNDING of it besides."""
     ends = checked_ends(*data), checked_ends(*moved)
     for x, y in (ends, ends[::-1]):
-        assert x["M"][0] <= y["M"][1] + slack
-        assert x["N"][1] >= y["N"][0] - slack
-        assert x["C"][0] ** 2 <= y["C"][1] ** 2 * (1.0 + C_ROUNDING) + slack
+        assert x["M"][0] <= y["M"][1] + LAW_SLACK
+        assert x["N"][1] >= y["N"][0] - LAW_SLACK
+        assert x["C"][0] ** 2 <= y["C"][1] ** 2 * (1.0 + C_ROUNDING) + LAW_SLACK
 
 
 @settings(max_examples=25, deadline=None)

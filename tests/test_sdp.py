@@ -158,7 +158,7 @@ class TestPrimalLift:
         blocks = np.stack([(u * eye - ones + e * eye) / r[0], -e * eye / r[1]])
         deficit = -np.min(np.linalg.eigvalsh(blocks))
         assert deficit > 0
-        lifted_u, lifted = _certified_primal(r, eye, ones, u, blocks, 1e-7)
+        lifted_u, lifted = _certified_primal(r, eye, ones, u, blocks)
         assert u < lifted_u <= u + 2 * deficit
         residual, margin = check_certificate(lifted, AffineConstraint(r, lifted_u * eye - ones))
         assert residual <= 1e-12 and margin >= -1e-12
