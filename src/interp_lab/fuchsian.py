@@ -81,13 +81,15 @@ def mobius_apply(m: MobiusMap, z) -> complex:
     z = complex(z)
     if not abs(z) < 1.0:
         raise DomainError(f"automorphisms act on the open disk, got |z| = {abs(z):.12g}")
-    return complex(_images([m], [z])[0, 0])
+    return complex(_images(*_stack([m]), [z])[0, 0])
 
 
-def _matrices(maps) -> np.ndarray:
+def _stack(maps) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([m.theta for m in maps], dtype=float), np.array([m.a for m in maps], dtype=complex)
+
+
+def _matrices(theta: np.ndarray, a: np.ndarray) -> np.ndarray:
     """SU(1,1) matrices [[h, b], [conj(b), conj(h)]], h = e^{i theta/2}/sqrt(1 - |a|^2), b = -h a."""
-    theta = np.array([m.theta for m in maps])
-    a = np.array([m.a for m in maps], dtype=complex)
     h = np.exp(0.5j * theta) / np.sqrt(1.0 - (a.real ** 2 + a.imag ** 2))
     b = -h * a
     return np.stack([h, b, b.conj(), h.conj()], axis=-1).reshape(-1, 2, 2)
@@ -101,15 +103,13 @@ def _normal_forms(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def compose(g: MobiusMap, h: MobiusMap) -> MobiusMap:
     """Normal form of the composition g ∘ h, the product of their SU(1,1) matrices."""
-    theta, a = _normal_forms(_matrices([g]) @ _matrices([h]))
+    theta, a = _normal_forms(_matrices(*_stack([g])) @ _matrices(*_stack([h])))
     return MobiusMap(theta[0], a[0])
 
 
-def _images(maps, z) -> np.ndarray:
-    """``m(z_j)`` for every map and validated disk point, shape (maps, points)."""
-    theta = np.array([m.theta for m in maps])[:, None]
-    a = np.array([m.a for m in maps], dtype=complex)[:, None]
-    z = np.asarray(z, dtype=complex)[None, :]
+def _images(theta: np.ndarray, a: np.ndarray, z) -> np.ndarray:
+    """Images of validated disk points under the normal forms (theta, a), shape (maps, points)."""
+    theta, a, z = theta[:, None], a[:, None], np.asarray(z, dtype=complex)[None, :]
     return np.exp(1j * theta) * (z - a) / (1.0 - np.conj(a) * z)
 
 
@@ -154,7 +154,7 @@ def interior_fixed_point(m: MobiusMap) -> complex | None:
     The fixed points solve conj(b) z^2 - 2i Im(h) z - b = 0; the one inside is
     i b / (Im h + sgn(Im h) sqrt(1 - (Re h)^2)), a form in which nothing cancels.
     """
-    (h, b), _ = _matrices([m])[0]
+    (h, b), _ = _matrices(*_stack([m]))[0]
     if not abs(h.real) < 1.0:
         return None
     # Adding 0j turns a rotation's -0.0 parts into 0.0.
@@ -165,7 +165,7 @@ def generator_warnings(generators) -> list[str]:
     """Advisory checks: identity generators and elliptic (interior-fixed-point) ones."""
     out = []
     for idx, g in enumerate(generators):
-        if np.all(np.abs(_images([g], ACTION_TEST_POINTS)[0] - ACTION_TEST_POINTS) <= ACTION_TOL):
+        if np.all(np.abs(_images(*_stack([g]), ACTION_TEST_POINTS)[0] - ACTION_TEST_POINTS) <= ACTION_TOL):
             out.append(f"generator {idx} acts as the identity")
         elif (fp := interior_fixed_point(g)) is not None:
             out.append(f"generator {idx} is elliptic (fixes {fp.real:.6g}{fp.imag:+.6g}i inside the disk); "
@@ -173,15 +173,22 @@ def generator_warnings(generators) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupWordList:
-    """All reduced words of the generators up to a length, identity included."""
+    """Words up to a length, identity first, as normal-form arrays; ``free``: proved free by ping-pong."""
 
-    elements: tuple[MobiusMap, ...]
+    theta: np.ndarray
+    a: np.ndarray
+    free: bool
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.theta)
+
+    @property
+    def elements(self) -> tuple[MobiusMap, ...]:
+        """The words as maps, built on request."""
+        return tuple(map(MobiusMap, self.theta.tolist(), self.a.tolist()))
 
 
 def enumerate_group(generators, max_word_length: int,
@@ -207,40 +214,41 @@ def enumerate_group(generators, max_word_length: int,
         raise ArgumentError("max_elements must be at least 1")
 
     steps = gens + tuple(g.inverse() for g in gens)
-    step_mats = _matrices(steps)
+    step_mats = _matrices(*_stack(steps))
     free = _ping_pong(step_mats)
-    elements, cells = [], {}
-    words, cancel = [IDENTITY], np.array([-1])  # per word, the step undoing its last letter; -1: none
+    words, cells, (theta, a) = [], {}, _stack([IDENTITY])
+    cancel = np.array([-1])  # per word, the step undoing its last letter; -1: none
     for length in range(max_word_length + 1):
         if length:
             w, s = np.nonzero(np.arange(len(steps)) != cancel[:, None])
-            theta, a = _normal_forms(step_mats[s] @ _matrices(words)[w])
-            words = list(map(MobiusMap, theta.tolist(), a.tolist()))
+            theta, a = _normal_forms(step_mats[s] @ _matrices(theta, a)[w])
             cancel = (s + len(gens)) % len(steps)
+        if not np.all(inside := np.abs(a) < 1.0 - 1e-15):  # MobiusMap's bound; the first word out raises
+            MobiusMap(theta[~inside][0], a[~inside][0])
         if not free:
-            new = _file_new(_images(words, ACTION_TEST_POINTS), ACTION_TOL, cells)
-            words = list(itertools.compress(words, new))
-            cancel = np.full(len(words), -1)
-        if len(elements) + len(words) > max_elements:
+            new = _file_new(_images(theta, a, ACTION_TEST_POINTS), ACTION_TOL, cells)
+            theta, a = theta[new], a[new]
+            cancel = np.full(len(theta), -1)
+        if sum(len(t) for t, _ in words) + len(theta) > max_elements:
             raise BudgetError(f"group enumeration exceeded the cap of {max_elements} elements")
-        elements.extend(words)
-        if not words:
+        words.append((theta, a))
+        if not len(theta):
             break
-    return GroupWordList(tuple(elements))
+    return GroupWordList(*map(np.concatenate, zip(*words)), free)
 
 
 def orbit_set(points, group: GroupWordList) -> tuple[np.ndarray, np.ndarray]:
     """Images of the input points under every enumerated group element, and
     the index of the input point each image came from.
 
-    An image within ``DUPLICATE_TOL`` of an earlier kept one (point-major,
-    element-minor order) is dropped: a stabilized point, or two orbits that
-    meet.  An image within ``ORBIT_COLLISION_TOL`` of another input point
-    raises :class:`ArgumentError` naming the offending pair.
+    An image within ``ORBIT_COLLISION_TOL`` of another input point raises :class:`ArgumentError`
+    naming the offending pair.  A proved-free group has no elliptic element, so no image repeats;
+    otherwise an image within ``DUPLICATE_TOL`` of an earlier kept one (point-major, element-minor
+    order) is dropped: a stabilized point, or two orbits that meet.
     """
     pts = kernels.as_points(points, 1)[:, 0]
     check_distinct(pts)
-    images = _images(group.elements, pts).T
+    images = _images(group.theta, group.a, pts).T
     others = ~np.eye(len(pts), dtype=bool)[:, None, :]
     hits = others & (np.abs(images[:, :, None] - pts[None, None, :]) <= ORBIT_COLLISION_TOL)
     if hits.any():
@@ -248,7 +256,7 @@ def orbit_set(points, group: GroupWordList) -> tuple[np.ndarray, np.ndarray]:
         raise ArgumentError(f"points {i} and {j} lie on the same orbit "
                             f"of the truncated group (element {e})")
     flat = images.ravel()
-    kept = np.flatnonzero(_file_new(flat[:, None], DUPLICATE_TOL, {}))
+    kept = np.arange(len(flat)) if group.free else np.flatnonzero(_file_new(flat[:, None], DUPLICATE_TOL, {}))
     return flat[kept], kept // group.size
 
 
@@ -340,7 +348,7 @@ def invariance_residual(kernel, maps) -> float:
     """max |K(g(z), w) - K(z, w)| over the ``RESIDUAL_GRID`` pairs and the given maps."""
     pts, m = np.array(RESIDUAL_GRID), len(RESIDUAL_GRID)
     grams = (kernels.kernel_matrix(kernel, np.concatenate([pts, images]))
-             for images in _images(tuple(maps), pts))
+             for images in _images(*_stack(tuple(maps)), pts))
     return max((float(np.max(np.abs(k[m:, :m] - k[:m, :m]))) for k in grams), default=0.0)
 
 

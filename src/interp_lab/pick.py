@@ -35,8 +35,8 @@ from .sdp import (
     project_psd,
 )
 
-# Default certified gap of a constant, and the square of the largest
-# certified interpolation constant accepted.
+# Default certified gap of a constant, and the square of the largest dual
+# end of an interpolation constant accepted.
 BISECTION_TOL = 1e-5
 BRACKET_LIMIT = 1e6
 
@@ -154,6 +154,9 @@ def agler_feasible(points, specs, target, tol: float = DEFAULT_TOL,
     target = np.asarray(target, dtype=complex)
     if target.shape != (len(pts),) * 2:
         raise ArgumentError(f"target shape {target.shape} does not match {len(pts)} points")
+    if not np.all(finite := np.isfinite(target)):
+        i, j = np.argwhere(~finite)[0]
+        raise ArgumentError(f"target[{i}, {j}] must be finite, got {target[i, j]}")
     r = inverse_kernel_stack(pts, spec)
     scale = min(1.0, frobenius(target)) or 1.0
     constraint = AffineConstraint(r, target / scale)
@@ -270,8 +273,11 @@ def _interpolation_bracket(points, specs, values, gap: float) -> tuple[float, fl
     # Divided by parts: a complex division forms 1/scale, which overflows for a subnormal scale.
     w = vals.real / scale + 1j * (vals.imag / scale)
     norms = [_pick_norm(x, w) for x in g]
-    if scale * min(norms[:-1]) > np.sqrt(BRACKET_LIMIT):
+    # The dual end bounds C below; the solve starts from a finite certified end.
+    if scale * norms[-1] > np.sqrt(BRACKET_LIMIT):
         raise BudgetError(f"interpolation constant: none certified below {np.sqrt(BRACKET_LIMIT):g}")
+    if min(norms[:-1]) == np.inf:
+        raise BudgetError("interpolation constant: no single slice gives a finite certified end")
     # Solved for u = C^2: a gap of 2·gap·√μ(Ĝ) on u is at most gap on C.
     u = _checked_bracket(r, np.ones((n, n)), np.outer(w, np.conj(w)),
                          norms[-1] ** 2, min(norms[:-1]) ** 2, 2.0 * gap * norms[-1])
@@ -281,7 +287,9 @@ def _interpolation_bracket(points, specs, values, gap: float) -> tuple[float, fl
 def pick_constant_for_values(points, specs, values, *, bisection_tol: float = 1e-6) -> float:
     """Minimal norm bound C for which the interpolation data is feasible, i.e.
     C^2*J - W decomposes; it lies in [√μ(Ĝ), min_l √μ(Ĝ_l)].  C scales with the
-    values, so values below unit size are solved at unit size."""
+    values, so values below unit size are solved at unit size.  :class:`BudgetError`
+    when C's dual end exceeds √BRACKET_LIMIT = 1000, or no slice Ĝ_l gives a finite
+    certified end."""
     return _interpolation_bracket(points, specs, values, bisection_tol)[1]
 
 

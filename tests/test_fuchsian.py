@@ -115,7 +115,22 @@ class TestEnumerateGroup:
             with pytest.raises(AssertionError, match="near-duplicate filter called"):
                 enumerate_group(gens, 3)
         else:
-            assert enumerate_group(gens, 3).size == 53
+            group = enumerate_group(gens, 3)
+            assert group.size == 53
+            assert len(orbit_set([0.1, 0.2j], group)[0]) == 2 * 53
+
+    @pytest.mark.parametrize("gens", [
+        pytest.param(FREE_PAIR, id="schottky"),
+        pytest.param([MobiusMap(0, 0.3), MobiusMap(0, 0.3j)], id="overlapping-circles"),
+    ])
+    def test_maps_are_built_only_for_the_inverse_generators(self, gens, monkeypatch):
+        built, post_init = [], MobiusMap.__post_init__
+        monkeypatch.setattr(MobiusMap, "__post_init__", lambda m: built.append(m) or post_init(m))
+        group = enumerate_group(gens, 4)
+        assert len(built) <= len(gens)
+        built.clear()
+        orbit_set([0.1 + 0.2j, -0.3 + 0.1j], group)
+        assert built == []
 
 
 class TestOrbitSet:
@@ -165,6 +180,14 @@ class TestOrbitSet:
         assert len(kept) == 3 * group.size == 13119
         assert np.array_equal(index, np.repeat([0, 1, 2], group.size))
         assert peak < 50e6
+
+    def test_proved_free_orbit_keeps_every_image(self):
+        # The near-duplicate filter would merge 228 of these images, which
+        # crowd toward the circle though the group is free.
+        group = enumerate_group(TestEnumerateGroup.FREE_PAIR, 8, max_elements=20000)
+        kept, index = orbit_set([0.3, -0.2j], group)
+        assert len(kept) == 2 * group.size == 26242
+        assert np.array_equal(index, np.repeat([0, 1], group.size))
 
     def test_stabilized_point_drop_is_reported_once(self):
         rep = analyze_gamma_sequence([0, 0.5], [MobiusMap(2 * np.pi / 3, 0)], 12, 2)
@@ -393,6 +416,8 @@ class TestEnumerateGroupReference:
                  "automorphism angle must be finite, got inf", id="angle-inf"),
     pytest.param(lambda: mobius_apply(IDENTITY, 1.0), DomainError,
                  "automorphisms act on the open disk, got |z| = 1", id="point-on-circle"),
+    pytest.param(lambda: enumerate_group([MobiusMap(0, 1 - 1e-13)], 2), DomainError,
+                 "automorphism parameter must satisfy |a| < 1, got |a| = 1", id="word-on-circle"),
     pytest.param(lambda: enumerate_group([0.5], 1), ArgumentError,
                  "generators must be MobiusMap, got float", id="generator-type"),
     pytest.param(lambda: enumerate_group([HYPERBOLIC], -1), ArgumentError,

@@ -8,6 +8,7 @@ from interp_lab import (
     ArgumentError,
     BudgetError,
     DomainError,
+    KernelSpec,
     PickProblem,
     ProductKernelSpec,
     agler_feasible,
@@ -22,6 +23,7 @@ from interp_lab import (
 from conftest import assert_checked_farkas, random_disk_points, random_kernel_spec
 
 BIDISC = ProductKernelSpec((SZEGO, SZEGO))
+TWO_COEFF = KernelSpec((0.6, 0.3))
 
 
 def oracle_constant_d1(points, values, spec, tol=1e-7):
@@ -192,6 +194,25 @@ class TestPickConstantForValues:
         # beyond the bracket limit
         with pytest.raises(BudgetError):
             pick_constant_for_values([0, 1e-7], SZEGO, [0, 1])
+
+    def test_near_singular_slices_do_not_refuse_a_small_constant(self):
+        # Two coordinate clusters split across the slices: the slices' closed-form
+        # ends are 11664 and 4073, the product's dual end is 2.26 and C is 2.61.
+        rng = np.random.default_rng(0)
+        z = 0.9 * np.sqrt(rng.uniform(size=(7, 2))) * np.exp(2j * np.pi * rng.uniform(size=(7, 2)))
+        z[1, 0] = z[0, 0] + 10 ** rng.uniform(-4.5, -3.5) * np.exp(2j * np.pi * rng.uniform())
+        z[3, 1] = z[2, 1] + 10 ** rng.uniform(-4.5, -3.5) * np.exp(2j * np.pi * rng.uniform())
+        w = 0.9 * np.sqrt(rng.uniform(size=7)) * np.exp(2j * np.pi * rng.uniform(size=7))
+        c = pick_constant_for_values([tuple(p) for p in z], ProductKernelSpec((TWO_COEFF, TWO_COEFF)), w)
+        assert 2.607380 <= c <= 2.607381
+
+    def test_no_finite_single_slice_end_raises_before_any_solve(self, monkeypatch):
+        # Each slice repeats a coordinate, so each single-slice end is infinite.
+        from interp_lab import pick
+
+        monkeypatch.setattr(pick, "barrier_solve", lambda *args: pytest.fail("solve started"))
+        with pytest.raises(BudgetError, match="no single slice gives a finite certified end"):
+            pick_constant_for_values([(0, 0), (0, 0.5), (0.5, 0)], BIDISC, [0.1, 0.2, 0.3])
 
 
 class TestVectorValuedFeasible:
@@ -625,14 +646,17 @@ class TestFixedTargetVerdicts:
     def test_near_boundary_verdicts_never_contradict(self):
         # Bounds at 0.98 to 1.02 times C on random 5-point sets: the truth is
         # known from C, a small budget leaves most undecided, and a verdict
-        # that is given must be right.
+        # that is given must be right.  C's checked bracket decides all 24.
+        from interp_lab.pick import _interpolation_bracket
+
         rng = np.random.default_rng(3)
         for _ in range(6):
             z = 0.8 * np.sqrt(rng.uniform(size=(5, 2))) * np.exp(2j * np.pi * rng.uniform(size=(5, 2)))
             w = 0.7 * (rng.normal(size=5) + 1j * rng.normal(size=5))
             pts = [tuple(p) for p in z]
-            c = pick_constant_for_values(pts, BIDISC, w, bisection_tol=1e-8)
+            dual, c = _interpolation_bracket(pts, BIDISC, w, 1e-8)
             for factor in (0.98, 0.9999, 1.0001, 1.02):
+                assert factor * c < dual if factor < 1 else factor * c > c
                 target = pick_target(w, factor * c)
                 dec = agler_feasible(pts, BIDISC, target, max_iters=300)
                 assert dec.feasible is None or dec.feasible is (factor > 1)
@@ -692,6 +716,10 @@ ANCHOR_TARGET = 0.78 ** 2 - np.outer([0.3, -0.2j, 0.4], np.conj([0.3, -0.2j, 0.4
                  "bisection_tol must be finite and > 0, got 0.0", id="constant-c-bisection-tol-zero"),
     pytest.param(lambda: pick_constant_for_values([(0, 0), (0.5, 0.1), (0.2, -0.3)], BIDISC, [0.1, 0.2]),
                  "3 points but 2 values", id="constant-values"),
+    pytest.param(lambda: agler_feasible(ANCHOR, BIDISC, np.where(np.eye(3, k=2), np.nan, ANCHOR_TARGET)),
+                 "target[0, 2] must be finite, got (nan+0j)", id="agler-target-nan"),
+    pytest.param(lambda: agler_feasible(ANCHOR, BIDISC, np.full((3, 3), np.inf)),
+                 "target[0, 0] must be finite, got (inf+0j)", id="agler-target-inf"),
     pytest.param(lambda: agler_feasible(ANCHOR, BIDISC, ANCHOR_TARGET, tol=np.nan),
                  "tol must be finite and > 0, got nan", id="agler-tol-nan"),
     pytest.param(lambda: agler_feasible(ANCHOR, BIDISC, ANCHOR_TARGET, tol=0.0),
