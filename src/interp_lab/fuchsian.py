@@ -4,11 +4,11 @@ Group elements are kept in the normal form ``z -> e^{i theta}(z - a)/(1 - conj(a
 and composed as SU(1,1) matrices.  Enumeration produces all reduced words up to
 a length: exactly when ping-pong proves the generators free, otherwise deduplicated
 by action on three fixed test points.  The invariant kernel is approximated on the
-span of monomials up to a degree: the composition operator of each generator is
-truncated to that span, and the common near-fixed subspace is extracted from the
-singular value decomposition of the stacked operators.  All group-kernel outputs
-are degree-truncated approximations; invariance residuals are diagnostics, not
-error bounds.
+span of monomials up to a degree, where each generator's composition operator is
+truncated: the near-fixed subspace of the stacked operators is the constant plus the
+singular directions below a cutoff, when a Cholesky factor does not rule them all out.
+All group-kernel outputs are degree-truncated approximations; invariance residuals
+are diagnostics, not error bounds.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ArgumentError, BudgetError, DomainError, NumericError
+from .errors import ArgumentError, BudgetError, DomainError
 from .gramian import (
     DEFAULT_RIESZ_TOL,
     DUPLICATE_TOL,
@@ -85,6 +85,10 @@ def mobius_apply(m: MobiusMap, z) -> complex:
 
 
 def _stack(maps) -> tuple[np.ndarray, np.ndarray]:
+    """Normal forms (theta, a) of automorphisms as two arrays: the one place maps become arrays."""
+    maps = tuple(maps)
+    if wrong := [m for m in maps if not isinstance(m, MobiusMap)]:
+        raise ArgumentError(f"generators must be MobiusMap, got {type(wrong[0]).__name__}")
     return np.array([m.theta for m in maps], dtype=float), np.array([m.a for m in maps], dtype=complex)
 
 
@@ -202,10 +206,7 @@ def enumerate_group(generators, max_word_length: int,
     lies within ``ACTION_TOL`` of an element kept before it.  Exceeding
     ``max_elements`` raises :class:`BudgetError`.
     """
-    gens = tuple(generators)
-    for g in gens:
-        if not isinstance(g, MobiusMap):
-            raise ArgumentError(f"generators must be MobiusMap, got {type(g).__name__}")
+    theta, a = _stack(generators)
     _require_integer("max_word_length", max_word_length)
     _require_integer("max_elements", max_elements)
     if max_word_length < 0:
@@ -213,16 +214,17 @@ def enumerate_group(generators, max_word_length: int,
     if max_elements < 1:
         raise ArgumentError("max_elements must be at least 1")
 
-    steps = gens + tuple(g.inverse() for g in gens)
-    step_mats = _matrices(*_stack(steps))
+    # The inverses as MobiusMap.inverse computes them: np.exp may round unlike cmath.exp.
+    inverse_a = [-x * cmath.exp(1j * t) for t, x in zip(theta.tolist(), a.tolist())]
+    step_mats = _matrices(np.concatenate([theta, -theta]), np.concatenate([a, inverse_a]))
     free = _ping_pong(step_mats)
     words, cells, (theta, a) = [], {}, _stack([IDENTITY])
     cancel = np.array([-1])  # per word, the step undoing its last letter; -1: none
     for length in range(max_word_length + 1):
         if length:
-            w, s = np.nonzero(np.arange(len(steps)) != cancel[:, None])
+            w, s = np.nonzero(np.arange(len(step_mats)) != cancel[:, None])
             theta, a = _normal_forms(step_mats[s] @ _matrices(theta, a)[w])
-            cancel = (s + len(gens)) % len(steps)
+            cancel = (s + len(inverse_a)) % len(step_mats)
         if not np.all(inside := np.abs(a) < 1.0 - 1e-15):  # MobiusMap's bound; the first word out raises
             MobiusMap(theta[~inside][0], a[~inside][0])
         if not free:
@@ -263,23 +265,26 @@ def orbit_set(points, group: GroupWordList) -> tuple[np.ndarray, np.ndarray]:
 def composition_matrix(m: MobiusMap, degree: int) -> np.ndarray:
     """Truncation of f -> f ∘ m on the monomial basis 1, z, ..., z^degree.
 
-    Column j holds the degree-truncated Taylor coefficients of m(z)^j, by
-    iterated truncated multiplication with the series of m itself:
-    e^{i theta}(z - a) * sum_k (conj(a) z)^k  gives  c_0 = -a e^{i theta} and
-    c_k = e^{i theta} (1 - |a|^2) conj(a)^{k-1} for k >= 1.
+    Column j holds the degree-truncated Taylor coefficients of m(z)^j; column 1,
+    e^{i theta}(z - a) * sum_k (conj(a) z)^k, has c_0 = -a e^{i theta} and
+    c_k = e^{i theta} (1 - |a|^2) conj(a)^{k-1} for k >= 1.  Truncation commutes with
+    products, so by doubling, columns k+1..2k are the lower-triangular Toeplitz
+    matrix of column k times columns 1..k: about log2(degree) matrix products.
     """
     _require_integer("degree", degree)
     if degree < 0:
         raise ArgumentError("degree must be nonnegative")
-    e, n1 = cmath.exp(1j * m.theta), degree + 1
-    series = np.zeros(n1, dtype=complex)
-    series[0] = -e * m.a
-    series[1:] = e * (1.0 - abs(m.a) ** 2) * m.a.conjugate() ** np.arange(degree)
-    out = np.zeros((n1, n1), dtype=complex)
-    out[0, 0] = 1.0
-    for j in range(1, n1):
-        out[:, j] = np.convolve(out[:, j - 1], series)[:n1]
-    return out
+    (theta,), (a,) = _stack([m])
+    e, n1 = cmath.exp(1j * theta), degree + 1
+    rows = np.zeros((n1 + 1, 2 * n1), dtype=complex)  # row j: m^j; columns n1.. stay zero
+    rows[0, 0], rows[1, 0] = 1.0, -e * a
+    rows[1, 1:n1] = e * (1.0 - abs(a) ** 2) * a.conjugate() ** np.arange(degree)
+    shifts = np.arange(n1) - np.arange(n1)[:, None]  # r - j; negative ones read the zeros
+    k = 1
+    while (width := min(k, degree - k)) > 0:
+        rows[k + 1:k + 1 + width, :n1] = rows[1:1 + width, :n1] @ np.take(rows[k], shifts)
+        k += width
+    return rows[:n1, :n1].T
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,31 +322,38 @@ class GammaKernelApprox:
 
 def gamma_kernel(generators, degree: int,
                  sv_cutoff: float = DEFAULT_SV_CUTOFF) -> GammaKernelApprox:
-    """Approximate invariant kernel at a monomial-truncation degree.
+    """Approximate invariant kernel at a monomial-truncation degree: the directions of
+    singular value at most ``sv_cutoff`` under the stacked ``C_g - I``, most invariant first.
 
-    Stacks ``C_g - I`` over the generators, takes the singular value
-    decomposition, and keeps the right-singular directions with singular
-    value at most ``sv_cutoff``.  With no generators the whole truncated
-    space is fixed and the result is the truncated Szego kernel.  Constants
-    are exactly fixed, so the kept basis is never empty.
+    Column 0 of each ``C_g - I`` is zero, so the constant leads with residual exactly 0
+    and the other columns ``B`` decide the rest: a Cholesky factor of ``B^H B -
+    (sv_cutoff^2 + delta) I`` proves every singular value of ``B`` above the cutoff,
+    else the SVD of ``B`` runs.  With B of m rows and n columns and u = eps/2, delta
+    bounds the rounding: B^H B rounds by <= (m + 2) u |B^H||B|, of norm <= (m + 2) u
+    ‖B‖_F^2, and a factor that completes has R^H R = A + E, |E| <= (n + 1) u |R^H||R|,
+    of norm <= (n + 1) u tr(R^H R) ~ (n + 1) u ‖B‖_F^2; delta = 4 (m + n) eps ‖B‖_F^2
+    adds room for complex rounding, the shift and ‖B‖_F^2 itself.  With no generators
+    the result is the truncated Szego kernel.
     """
     _require_integer("degree", degree)
     if degree < 1:
         raise ArgumentError(f"degree must be at least 1, got {degree}")
     if not 0.0 < sv_cutoff < np.inf:  # an infinite cutoff keeps every direction
         raise ArgumentError(f"sv_cutoff must be finite and > 0, got {sv_cutoff}")
-    gens = tuple(generators)
-    n1 = degree + 1
+    gens, n1 = tuple(generators), degree + 1
     if not gens:
         return GammaKernelApprox(degree, np.eye(n1, dtype=complex), np.zeros(n1))
-    stack = np.vstack([composition_matrix(g, degree) - np.eye(n1) for g in gens])
-    _, s, vh = np.linalg.svd(stack, full_matrices=False)
-    keep = s <= sv_cutoff
-    if not keep.any():
-        raise NumericError("no invariant direction found; constants should always be fixed")
-    # Singular values come sorted descending: reverse so the most invariant
-    # direction (the constant) leads.
-    return GammaKernelApprox(degree, vh[keep][::-1].copy(), s[keep][::-1].copy())
+    b = np.vstack([composition_matrix(g, degree) - np.eye(n1) for g in gens])[:, 1:]
+    rounding = 4.0 * sum(b.shape) * np.finfo(float).eps * np.vdot(b, b).real
+    shifted = b.conj().T @ b - (sv_cutoff ** 2 + rounding) * np.eye(degree)
+    try:  # every singular value of B above the cutoff: the constant alone
+        np.linalg.cholesky(shifted)
+        return GammaKernelApprox(degree, np.eye(1, n1, dtype=complex), np.zeros(1))
+    except np.linalg.LinAlgError:
+        _, s, vh = np.linalg.svd(b, full_matrices=False)
+    keep = s <= sv_cutoff  # a suffix: singular values come sorted descending
+    basis = np.vstack([np.eye(1, n1), np.pad(vh[keep][::-1], ((0, 0), (1, 0)))])
+    return GammaKernelApprox(degree, basis, np.concatenate([[0.0], s[keep][::-1]]))
 
 
 def invariance_residual(kernel, maps) -> float:
@@ -401,7 +413,15 @@ def analyze_gamma_sequence(points, generators, degree: int, group_length: int, *
     inv_res = invariance_residual(kern, gens) if gens else 0.0
 
     g = normalized_gramian(pts, kern)
-    og = normalized_gramian(orbit_pts, kernels.SZEGO)
+    try:
+        og = normalized_gramian(orbit_pts, kernels.SZEGO)
+    except ArgumentError:  # a proved-free orbit keeps every image: name the points and words that meet
+        close = np.argwhere(np.triu(np.abs(orbit_pts[:, None] - orbit_pts) <= DUPLICATE_TOL, 1))
+        if not (group.free and len(close)):
+            raise
+        (i, e), (j, f) = (divmod(k, group.size) for k in close[0])
+        raise ArgumentError(f"points {i} and {j} lie on the same orbit: elements {e} and {f} "
+                            f"of the truncated group send them within {DUPLICATE_TOL:g} of each other")
     return GammaSequenceReport(
         n_points=len(pts), degree=degree, group_size=group.size, kernel_rank=kern.rank,
         kernel_residuals=tuple(float(r) for r in kern.residuals),

@@ -11,6 +11,7 @@ import pytest
 
 from interp_lab.cli import _COMMANDS, CONFIG_DEFAULTS, run
 from interp_lab.errors import NumericError
+from interp_lab.fuchsian import MobiusMap
 from interp_lab.pick import PickProblem
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -250,6 +251,23 @@ class TestFuchsianCommand:
         assert res["orbit_point_count"] == 10
         assert res["invariance_residual"] < 1e-4
         assert any("rank" in w for w in report["warnings"])
+
+    def test_points_on_one_free_orbit_exit_2(self, tmp_path, capsys):
+        # The second point is g^3 of the first, g = (0, 0.8): beyond word length 2,
+        # but g of the first meets g^-2 of the second.
+        g = MobiusMap(0, 0.8)
+        z1 = g(g(g(0.1 + 0.05j)))
+        payload = {
+            "schema_version": 1,
+            "points": [[0.1, 0.05], [z1.real, z1.imag]],
+            "group": {"generators": [{"theta": 0.0, "a": [0.8, 0]}, {"theta": 0.0, "a": [0, 0.8]}],
+                      "max_word_length": 2},
+            "degree": 20,
+        }
+        code, report = run_cli(capsys, ["analyze-fuchsian", write_payload(tmp_path, payload)])
+        assert code == 2
+        assert report["error"] == {"type": "validation", "message": "points 0 and 1 lie on the same orbit: "
+                                   "elements 1 and 12 of the truncated group send them within 1e-12 of each other"}
 
     def test_budget_error_exit_3(self, tmp_path, capsys):
         payload = {

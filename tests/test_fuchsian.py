@@ -1,3 +1,4 @@
+import cmath
 import re
 import tracemalloc
 
@@ -195,7 +196,30 @@ class TestOrbitSet:
         assert sum("dropped" in w for w in rep.warnings) == 1
 
 
+def sequential_composition_matrix(m, degree):
+    """composition_matrix by one truncated convolution with the series of m per column."""
+    e, n1 = cmath.exp(1j * m.theta), degree + 1
+    series = np.zeros(n1, dtype=complex)
+    series[0] = -e * m.a
+    series[1:] = e * (1.0 - abs(m.a) ** 2) * m.a.conjugate() ** np.arange(degree)
+    out = np.zeros((n1, n1), dtype=complex)
+    out[0, 0] = 1.0
+    for j in range(1, n1):
+        out[:, j] = np.convolve(out[:, j - 1], series)[:n1]
+    return out
+
+
 class TestCompositionMatrix:
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 7, 8, 60, 61, 64])
+    @pytest.mark.parametrize("radius", [0.0, 0.5, 0.95])
+    def test_doubling_matches_sequential_convolution(self, degree, radius):
+        for theta, phase in [(0.3, 0.0), (2.1, 0.7), (-1.2, 2.5)]:
+            m = MobiusMap(theta, radius * np.exp(1j * phase))
+            found = composition_matrix(m, degree)
+            assert np.max(np.abs(found - sequential_composition_matrix(m, degree)), initial=0.0) <= 1e-14
+            if radius == 0.0:  # a rotation: exactly diagonal
+                assert np.count_nonzero(found - np.diag(np.diag(found))) == 0
+
     def test_identity_matrix(self):
         assert np.allclose(composition_matrix(IDENTITY, 6), np.eye(7))
 
@@ -248,6 +272,45 @@ class TestGammaKernel:
     def test_invariance_residual_small(self):
         k = gamma_kernel([HYPERBOLIC], 40)
         assert invariance_residual(k, [HYPERBOLIC]) < 1e-8
+
+
+def full_svd_kernel(gens, degree, sv_cutoff=1e-6):
+    """(basis, residuals) from the SVD of the whole stack of C_g - I, most invariant first."""
+    stack = np.vstack([composition_matrix(g, degree) - np.eye(degree + 1) for g in gens])
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    keep = s <= sv_cutoff
+    return vh[keep][::-1], s[keep][::-1]
+
+
+def near_identity_rotation(factor, sv_cutoff=1e-6):
+    """Rotation by 2 pi / 7 + eps, whose one non-constant singular value at degree 12,
+    |e^{7 i eps} - 1| on z^7, is factor * sv_cutoff; the others exceed 2 sin(pi / 7)."""
+    return MobiusMap(2 * np.pi / 7 + 2 * np.arcsin(factor * sv_cutoff / 2) / 7, 0)
+
+
+def gamma_kernel_cases():
+    for name, gens, _ in generator_sets():
+        yield pytest.param(gens, 60, id=name)
+    for order in range(3, 9):
+        yield pytest.param([MobiusMap(2 * np.pi / order, 0)], 60, id=f"rotation-order-{order}")
+    yield pytest.param([elliptic(np.random.default_rng(5), 3)], 60, id="elliptic-alone")
+    yield pytest.param([near_identity_rotation(0.5)], 12, id="singular-value-at-half-the-cutoff")
+    yield pytest.param([near_identity_rotation(2.0)], 12, id="singular-value-at-twice-the-cutoff")
+
+
+class TestGammaKernelReference:
+    @pytest.mark.parametrize("gens, degree", gamma_kernel_cases())
+    def test_same_kept_space_as_the_full_svd(self, gens, degree, monkeypatch):
+        basis, residuals = full_svd_kernel(gens, degree)
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+        k = gamma_kernel(gens, degree)
+        assert k.rank == len(basis)
+        assert np.max(np.abs(k.basis.conj().T @ k.basis - basis.conj().T @ basis)) <= 1e-12
+        assert np.max(np.abs(k.residuals - residuals)) <= 1e-12
+        assert k.residuals[0] == 0.0 and np.array_equal(k.basis[0], np.eye(1, degree + 1)[0])
+        # The Cholesky screen settles every case that keeps the constant alone, Schottky groups included.
+        assert len(calls) == (k.rank > 1)
 
 
 class TestEllipticDetection:
@@ -319,6 +382,15 @@ class TestAnalyzeGammaSequence:
         assert "points 1 and 3 coincide" in str(expected.value)
         with pytest.raises(ArgumentError, match=re.escape(str(expected.value))):
             analysis(pts)
+
+    def test_points_whose_free_orbits_meet_are_named_with_their_words(self):
+        # z1 = g^3(z0) lies beyond the length-2 truncation, so only the images g(z0)
+        # and g^-2(z1), elements 1 and 12, meet.
+        g = MobiusMap(0, 0.8)
+        z0 = 0.1 + 0.05j
+        with pytest.raises(ArgumentError, match="^points 0 and 1 lie on the same orbit: elements 1 and 12 "
+                                                "of the truncated group send them within 1e-12 of each other$"):
+            analyze_gamma_sequence([z0, g(g(g(z0)))], [g, MobiusMap(0, 0.8j)], 20, 2)
 
     def test_anchor_report_checks_distinct_points_at_most_three_times(self, monkeypatch):
         from interp_lab import fuchsian, gramian
@@ -420,6 +492,16 @@ class TestEnumerateGroupReference:
                  "automorphism parameter must satisfy |a| < 1, got |a| = 1", id="word-on-circle"),
     pytest.param(lambda: enumerate_group([0.5], 1), ArgumentError,
                  "generators must be MobiusMap, got float", id="generator-type"),
+    pytest.param(lambda: gamma_kernel([HYPERBOLIC, 0.5], 4), ArgumentError,
+                 "generators must be MobiusMap, got float", id="generator-type-gamma-kernel"),
+    pytest.param(lambda: composition_matrix(0.5, 3), ArgumentError,
+                 "generators must be MobiusMap, got float", id="generator-type-composition-matrix"),
+    pytest.param(lambda: invariance_residual(gamma_kernel([], 3), [0.5]), ArgumentError,
+                 "generators must be MobiusMap, got float", id="generator-type-invariance-residual"),
+    pytest.param(lambda: generator_warnings([0.5]), ArgumentError,
+                 "generators must be MobiusMap, got float", id="generator-type-warnings"),
+    pytest.param(lambda: analyze_gamma_sequence([0.1], [0.5], 4, 1), ArgumentError,
+                 "generators must be MobiusMap, got float", id="generator-type-analysis"),
     pytest.param(lambda: enumerate_group([HYPERBOLIC], -1), ArgumentError,
                  "max_word_length must be nonnegative, got -1", id="negative-length"),
     pytest.param(lambda: enumerate_group([HYPERBOLIC], 1, max_elements=0), ArgumentError,
