@@ -81,14 +81,14 @@ def mobius_apply(m: MobiusMap, z) -> complex:
     z = complex(z)
     if not abs(z) < 1.0:
         raise DomainError(f"automorphisms act on the open disk, got |z| = {abs(z):.12g}")
-    return complex(_images(*_stack([m]), [z])[0, 0])
+    return complex(_images(*_stack([m], "m"), [z])[0, 0])
 
 
-def _stack(maps) -> tuple[np.ndarray, np.ndarray]:
-    """Normal forms (theta, a) of automorphisms as two arrays: the one place maps become arrays."""
+def _stack(maps, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Normal forms (theta, a) of the automorphisms in the argument ``name`` as two arrays."""
     maps = tuple(maps)
     if wrong := [m for m in maps if not isinstance(m, MobiusMap)]:
-        raise ArgumentError(f"generators must be MobiusMap, got {type(wrong[0]).__name__}")
+        raise ArgumentError(f"{name} must be MobiusMap, got {type(wrong[0]).__name__}")
     return np.array([m.theta for m in maps], dtype=float), np.array([m.a for m in maps], dtype=complex)
 
 
@@ -107,7 +107,7 @@ def _normal_forms(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def compose(g: MobiusMap, h: MobiusMap) -> MobiusMap:
     """Normal form of the composition g ∘ h, the product of their SU(1,1) matrices."""
-    theta, a = _normal_forms(_matrices(*_stack([g])) @ _matrices(*_stack([h])))
+    theta, a = _normal_forms(_matrices(*_stack([g], "g")) @ _matrices(*_stack([h], "h")))
     return MobiusMap(theta[0], a[0])
 
 
@@ -118,7 +118,7 @@ def _images(theta: np.ndarray, a: np.ndarray, z) -> np.ndarray:
 
 
 def _require_integer(name: str, value) -> None:
-    if not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ArgumentError(f"{name} must be an integer, got {value}")
 
 
@@ -158,7 +158,7 @@ def interior_fixed_point(m: MobiusMap) -> complex | None:
     The fixed points solve conj(b) z^2 - 2i Im(h) z - b = 0; the one inside is
     i b / (Im h + sgn(Im h) sqrt(1 - (Re h)^2)), a form in which nothing cancels.
     """
-    (h, b), _ = _matrices(*_stack([m]))[0]
+    (h, b), _ = _matrices(*_stack([m], "m"))[0]
     if not abs(h.real) < 1.0:
         return None
     # Adding 0j turns a rotation's -0.0 parts into 0.0.
@@ -169,7 +169,7 @@ def generator_warnings(generators) -> list[str]:
     """Advisory checks: identity generators and elliptic (interior-fixed-point) ones."""
     out = []
     for idx, g in enumerate(generators):
-        if np.all(np.abs(_images(*_stack([g]), ACTION_TEST_POINTS)[0] - ACTION_TEST_POINTS) <= ACTION_TOL):
+        if np.all(np.abs(_images(*_stack([g], "generators"), ACTION_TEST_POINTS) - ACTION_TEST_POINTS) <= ACTION_TOL):
             out.append(f"generator {idx} acts as the identity")
         elif (fp := interior_fixed_point(g)) is not None:
             out.append(f"generator {idx} is elliptic (fixes {fp.real:.6g}{fp.imag:+.6g}i inside the disk); "
@@ -206,7 +206,7 @@ def enumerate_group(generators, max_word_length: int,
     lies within ``ACTION_TOL`` of an element kept before it.  Exceeding
     ``max_elements`` raises :class:`BudgetError`.
     """
-    theta, a = _stack(generators)
+    theta, a = _stack(generators, "generators")
     _require_integer("max_word_length", max_word_length)
     _require_integer("max_elements", max_elements)
     if max_word_length < 0:
@@ -218,7 +218,7 @@ def enumerate_group(generators, max_word_length: int,
     inverse_a = [-x * cmath.exp(1j * t) for t, x in zip(theta.tolist(), a.tolist())]
     step_mats = _matrices(np.concatenate([theta, -theta]), np.concatenate([a, inverse_a]))
     free = _ping_pong(step_mats)
-    words, cells, (theta, a) = [], {}, _stack([IDENTITY])
+    words, cells, (theta, a) = [], {}, _stack([IDENTITY], "identity")
     cancel = np.array([-1])  # per word, the step undoing its last letter; -1: none
     for length in range(max_word_length + 1):
         if length:
@@ -240,13 +240,13 @@ def enumerate_group(generators, max_word_length: int,
 
 
 def orbit_set(points, group: GroupWordList) -> tuple[np.ndarray, np.ndarray]:
-    """Images of the input points under every enumerated group element, and
-    the index of the input point each image came from.
+    """Images of the input points under every enumerated group element, point-major, and the
+    flat index ``k`` of each: point ``k // group.size`` under element ``k % group.size``.
 
     An image within ``ORBIT_COLLISION_TOL`` of another input point raises :class:`ArgumentError`
-    naming the offending pair.  A proved-free group has no elliptic element, so no image repeats;
-    otherwise an image within ``DUPLICATE_TOL`` of an earlier kept one (point-major, element-minor
-    order) is dropped: a stabilized point, or two orbits that meet.
+    naming the pair.  Only a stabilized point repeats an image, and a proved-free group stabilizes
+    none; otherwise an image within ``DUPLICATE_TOL`` of an earlier kept image of its own point is
+    dropped.  Images of two points are never merged: orbits that meet reach the caller's check.
     """
     pts = kernels.as_points(points, 1)[:, 0]
     check_distinct(pts)
@@ -257,9 +257,9 @@ def orbit_set(points, group: GroupWordList) -> tuple[np.ndarray, np.ndarray]:
         i, e, j = np.argwhere(hits)[0]
         raise ArgumentError(f"points {i} and {j} lie on the same orbit "
                             f"of the truncated group (element {e})")
-    flat = images.ravel()
-    kept = np.arange(len(flat)) if group.free else np.flatnonzero(_file_new(flat[:, None], DUPLICATE_TOL, {}))
-    return flat[kept], kept // group.size
+    kept = (np.arange(images.size) if group.free else
+            np.flatnonzero([new for row in images for new in _file_new(row[:, None], DUPLICATE_TOL, {})]))
+    return images.ravel()[kept], kept
 
 
 def composition_matrix(m: MobiusMap, degree: int) -> np.ndarray:
@@ -274,7 +274,7 @@ def composition_matrix(m: MobiusMap, degree: int) -> np.ndarray:
     _require_integer("degree", degree)
     if degree < 0:
         raise ArgumentError("degree must be nonnegative")
-    (theta,), (a,) = _stack([m])
+    (theta,), (a,) = _stack([m], "m")
     e, n1 = cmath.exp(1j * theta), degree + 1
     rows = np.zeros((n1 + 1, 2 * n1), dtype=complex)  # row j: m^j; columns n1.. stay zero
     rows[0, 0], rows[1, 0] = 1.0, -e * a
@@ -341,6 +341,7 @@ def gamma_kernel(generators, degree: int,
     if not 0.0 < sv_cutoff < np.inf:  # an infinite cutoff keeps every direction
         raise ArgumentError(f"sv_cutoff must be finite and > 0, got {sv_cutoff}")
     gens, n1 = tuple(generators), degree + 1
+    _stack(gens, "generators")  # composition_matrix would name its own argument
     if not gens:
         return GammaKernelApprox(degree, np.eye(n1, dtype=complex), np.zeros(n1))
     b = np.vstack([composition_matrix(g, degree) - np.eye(n1) for g in gens])[:, 1:]
@@ -360,7 +361,7 @@ def invariance_residual(kernel, maps) -> float:
     """max |K(g(z), w) - K(z, w)| over the ``RESIDUAL_GRID`` pairs and the given maps."""
     pts, m = np.array(RESIDUAL_GRID), len(RESIDUAL_GRID)
     grams = (kernels.kernel_matrix(kernel, np.concatenate([pts, images]))
-             for images in _images(*_stack(tuple(maps)), pts))
+             for images in _images(*_stack(maps, "maps"), pts))
     return max((float(np.max(np.abs(k[m:, :m] - k[:m, :m]))) for k in grams), default=0.0)
 
 
@@ -391,18 +392,17 @@ def analyze_gamma_sequence(points, generators, degree: int, group_length: int, *
 
     The group-kernel numbers (Riesz bounds, weak separation) use the
     truncated invariant kernel; the orbit numbers apply the Szego kernel to
-    the images of the points under every enumerated group element.
+    the images of the points under every enumerated group element.  Two points
+    whose images meet raise :class:`ArgumentError` naming the points and words.
     """
     pts = kernels.as_points(points, 1)[:, 0]
     gens = tuple(generators)
     warns = generator_warnings(gens)
 
     group = enumerate_group(gens, group_length, max_elements)
-    orbit_pts, _ = orbit_set(pts, group)  # rejects coinciding input points
-    dropped = len(pts) * group.size - len(orbit_pts)
-    if dropped:
-        warns.append(f"{dropped} orbit images coincided with earlier ones and were dropped "
-                     "(stabilized points or meeting orbits)")
+    orbit_pts, index = orbit_set(pts, group)  # rejects coinciding input points
+    if dropped := len(pts) * group.size - len(orbit_pts):
+        warns.append(f"{dropped} orbit images coincided with earlier ones and were dropped (stabilized points)")
 
     kern = gamma_kernel(gens, degree, sv_cutoff)
     if gens and kern.rank < degree + 1:
@@ -415,11 +415,9 @@ def analyze_gamma_sequence(points, generators, degree: int, group_length: int, *
     g = normalized_gramian(pts, kern)
     try:
         og = normalized_gramian(orbit_pts, kernels.SZEGO)
-    except ArgumentError:  # a proved-free orbit keeps every image: name the points and words that meet
+    except ArgumentError:  # orbit_set merges no two points' images: name the points and words that meet
         close = np.argwhere(np.triu(np.abs(orbit_pts[:, None] - orbit_pts) <= DUPLICATE_TOL, 1))
-        if not (group.free and len(close)):
-            raise
-        (i, e), (j, f) = (divmod(k, group.size) for k in close[0])
+        (i, e), (j, f) = (divmod(k, group.size) for k in index[close[0]])
         raise ArgumentError(f"points {i} and {j} lie on the same orbit: elements {e} and {f} "
                             f"of the truncated group send them within {DUPLICATE_TOL:g} of each other")
     return GammaSequenceReport(

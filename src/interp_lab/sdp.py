@@ -163,7 +163,7 @@ def _check_parameters(max_iters=1, **tolerances: float) -> None:
     for name, value in tolerances.items():
         if not 0.0 < value < np.inf:
             raise ArgumentError(f"{name} must be finite and > 0, got {value}")
-    if not (isinstance(max_iters, (int, np.integer)) and max_iters >= 1):
+    if isinstance(max_iters, bool) or not (isinstance(max_iters, (int, np.integer)) and max_iters >= 1):
         raise ArgumentError(f"max_iters must be an integer >= 1, got {max_iters}")
 
 

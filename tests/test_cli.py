@@ -252,18 +252,30 @@ class TestFuchsianCommand:
         assert res["invariance_residual"] < 1e-4
         assert any("rank" in w for w in report["warnings"])
 
-    def test_points_on_one_free_orbit_exit_2(self, tmp_path, capsys):
-        # The second point is g^3 of the first, g = (0, 0.8): beyond word length 2,
+    @staticmethod
+    def same_orbit_payload(r):
+        # The second point is g^3 of the first, g = (0, r): beyond word length 2,
         # but g of the first meets g^-2 of the second.
-        g = MobiusMap(0, 0.8)
+        g = MobiusMap(0, r)
         z1 = g(g(g(0.1 + 0.05j)))
-        payload = {
+        return {
             "schema_version": 1,
             "points": [[0.1, 0.05], [z1.real, z1.imag]],
-            "group": {"generators": [{"theta": 0.0, "a": [0.8, 0]}, {"theta": 0.0, "a": [0, 0.8]}],
+            "group": {"generators": [{"theta": 0.0, "a": [r, 0]}, {"theta": 0.0, "a": [0, r]}],
                       "max_word_length": 2},
             "degree": 20,
         }
+
+    def test_points_on_one_free_orbit_exit_2(self, tmp_path, capsys):
+        payload = self.same_orbit_payload(0.8)
+        code, report = run_cli(capsys, ["analyze-fuchsian", write_payload(tmp_path, payload)])
+        assert code == 2
+        assert report["error"] == {"type": "validation", "message": "points 0 and 1 lie on the same orbit: "
+                                   "elements 1 and 12 of the truncated group send them within 1e-12 of each other"}
+
+    def test_points_on_one_orbit_without_a_ping_pong_proof_exit_2(self, tmp_path, capsys):
+        # Overlapping isometric circles: no proof of freeness, and the same error.
+        payload = self.same_orbit_payload(0.3)
         code, report = run_cli(capsys, ["analyze-fuchsian", write_payload(tmp_path, payload)])
         assert code == 2
         assert report["error"] == {"type": "validation", "message": "points 0 and 1 lie on the same orbit: "

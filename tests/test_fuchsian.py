@@ -156,7 +156,8 @@ class TestOrbitSet:
         rotation = enumerate_group([MobiusMap(2 * np.pi / 3, 0)], 2)
         assert rotation.size == 3
         orbit, index = orbit_set([0, 0.5], rotation)
-        assert index.tolist() == [0, 1, 1, 1]
+        assert (index // rotation.size).tolist() == [0, 1, 1, 1]
+        assert (index % rotation.size).tolist() == [0, 0, 1, 2]
         assert orbit[0] == 0
 
     def test_chain_of_near_images_stays_covered(self):
@@ -179,7 +180,8 @@ class TestOrbitSet:
         finally:
             tracemalloc.stop()
         assert len(kept) == 3 * group.size == 13119
-        assert np.array_equal(index, np.repeat([0, 1, 2], group.size))
+        assert np.array_equal(index // group.size, np.repeat([0, 1, 2], group.size))
+        assert np.array_equal(index % group.size, np.tile(np.arange(group.size), 3))
         assert peak < 50e6
 
     def test_proved_free_orbit_keeps_every_image(self):
@@ -188,7 +190,8 @@ class TestOrbitSet:
         group = enumerate_group(TestEnumerateGroup.FREE_PAIR, 8, max_elements=20000)
         kept, index = orbit_set([0.3, -0.2j], group)
         assert len(kept) == 2 * group.size == 26242
-        assert np.array_equal(index, np.repeat([0, 1], group.size))
+        assert np.array_equal(index // group.size, np.repeat([0, 1], group.size))
+        assert np.array_equal(index % group.size, np.tile(np.arange(group.size), 2))
 
     def test_stabilized_point_drop_is_reported_once(self):
         rep = analyze_gamma_sequence([0, 0.5], [MobiusMap(2 * np.pi / 3, 0)], 12, 2)
@@ -392,6 +395,17 @@ class TestAnalyzeGammaSequence:
                                                 "of the truncated group send them within 1e-12 of each other$"):
             analyze_gamma_sequence([z0, g(g(g(z0)))], [g, MobiusMap(0, 0.8j)], 20, 2)
 
+    def test_meeting_orbits_are_named_alike_without_a_ping_pong_proof(self):
+        # The same configuration with overlapping isometric circles: the orbit filter
+        # merges only a point's own images, so the meeting images raise as for a free pair.
+        g = MobiusMap(0, 0.3)
+        group = enumerate_group([g, MobiusMap(0, 0.3j)], 2)
+        assert not group.free and group.size == 17
+        z0 = 0.1 + 0.05j
+        with pytest.raises(ArgumentError, match="^points 0 and 1 lie on the same orbit: elements 1 and 12 "
+                                                "of the truncated group send them within 1e-12 of each other$"):
+            analyze_gamma_sequence([z0, g(g(g(z0)))], [g, MobiusMap(0, 0.3j)], 20, 2)
+
     def test_anchor_report_checks_distinct_points_at_most_three_times(self, monkeypatch):
         from interp_lab import fuchsian, gramian
 
@@ -495,9 +509,17 @@ class TestEnumerateGroupReference:
     pytest.param(lambda: gamma_kernel([HYPERBOLIC, 0.5], 4), ArgumentError,
                  "generators must be MobiusMap, got float", id="generator-type-gamma-kernel"),
     pytest.param(lambda: composition_matrix(0.5, 3), ArgumentError,
-                 "generators must be MobiusMap, got float", id="generator-type-composition-matrix"),
+                 "m must be MobiusMap, got float", id="generator-type-composition-matrix"),
     pytest.param(lambda: invariance_residual(gamma_kernel([], 3), [0.5]), ArgumentError,
-                 "generators must be MobiusMap, got float", id="generator-type-invariance-residual"),
+                 "maps must be MobiusMap, got float", id="generator-type-invariance-residual"),
+    pytest.param(lambda: mobius_apply(0.5, 0.1), ArgumentError,
+                 "m must be MobiusMap, got float", id="map-type-apply"),
+    pytest.param(lambda: compose(0.5, HYPERBOLIC), ArgumentError,
+                 "g must be MobiusMap, got float", id="map-type-compose-left"),
+    pytest.param(lambda: compose(HYPERBOLIC, 0.5), ArgumentError,
+                 "h must be MobiusMap, got float", id="map-type-compose-right"),
+    pytest.param(lambda: interior_fixed_point(0.5), ArgumentError,
+                 "m must be MobiusMap, got float", id="map-type-fixed-point"),
     pytest.param(lambda: generator_warnings([0.5]), ArgumentError,
                  "generators must be MobiusMap, got float", id="generator-type-warnings"),
     pytest.param(lambda: analyze_gamma_sequence([0.1], [0.5], 4, 1), ArgumentError,
@@ -512,6 +534,14 @@ class TestEnumerateGroupReference:
                  "max_elements must be an integer, got 2.5", id="fractional-cap"),
     pytest.param(lambda: enumerate_group([HYPERBOLIC], 2.5), ArgumentError,
                  "max_word_length must be an integer, got 2.5", id="fractional-length"),
+    pytest.param(lambda: enumerate_group([HYPERBOLIC], True), ArgumentError,
+                 "max_word_length must be an integer, got True", id="bool-length"),
+    pytest.param(lambda: enumerate_group([HYPERBOLIC], 2, max_elements=True), ArgumentError,
+                 "max_elements must be an integer, got True", id="bool-cap"),
+    pytest.param(lambda: gamma_kernel([HYPERBOLIC], True), ArgumentError,
+                 "degree must be an integer, got True", id="bool-kernel-degree"),
+    pytest.param(lambda: composition_matrix(HYPERBOLIC, False), ArgumentError,
+                 "degree must be an integer, got False", id="bool-series-degree"),
     pytest.param(lambda: gamma_kernel([HYPERBOLIC], 2.5), ArgumentError,
                  "degree must be an integer, got 2.5", id="fractional-kernel-degree"),
     pytest.param(lambda: composition_matrix(HYPERBOLIC, 2.5), ArgumentError,

@@ -730,6 +730,8 @@ ANCHOR_TARGET = 0.78 ** 2 - np.outer([0.3, -0.2j, 0.4], np.conj([0.3, -0.2j, 0.4
                  "max_iters must be an integer >= 1, got -5", id="agler-max-iters-negative"),
     pytest.param(lambda: agler_feasible(ANCHOR, BIDISC, ANCHOR_TARGET, max_iters=2.5),
                  "max_iters must be an integer >= 1, got 2.5", id="agler-max-iters-fractional"),
+    pytest.param(lambda: agler_feasible(ANCHOR, BIDISC, ANCHOR_TARGET, max_iters=True),
+                 "max_iters must be an integer >= 1, got True", id="agler-max-iters-bool"),
 ])
 def test_rejects_invalid_arguments(call, message):
     with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):

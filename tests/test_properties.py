@@ -21,6 +21,7 @@ from interp_lab import (  # noqa: E402
     KernelSpec,
     MobiusMap,
     ProductKernelSpec,
+    analyze_gamma_sequence,
     check_certificate,
     enumerate_group,
     kernel_matrix,
@@ -29,7 +30,7 @@ from interp_lab import (  # noqa: E402
     rho_semimetric,
     weak_separation,
 )
-from interp_lab.fuchsian import interior_fixed_point  # noqa: E402
+from interp_lab.fuchsian import compose, interior_fixed_point  # noqa: E402
 from interp_lab.gramian import DUPLICATE_TOL  # noqa: E402
 from interp_lab.pick import (  # noqa: E402
     BISECTION_TOL,
@@ -92,6 +93,43 @@ def test_orbit_keeps_points_apart_and_covers_every_image(inputs):
     for z in points:
         for g in group.elements:
             assert np.min(np.abs(kept - g(z))) <= DUPLICATE_TOL + 1e-15
+
+
+# A rotation of order 7 about 0.25 - 0.15i: no word of at most 5 letters in it alone is the identity.
+_CENTER = MobiusMap(0, 0.25 - 0.15j)
+SAME_ORBIT_PAIRS = {
+    "free": [MobiusMap(0, 0.8), MobiusMap(0, 0.8j)],
+    "overlapping": [MobiusMap(0, 0.3), MobiusMap(0, 0.3j)],
+    "elliptic-hyperbolic": [compose(_CENTER.inverse(), compose(MobiusMap(2 * np.pi / 7, 0), _CENTER)),
+                            MobiusMap(0, 0.5)],
+}
+
+
+@st.composite
+def same_orbit_inputs(draw):
+    """Generators, a length L >= 2, z0 with |z0| <= 0.5 and z1 = gamma(z0) for a reduced word
+    gamma of L + 1 or L + 2 letters: longer than the truncation, but split into two words of
+    at most L letters, one sending z0 and the other z1 to one image."""
+    gens = SAME_ORBIT_PAIRS[draw(st.sampled_from(sorted(SAME_ORBIT_PAIRS)))]
+    steps = list(gens) + [g.inverse() for g in gens]
+    length = draw(st.integers(2, 3))
+    letters, word_length = [draw(st.integers(0, 3))], length + draw(st.integers(1, 2))
+    while len(letters) < word_length:
+        letters.append(draw(st.sampled_from([s for s in range(4) if s != (letters[-1] + 2) % 4])))
+    z0 = draw(st.builds(lambda r, phi: complex(r * np.cos(phi), r * np.sin(phi)),
+                        st.floats(0.0, 0.5), st.floats(0.0, 2 * np.pi)))
+    z1 = z0
+    for s in letters:
+        z1 = steps[s](z1)
+    return gens, length, z0, z1
+
+
+@settings(max_examples=40, deadline=None)
+@given(same_orbit_inputs())
+def test_points_on_one_orbit_beyond_the_truncation_are_rejected(inputs):
+    gens, length, z0, z1 = inputs
+    with pytest.raises(ArgumentError, match="lie on the same orbit"):
+        analyze_gamma_sequence([z0, z1], gens, 8, length)
 
 
 @settings(max_examples=60, deadline=None)

@@ -234,6 +234,7 @@ class TestFarkasStop:
     pytest.param(dict(max_iters=0), "max_iters must be an integer >= 1, got 0", id="max-iters-zero"),
     pytest.param(dict(max_iters=-5), "max_iters must be an integer >= 1, got -5", id="max-iters-negative"),
     pytest.param(dict(max_iters=2.5), "max_iters must be an integer >= 1, got 2.5", id="max-iters-fractional"),
+    pytest.param(dict(max_iters=True), "max_iters must be an integer >= 1, got True", id="max-iters-bool"),
 ])
 def test_dykstra_rejects_invalid_run_parameters(kwargs, message):
     with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
