@@ -6,6 +6,8 @@ import numpy as np
 
 from .errors import NumericError
 
+LANCZOS_STEPS = 64
+
 
 def hermitian_part(a) -> np.ndarray:
     """(A + A*) / 2, batched over leading axes."""
@@ -30,14 +32,14 @@ def eigvalsh_hermitian(a) -> np.ndarray:
 
 def certified_top_eigenvalue(a) -> float:
     """Top eigenvalue of an exactly Hermitian ``A``: the top Ritz value ``theta <= lambda_max``
-    of Lanczos (full reorthogonalization from ``1/sqrt(n)``, at most 64 steps, stopped at
-    residual ``<= 1e-13 theta``) when ``lambda_max <= (1 + 1e-12) theta`` is proved: first in
-    O(n^2) by a Kato-Temple bound, else, if the residual test was met, by a Cholesky factor of
-    ``(1 + 1e-12) theta I - A``.  Otherwise the full eigensolve gives the value.
+    of Lanczos (full reorthogonalization from ``1/sqrt(n)``, at most ``LANCZOS_STEPS`` steps,
+    stopped at residual ``<= 1e-13 theta``) when ``lambda_max <= (1 + 1e-12) theta`` is proved:
+    first in O(n^2) by a Kato-Temple bound, else, if the residual test was met, by a Cholesky
+    factor of ``(1 + 1e-12) theta I - A``.  Otherwise the full eigensolve gives the value.
     """
     a = np.asarray(a, dtype=complex)
     n = len(a)
-    basis = np.empty((min(n, 64), n), dtype=complex)
+    basis = np.empty((min(n, LANCZOS_STEPS), n), dtype=complex)
     basis[0] = 1.0 / np.sqrt(n)
     tri = np.zeros((len(basis), len(basis)))
     for k in range(len(basis)):

@@ -29,8 +29,8 @@ from .gramian import (
     check_distinct,
     min_semimetric,
     normalized_gramian,
+    pseudo_hyperbolic_matrix,
     riesz_bounds,
-    strong_separation_disk,
 )
 
 # Distinct group elements must differ in their action on these points by more
@@ -41,7 +41,7 @@ ACTION_TOL = 1e-10
 DEFAULT_GROUP_CAP = 10000
 DEFAULT_SV_CUTOFF = 1e-6
 
-# An orbit image this close to another input point puts the two on one orbit.
+# Two input points lie on one orbit when images of them are this close, pseudo-hyperbolically.
 ORBIT_COLLISION_TOL = 1e-9
 
 # Fixed evaluation grid for kernel-invariance residuals.
@@ -239,24 +239,29 @@ def enumerate_group(generators, max_word_length: int,
     return GroupWordList(*map(np.concatenate, zip(*words)), free)
 
 
+def _reject_same_orbit(a: np.ndarray, b: np.ndarray, size: int) -> None:
+    """Raise for the first pair ``(a, b)`` of near images, as flat indices of :func:`orbit_set`, from two points."""
+    if len(far := np.flatnonzero(a // size != b // size)):
+        (i, e), (j, f) = sorted((divmod(int(a[far[0]]), size), divmod(int(b[far[0]]), size)))
+        raise ArgumentError(f"points {i} and {j} lie on the same orbit: elements {e} and {f} of the truncated group "
+                            f"send them within pseudo-hyperbolic distance {ORBIT_COLLISION_TOL:g} of each other")
+
+
 def orbit_set(points, group: GroupWordList) -> tuple[np.ndarray, np.ndarray]:
     """Images of the input points under every enumerated group element, point-major, and the
     flat index ``k`` of each: point ``k // group.size`` under element ``k % group.size``.
 
-    An image within ``ORBIT_COLLISION_TOL`` of another input point raises :class:`ArgumentError`
-    naming the pair.  Only a stabilized point repeats an image, and a proved-free group stabilizes
-    none; otherwise an image within ``DUPLICATE_TOL`` of an earlier kept image of its own point is
-    dropped.  Images of two points are never merged: orbits that meet reach the caller's check.
+    An image within pseudo-hyperbolic distance ``ORBIT_COLLISION_TOL`` of another input point
+    raises :class:`ArgumentError` naming the points and words.  Only a stabilized point repeats an
+    image, and a proved-free group stabilizes none; otherwise an image within ``DUPLICATE_TOL`` of an
+    earlier kept image of its own point is dropped.  Images of two points are never merged.
     """
     pts = kernels.as_points(points, 1)[:, 0]
     check_distinct(pts)
     images = _images(group.theta, group.a, pts).T
-    others = ~np.eye(len(pts), dtype=bool)[:, None, :]
-    hits = others & (np.abs(images[:, :, None] - pts[None, None, :]) <= ORBIT_COLLISION_TOL)
-    if hits.any():
-        i, e, j = np.argwhere(hits)[0]
-        raise ArgumentError(f"points {i} and {j} lie on the same orbit "
-                            f"of the truncated group (element {e})")
+    rho = np.abs(images[:, :, None] - pts) / np.abs(1.0 - images[:, :, None] * pts.conj())
+    i, e, j = np.nonzero(rho <= ORBIT_COLLISION_TOL)
+    _reject_same_orbit(i * group.size + e, j * group.size, group.size)
     kept = (np.arange(images.size) if group.free else
             np.flatnonzero([new for row in images for new in _file_new(row[:, None], DUPLICATE_TOL, {})]))
     return images.ravel()[kept], kept
@@ -392,8 +397,8 @@ def analyze_gamma_sequence(points, generators, degree: int, group_length: int, *
 
     The group-kernel numbers (Riesz bounds, weak separation) use the
     truncated invariant kernel; the orbit numbers apply the Szego kernel to
-    the images of the points under every enumerated group element.  Two points
-    whose images meet raise :class:`ArgumentError` naming the points and words.
+    the images of the points under every enumerated group element.  Points with images within pseudo-
+    hyperbolic distance ``ORBIT_COLLISION_TOL`` share an orbit: :class:`ArgumentError` names them and the words.
     """
     pts = kernels.as_points(points, 1)[:, 0]
     gens = tuple(generators)
@@ -413,13 +418,10 @@ def analyze_gamma_sequence(points, generators, degree: int, group_length: int, *
     inv_res = invariance_residual(kern, gens) if gens else 0.0
 
     g = normalized_gramian(pts, kern)
-    try:
-        og = normalized_gramian(orbit_pts, kernels.SZEGO)
-    except ArgumentError:  # orbit_set merges no two points' images: name the points and words that meet
-        close = np.argwhere(np.triu(np.abs(orbit_pts[:, None] - orbit_pts) <= DUPLICATE_TOL, 1))
-        (i, e), (j, f) = (divmod(k, group.size) for k in index[close[0]])
-        raise ArgumentError(f"points {i} and {j} lie on the same orbit: elements {e} and {f} "
-                            f"of the truncated group send them within {DUPLICATE_TOL:g} of each other")
+    ph = pseudo_hyperbolic_matrix(orbit_pts)
+    a, b = np.divmod(np.flatnonzero(ph <= ORBIT_COLLISION_TOL), len(ph))  # 2-D nonzero is far slower
+    _reject_same_orbit(index[a], index[b], group.size)
+    og = normalized_gramian(orbit_pts, kernels.SZEGO)
     return GammaSequenceReport(
         n_points=len(pts), degree=degree, group_size=group.size, kernel_rank=kern.rank,
         kernel_residuals=tuple(float(r) for r in kern.residuals),
@@ -427,8 +429,8 @@ def analyze_gamma_sequence(points, generators, degree: int, group_length: int, *
         gamma_riesz=riesz_bounds(g, riesz_tolerance),
         gamma_weak_separation=min_semimetric(g) if len(pts) >= 2 else None,
         orbit_point_count=len(orbit_pts),
-        orbit_riesz=riesz_bounds(og, riesz_tolerance),
+        orbit_riesz=riesz_bounds(og, riesz_tolerance, np.log(ph).sum(axis=1)),
         orbit_weak_separation=min_semimetric(og) if len(orbit_pts) >= 2 else None,
-        orbit_strong_separation=strong_separation_disk(orbit_pts),
+        orbit_strong_separation=float(np.min(np.prod(ph, axis=1))),
         warnings=tuple(warns),
     )

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from interp_lab import SZEGO, normalized_gramian
 from interp_lab.cli import _COMMANDS, CONFIG_DEFAULTS, run
 from interp_lab.errors import NumericError
 from interp_lab.fuchsian import MobiusMap
@@ -66,6 +67,22 @@ class TestAnalyzeDisk:
         for rep in (rep1, rep2):
             rep.pop("wall_time_s")
         assert rep1 == rep2
+
+    def test_szego_set_above_the_crossover_matches_eigvalsh(self, tmp_path, capsys, monkeypatch):
+        # 400 Szego points: no eigvalsh on the 400×400 Gramian, and bounds within
+        # 4 n eps ||G||_F of eigvalsh's, with the same verdict.
+        sizes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eigvalsh(a))
+        rng = np.random.default_rng(400)
+        z = 0.9 * np.sqrt(rng.uniform(size=400)) * np.exp(2j * np.pi * rng.uniform(size=400))
+        payload = {"schema_version": 1, "points": [[p.real, p.imag] for p in z], "kernel": {"coeffs": [1]}}
+        code, report = run_cli(capsys, ["analyze-disk", write_payload(tmp_path, payload)])
+        assert code == 0 and 400 not in sizes
+        res, g = report["results"], normalized_gramian(z, SZEGO)
+        w, bound = eigvalsh(g), 4 * len(z) * np.finfo(float).eps * np.linalg.norm(g)
+        assert abs(res["lambda_min"] - w[0]) <= bound and res["lambda_min"] >= 0.0
+        assert abs(res["lambda_max"] - w[-1]) <= bound
+        assert res["is_riesz"] == (w[0] > res["riesz_tolerance"])
 
 
 class TestAnalyzePolydisc:
@@ -271,7 +288,8 @@ class TestFuchsianCommand:
         code, report = run_cli(capsys, ["analyze-fuchsian", write_payload(tmp_path, payload)])
         assert code == 2
         assert report["error"] == {"type": "validation", "message": "points 0 and 1 lie on the same orbit: "
-                                   "elements 1 and 12 of the truncated group send them within 1e-12 of each other"}
+                                   "elements 1 and 12 of the truncated group send them "
+                                   "within pseudo-hyperbolic distance 1e-09 of each other"}
 
     def test_points_on_one_orbit_without_a_ping_pong_proof_exit_2(self, tmp_path, capsys):
         # Overlapping isometric circles: no proof of freeness, and the same error.
@@ -279,7 +297,22 @@ class TestFuchsianCommand:
         code, report = run_cli(capsys, ["analyze-fuchsian", write_payload(tmp_path, payload)])
         assert code == 2
         assert report["error"] == {"type": "validation", "message": "points 0 and 1 lie on the same orbit: "
-                                   "elements 1 and 12 of the truncated group send them within 1e-12 of each other"}
+                                   "elements 1 and 12 of the truncated group send them "
+                                   "within pseudo-hyperbolic distance 1e-09 of each other"}
+
+    @pytest.mark.parametrize("power", [1, 3])
+    def test_point_near_another_orbit_exit_2(self, tmp_path, capsys, power):
+        # z1 = g^power(w), w at pseudo-hyperbolic distance 1e-10 from z0, under (0.8, 0.8i) at length 2.
+        g, z0 = MobiusMap(0, 0.8), 0.1 + 0.05j
+        z1 = (1e-10 + z0) / (1.0 + z0.conjugate() * 1e-10)
+        for _ in range(power):
+            z1 = g(z1)
+        payload = self.same_orbit_payload(0.8)
+        payload["points"][1] = [z1.real, z1.imag]
+        code, report = run_cli(capsys, ["analyze-fuchsian", write_payload(tmp_path, payload)])
+        assert code == 2
+        assert report["error"]["type"] == "validation"
+        assert "lie on the same orbit" in report["error"]["message"]
 
     def test_budget_error_exit_3(self, tmp_path, capsys):
         payload = {

@@ -392,7 +392,8 @@ class TestAnalyzeGammaSequence:
         g = MobiusMap(0, 0.8)
         z0 = 0.1 + 0.05j
         with pytest.raises(ArgumentError, match="^points 0 and 1 lie on the same orbit: elements 1 and 12 "
-                                                "of the truncated group send them within 1e-12 of each other$"):
+                                                "of the truncated group send them "
+                                                "within pseudo-hyperbolic distance 1e-09 of each other$"):
             analyze_gamma_sequence([z0, g(g(g(z0)))], [g, MobiusMap(0, 0.8j)], 20, 2)
 
     def test_meeting_orbits_are_named_alike_without_a_ping_pong_proof(self):
@@ -403,8 +404,40 @@ class TestAnalyzeGammaSequence:
         assert not group.free and group.size == 17
         z0 = 0.1 + 0.05j
         with pytest.raises(ArgumentError, match="^points 0 and 1 lie on the same orbit: elements 1 and 12 "
-                                                "of the truncated group send them within 1e-12 of each other$"):
+                                                "of the truncated group send them "
+                                                "within pseudo-hyperbolic distance 1e-09 of each other$"):
             analyze_gamma_sequence([z0, g(g(g(z0)))], [g, MobiusMap(0, 0.3j)], 20, 2)
+
+    @pytest.mark.parametrize("power", [1, 3])
+    def test_a_point_near_another_orbit_is_on_it_at_any_word_length(self, power):
+        # z1 = g^power(w), w at pseudo-hyperbolic distance 1e-10 from z0.  For power 1, g^-1(z1) = w
+        # lies that close to z0 itself.  For power 3 no word of length <= 2 takes z1 near z0, but g(z0)
+        # and g^-2(z1) = g(w) are as close, since rho is invariant under the group.
+        g, z0 = MobiusMap(0, 0.8), 0.1 + 0.05j
+        w = (1e-10 + z0) / (1.0 + z0.conjugate() * 1e-10)
+        assert abs((w - z0) / (1.0 - z0.conjugate() * w)) == pytest.approx(1e-10, rel=1e-6)
+        z1 = w
+        for _ in range(power):
+            z1 = g(z1)
+        with pytest.raises(ArgumentError, match="^points 0 and 1 lie on the same orbit: elements [0-9]+ and [0-9]+ "
+                                                "of the truncated group send them within pseudo-hyperbolic "
+                                                "distance 1e-09 of each other$"):
+            analyze_gamma_sequence([z0, z1], [g, MobiusMap(0, 0.8j)], 20, 2)
+
+    def test_anchor_orbit_riesz_bounds_without_an_eigensolve(self, monkeypatch):
+        # The 483-point anchor orbit is above the crossover 6 * LANCZOS_STEPS = 384: no eigvalsh
+        # on it, and bounds within 4 n eps ||G||_F of eigvalsh's, with the same verdict.
+        sizes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eigvalsh(a))
+        gens, pts = [MobiusMap(0.0, 0.8), MobiusMap(0.0, 0.8j)], [0.1 + 0.2j, -0.3 + 0.1j, 0.25 - 0.35j]
+        rep = analyze_gamma_sequence(pts, gens, 60, 4)
+        assert rep.orbit_point_count == 483 and max(sizes) == 3
+        g = normalized_gramian(orbit_set(pts, enumerate_group(gens, 4))[0], SZEGO)
+        w = eigvalsh(g)
+        bound = 4 * len(g) * np.finfo(float).eps * np.linalg.norm(g)
+        assert abs(rep.orbit_riesz.lambda_min - w[0]) <= bound
+        assert abs(rep.orbit_riesz.lambda_max - w[-1]) <= bound
+        assert rep.orbit_riesz.is_riesz == (w[0] > rep.orbit_riesz.riesz_tolerance)
 
     def test_anchor_report_checks_distinct_points_at_most_three_times(self, monkeypatch):
         from interp_lab import fuchsian, gramian

@@ -21,7 +21,7 @@ from interp_lab import (
     weak_separation,
 )
 from interp_lab._linalg import hermitian_part
-from interp_lab.gramian import PSD_TOL_PER_POINT, check_distinct, semimetric_matrix
+from interp_lab.gramian import PSD_TOL_PER_POINT, check_distinct, pseudo_hyperbolic_matrix, semimetric_matrix
 from conftest import random_disk_points, random_kernel_spec
 
 TWO_COEFF = KernelSpec((0.6, 0.3))
@@ -208,6 +208,56 @@ class TestRieszBounds:
 
     def test_zero_tolerance_accepted(self):
         assert riesz_bounds(np.eye(2), 0).riesz_tolerance == 0.0
+
+
+def log_separations(points):
+    """Carleson's log delta_j = sum_{k != j} log rho(z_j, z_k), as the callers of riesz_bounds pass them."""
+    return np.log(pseudo_hyperbolic_matrix(points)).sum(axis=1)
+
+
+class TestSzegoRieszFromSeparations:
+    """Above 6 * LANCZOS_STEPS = 384 points, a Szego Gramian's bounds come without an eigensolve."""
+
+    @pytest.fixture
+    def eigvalsh_sizes(self, monkeypatch):
+        """The size of each matrix handed to ``np.linalg.eigvalsh``."""
+        sizes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eigvalsh(a))
+        return sizes
+
+    @pytest.mark.parametrize("n, solved", [(384, [384]), (385, [])])
+    def test_eigvalsh_runs_up_to_the_crossover_only(self, n, solved, eigvalsh_sizes):
+        pts = random_disk_points(np.random.default_rng(3), n)
+        r = riesz_bounds(normalized_gramian(pts, SZEGO), log_delta=log_separations(pts))
+        assert eigvalsh_sizes == solved
+        assert r.carleson_constant == r.lambda_max and not r.is_riesz
+
+    def test_without_separations_eigvalsh_runs_at_any_size(self, eigvalsh_sizes):
+        riesz_bounds(normalized_gramian(random_disk_points(np.random.default_rng(3), 385), SZEGO))
+        assert eigvalsh_sizes == [385]
+
+    def test_dense_set_where_one_over_delta_overflows(self, monkeypatch, eigvalsh_sizes):
+        # 300 points in |z| <= 0.9: delta_min < 1e-76, so diag(1 / delta) G diag(1 / delta) has
+        # entries beyond 1e152 and the squared norms Lanczos forms overflow; S G S has none above 1.
+        pts = random_disk_points(np.random.default_rng(1), 300)
+        log_delta = log_separations(pts)
+        assert np.min(log_delta) < math.log(1e-76)
+        monkeypatch.setattr("interp_lab.gramian.LANCZOS_STEPS", 32)  # crossover 192 < 300
+        r = riesz_bounds(normalized_gramian(pts, SZEGO), log_delta=log_delta)
+        assert eigvalsh_sizes == []
+        assert math.isfinite(r.lambda_min) and r.lambda_min >= 0.0 and math.isfinite(r.lambda_max)
+
+    def test_non_finite_separations_fall_back_to_eigvalsh(self, eigvalsh_sizes):
+        pts = random_disk_points(np.random.default_rng(3), 385)
+        log_delta = log_separations(pts)
+        log_delta[7] = -np.inf
+        g = normalized_gramian(pts, SZEGO)
+        assert riesz_bounds(g, log_delta=log_delta) == riesz_bounds(g)
+        assert eigvalsh_sizes == [385, 385]
+
+    def test_separations_must_match_the_gramian(self):
+        with pytest.raises(ArgumentError, match=re.escape("expected 2 log separations, got shape (3,)")):
+            riesz_bounds(normalized_gramian([0, 0.5], SZEGO), log_delta=np.zeros(3))
 
 
 class TestWeakSeparation:

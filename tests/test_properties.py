@@ -25,13 +25,15 @@ from interp_lab import (  # noqa: E402
     check_certificate,
     enumerate_group,
     kernel_matrix,
+    normalized_gramian,
     orbit_set,
     partition_separated,
+    pseudo_hyperbolic,
     rho_semimetric,
     weak_separation,
 )
 from interp_lab.fuchsian import compose, interior_fixed_point  # noqa: E402
-from interp_lab.gramian import DUPLICATE_TOL  # noqa: E402
+from interp_lab.gramian import DUPLICATE_TOL, pseudo_hyperbolic_matrix  # noqa: E402
 from interp_lab.pick import (  # noqa: E402
     BISECTION_TOL,
     _condition_a_bracket,
@@ -62,6 +64,25 @@ def test_weak_separation_is_min_scalar_semimetric(points, spec):
     assume(min(abs(z - w) for z, w in itertools.combinations(points, 2)) > 1e-3)
     expected = min(rho_semimetric(spec, z, w) for z, w in itertools.combinations(points, 2))
     assert weak_separation(points, spec) == pytest.approx(expected, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(disk_points, min_size=2, max_size=8))
+def test_szego_gramian_inverse_is_its_conjugate_scaled_by_blaschke_factors(points):
+    """G^-1 = diag(conj(u)) conj(G) diag(u) with u_j = 1 / B_j(z_j), |u_j| = 1 / delta_j; so
+    lambda_min(G) lambda_max(D G D) = 1, D = diag(1 / delta_j) (the proof is in riesz_bounds)."""
+    z = np.array(points)
+    assume(min(pseudo_hyperbolic(a, b) for a, b in itertools.combinations(z, 2)) > 0.05)
+    n, eps, g = len(z), np.finfo(float).eps, normalized_gramian(z, SZEGO)
+    factors = (z[:, None] - z) / (1.0 - z.conj() * z[:, None])  # b_{z_k}(z_j) at [j, k]
+    np.fill_diagonal(factors, 1.0)
+    u = 1.0 / np.prod(factors, axis=1)
+    delta = np.prod(pseudo_hyperbolic_matrix(z), axis=1)
+    assert np.allclose(np.abs(u) * delta, 1.0, rtol=4 * n * eps, atol=0.0)
+    inverse = u.conj()[:, None] * g.conj() * u
+    assert np.abs(g @ inverse - np.eye(n)).max() <= 4 * n * eps * np.linalg.norm(g) * np.linalg.norm(inverse)
+    lam_min, top = np.linalg.eigvalsh(g)[0], np.linalg.eigvalsh(g / np.outer(delta, delta))[-1]
+    assert lam_min * top == pytest.approx(1.0, rel=4 * n * eps * (np.linalg.norm(g) / lam_min + 1.0), abs=0.0)
 
 
 @st.composite
