@@ -33,10 +33,10 @@ def eigvalsh_hermitian(a) -> np.ndarray:
 def certified_top_eigenvalue(a) -> float:
     """Top eigenvalue of an exactly Hermitian ``A``: the top Ritz value ``theta <= lambda_max``
     of Lanczos (full reorthogonalization from ``1/sqrt(n)``, at most ``LANCZOS_STEPS`` steps,
-    stopped at residual ``<= 1e-13 theta``) when ``lambda_max <= (1 + 1e-12) theta`` is proved:
-    first in O(n^2) by a Kato-Temple bound, else, if the residual test was met, by a Cholesky
-    factor of ``(1 + 1e-12) theta I - A``.  Otherwise the full eigensolve gives the value.
-    """
+    stopped at residual ``r1 <= 1e-13 theta1`` or at estimated error ``r1^2 / (theta1 - theta2 - r2) <= 1e-15
+    theta1``, a thousandth of the proof's margin, if that gap is positive; ``r_i = beta |y_i[-1]|``) when
+    ``lambda_max <= (1 + 1e-12) theta`` is proved: first in O(n^2) by a Kato-Temple bound, else, if a
+    stopping test was met, by a Cholesky factor of ``(1 + 1e-12) theta I - A``.  Else the full eigensolve."""
     a = np.asarray(a, dtype=complex)
     n = len(a)
     basis = np.empty((min(n, LANCZOS_STEPS), n), dtype=complex)
@@ -49,7 +49,8 @@ def certified_top_eigenvalue(a) -> float:
             w -= basis[:k + 1].T @ (basis[:k + 1].conj() @ w)
         ritz, vecs = np.linalg.eigh(tri[:k + 1, :k + 1])
         theta, beta = ritz[-1], np.linalg.norm(w)
-        converged = beta * abs(vecs[-1, -1]) <= 1e-13 * theta
+        res, gap = beta * abs(vecs[-1, -1]), theta - ritz[-2] - beta * abs(vecs[-1, -2]) if k else 0.0
+        converged = res <= 1e-13 * theta or (gap > 0.0 and res * res <= 1e-15 * theta * gap)
         if converged or k + 1 == len(basis):
             break
         tri[k + 1, k] = tri[k, k + 1] = beta

@@ -132,11 +132,11 @@ def _cmd_analyze_disk(payload: dict, cfg: dict) -> tuple[dict, list[str]]:
     spec = _kernel_spec(payload["kernel"], "kernel")
     n = len(pts)
     g = gramian.normalized_gramian(pts, spec)
-    ph = gramian.pseudo_hyperbolic_matrix(pts)
-    riesz = gramian.riesz_bounds(g, cfg["riesz_tolerance"], np.log(ph).sum(axis=1) if spec == kernels.SZEGO else None)
+    delta, log_delta = gramian.log_separations(gramian.pseudo_hyperbolic_matrix(pts))
+    riesz = gramian.riesz_bounds(g, cfg["riesz_tolerance"], log_delta if spec == kernels.SZEGO else None)
     results = {"n_points": n, **asdict(riesz)}
     results["weak_separation"] = gramian.min_semimetric(g) if n >= 2 else None
-    results["strong_separation"] = float(np.min(np.prod(ph, axis=1)))
+    results["strong_separation"] = float(np.min(delta))
     sep = gramian.multiplier_separation(pts, spec, alpha=cfg["multiplier_alpha"]) if n >= 2 else None
     results["multiplier_separation"] = sep and {"per_point": sep, "min": min(sep)}
     return results, []

@@ -27,6 +27,7 @@ from .gramian import (
     DUPLICATE_TOL,
     RieszReport,
     check_distinct,
+    log_separations,
     min_semimetric,
     normalized_gramian,
     pseudo_hyperbolic_matrix,
@@ -422,6 +423,7 @@ def analyze_gamma_sequence(points, generators, degree: int, group_length: int, *
     a, b = np.divmod(np.flatnonzero(ph <= ORBIT_COLLISION_TOL), len(ph))  # 2-D nonzero is far slower
     _reject_same_orbit(index[a], index[b], group.size)
     og = normalized_gramian(orbit_pts, kernels.SZEGO)
+    delta, log_delta = log_separations(ph)
     return GammaSequenceReport(
         n_points=len(pts), degree=degree, group_size=group.size, kernel_rank=kern.rank,
         kernel_residuals=tuple(float(r) for r in kern.residuals),
@@ -429,8 +431,8 @@ def analyze_gamma_sequence(points, generators, degree: int, group_length: int, *
         gamma_riesz=riesz_bounds(g, riesz_tolerance),
         gamma_weak_separation=min_semimetric(g) if len(pts) >= 2 else None,
         orbit_point_count=len(orbit_pts),
-        orbit_riesz=riesz_bounds(og, riesz_tolerance, np.log(ph).sum(axis=1)),
-        orbit_weak_separation=min_semimetric(og) if len(orbit_pts) >= 2 else None,
-        orbit_strong_separation=float(np.min(np.prod(ph, axis=1))),
+        orbit_riesz=riesz_bounds(og, riesz_tolerance, log_delta),
+        orbit_weak_separation=float(np.min(ph)) if len(orbit_pts) >= 2 else None,  # off the unit diagonal
+        orbit_strong_separation=float(np.min(delta)),
         warnings=tuple(warns),
     )

@@ -31,20 +31,24 @@ PSD_TOL_PER_POINT = 1e-10
 def check_distinct(points) -> np.ndarray:
     """Raise :class:`ArgumentError` naming the first pair ``(i, j)``, ``i < j``,
     of disk or polydisc points within Euclidean distance ``DUPLICATE_TOL``; the
-    points are validated by :func:`kernels.as_points` first, and returned as its array."""
+    points are validated by :func:`kernels.as_points` first, and returned as its array.  Sorted by
+    the real part of the first coordinate, only pairs whose real parts lie within ``2 DUPLICATE_TOL``
+    get the full test in ``C^d``: O(n log n) unless many real parts meet."""
     p = kernels.as_points(points)
-    if p.shape[1] == 1:
-        _reject_close(np.abs(p - p.T) <= DUPLICATE_TOL)
-    else:
-        _reject_close(sum(np.abs(c[:, None] - c[None, :]) ** 2 for c in p.T) <= DUPLICATE_TOL ** 2)
-    return p
-
-
-def _reject_close(close: np.ndarray) -> None:
-    """The error of :func:`check_distinct`, searched only when an off-diagonal pair is close."""
-    if np.count_nonzero(close) > np.trace(close):
-        i, j = np.argwhere(np.triu(close, 1))[0]
+    order = np.argsort(p[:, 0].real)
+    x = p[order, 0].real
+    if not (x[1:] - x[:-1] <= 2.0 * DUPLICATE_TOL).any():
+        return p
+    width = np.searchsorted(x, x + 2.0 * DUPLICATE_TOL, side="right") - np.arange(1, len(x) + 1)
+    k = np.repeat(np.arange(len(x)), width)  # the pairs (k, m), k < m, of sorted positions
+    m = k + 1 + np.arange(len(k)) - np.repeat(np.cumsum(width) - width, width)
+    i, j = np.minimum(order[k], order[m]), np.maximum(order[k], order[m])
+    close = (np.abs(p[i, 0] - p[j, 0]) <= DUPLICATE_TOL if p.shape[1] == 1 else
+             sum(np.abs(c) ** 2 for c in (p[i] - p[j]).T) <= DUPLICATE_TOL ** 2)
+    if close.any():
+        i, j = divmod(int(np.min((i * len(p) + j)[close])), len(p))
         raise ArgumentError(f"points {i} and {j} coincide within {DUPLICATE_TOL:g}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,7 @@ def riesz_bounds(g, tolerance: float = DEFAULT_RIESZ_TOL, log_delta=None) -> Rie
     ``sqrt(1 - |z_i|^2) B / (B_i(z_i)(z - z_i))``, ``<B/(z - z_j), B/(z - z_i)> = 1/(1 - conj(z_i) z_j)`` (|B| = 1).
     So ``lambda_min = delta_min^2 / lambda_max(S G S)``, ``S = diag(delta_min/delta_j)``; two certified_top_eigenvalue
     runs, ``2 (8 L n^2 + 4 n^3 / 3)`` flops, ``L = LANCZOS_STEPS``, beat eigvalsh's ``16 n^3 / 3`` iff ``n > 6 L``.
+    Up to ``6 L`` points eigvalsh runs, and the closed form replaces its ``lambda_min`` if at most ``n eps ||G||_F``.
     """
     tolerance = _check_tolerance(tolerance)
     g = np.asarray(g, dtype=complex)
@@ -103,16 +108,19 @@ def riesz_bounds(g, tolerance: float = DEFAULT_RIESZ_TOL, log_delta=None) -> Rie
         raise ArgumentError(f"expected {len(g)} log separations, got shape {np.shape(log_delta)}")
     hermitian = all((g[j:, j:j + 64] == g[j:j + 64, j:].T.conj()).all() for j in range(0, len(g), 64))
     g = g if hermitian else hermitian_part(g)
-    if log_delta is not None and len(g) > 6 * LANCZOS_STEPS and np.isfinite(log_delta).all():
-        s = np.exp(np.min(log_delta) - np.asarray(log_delta))  # lambda_max(S G S) >= S_jj^2 = 1 at delta_min
-        lam_min = math.exp(2.0 * np.min(log_delta)) / certified_top_eigenvalue(s[:, None] * g * s)
-        lam_max = certified_top_eigenvalue(g)
+    closed = log_delta is not None and np.isfinite(log_delta).all()
+    if closed and len(g) > 6 * LANCZOS_STEPS:
+        lam_min, lam_max = None, certified_top_eigenvalue(g)
     else:
         try:
             w = np.linalg.eigvalsh(g)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"eigenvalue computation failed: {exc}") from exc
         lam_min, lam_max = float(w[0]), float(w[-1])
+    if closed and (lam_min is None or lam_min <= len(g) * np.finfo(float).eps * np.linalg.norm(w)):  # ||G||_F
+        s = np.exp(np.min(log_delta) - np.asarray(log_delta))  # lambda_max(S G S) >= S_jj^2 = 1 at delta_min
+        sgs = np.multiply(sgs := g * s[:, None], s, out=sgs)  # one n×n buffer
+        lam_min = math.exp(2.0 * np.min(log_delta)) / certified_top_eigenvalue(sgs)
     return RieszReport(lam_min, lam_max, lam_max, bool(lam_min > tolerance), tolerance)
 
 
@@ -154,12 +162,21 @@ def pseudo_hyperbolic_matrix(points) -> np.ndarray:
     return ph
 
 
+def log_separations(ph) -> tuple[np.ndarray, np.ndarray]:
+    """Row products ``delta_j = prod_k ph_jk`` of a :func:`pseudo_hyperbolic_matrix` and Carleson's
+    ``log delta_j`` for :func:`riesz_bounds`: n logarithms of the products, and for a row whose
+    product falls below the smallest normal double the sum of its logarithms instead."""
+    delta = np.prod(ph, axis=1)
+    low = delta < np.finfo(float).tiny
+    logs = np.log(np.where(low, 1.0, delta))
+    logs[low] = np.log(ph[low]).sum(axis=1)
+    return delta, logs
+
+
 def strong_separation_disk(points) -> float:
     """min over j of prod_{k != j} of the pseudo-hyperbolic distances, 1 for a single point (Szego-kernel
-    quantity, of plain disk points); two within ``DUPLICATE_TOL`` raise as :func:`check_distinct` does."""
-    ph = pseudo_hyperbolic_matrix(points)
-    _reject_close(ph == 0.0)
-    return float(np.min(np.prod(ph, axis=1)))
+    quantity, of plain disk points that :func:`check_distinct` passes)."""
+    return float(np.min(np.prod(pseudo_hyperbolic_matrix(check_distinct(points)), axis=1)))
 
 
 def multiplier_separation(points, spec: kernels.KernelSpec, alpha: float = 1.0) -> list[float]:

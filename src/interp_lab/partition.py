@@ -52,12 +52,12 @@ def partition_separated(points, kernel, epsilon: float) -> PartitionResult:
     g = normalized_gramian(pts, kernel)
     close = semimetric_matrix(g) < epsilon
     # reach[c, i]: class c has a member close to point i.  Each point takes the first class
-    # that does not reach it; a class with no members yet reaches no point.
+    # that does not reach it; a class with no members yet reaches no point (rows: close is symmetric).
     reach = np.zeros_like(close)
     labels = []
-    for i, column in enumerate(close.T):
+    for i, row in enumerate(close):
         labels.append(reach[:, i].argmin())
-        reach[labels[-1]] |= column
+        reach[labels[-1]] |= row
     labels = np.array(labels)
     indices = [np.flatnonzero(labels == c).tolist() for c in range(labels.max() + 1)]
     return PartitionResult(

@@ -31,7 +31,7 @@ from interp_lab.fuchsian import (
     generator_warnings,
     interior_fixed_point,
 )
-from interp_lab.gramian import DUPLICATE_TOL, check_distinct
+from interp_lab.gramian import DUPLICATE_TOL, check_distinct, pseudo_hyperbolic_matrix
 from conftest import random_disk_point
 
 HYPERBOLIC = MobiusMap(0.0, 0.5)
@@ -423,6 +423,20 @@ class TestAnalyzeGammaSequence:
                                                 "of the truncated group send them within pseudo-hyperbolic "
                                                 "distance 1e-09 of each other$"):
             analyze_gamma_sequence([z0, z1], [g, MobiusMap(0, 0.8j)], 20, 2)
+
+    def test_orbit_of_a_nearly_coinciding_pair_has_lambda_min_from_the_closed_form(self):
+        # z1 = g^3(z0) + 5e-11 is off z0's orbit (rho = 7.5e-9), so eigvalsh's lambda_min of the 34-point
+        # orbit Gramian is rounding (-1.6e-15); below n eps ||G||_F the closed form takes over.
+        g, z0 = MobiusMap(0, 0.8), 0.1 + 0.05j
+        pts, gens = [z0, g(g(g(z0))) + 5e-11], [g, MobiusMap(0, 0.8j)]
+        rep = analyze_gamma_sequence(pts, gens, 20, 2)
+        orbit = orbit_set(pts, enumerate_group(gens, 2))[0]
+        ph = pseudo_hyperbolic_matrix(orbit)
+        delta = np.prod(ph, axis=1)
+        expected = 1.0 / np.linalg.eigvalsh(normalized_gramian(orbit, SZEGO) / np.outer(delta, delta))[-1]
+        assert rep.orbit_point_count == 34
+        assert 0.0 <= rep.orbit_riesz.lambda_min and abs(rep.orbit_riesz.lambda_min - expected) <= 1e-12 * expected
+        assert rep.orbit_weak_separation == np.min(ph) and rep.orbit_strong_separation == np.min(delta)
 
     def test_anchor_orbit_riesz_bounds_without_an_eigensolve(self, monkeypatch):
         # The 483-point anchor orbit is above the crossover 6 * LANCZOS_STEPS = 384: no eigvalsh

@@ -20,6 +20,7 @@ from interp_lab import (
     strong_separation_disk,
     weak_separation,
 )
+from interp_lab import gramian
 from interp_lab._linalg import hermitian_part
 from interp_lab.gramian import PSD_TOL_PER_POINT, check_distinct, pseudo_hyperbolic_matrix, semimetric_matrix
 from conftest import random_disk_points, random_kernel_spec
@@ -110,12 +111,56 @@ def test_scratch_peak(call, before, after):
     assert peak < (before + after) / 2
 
 
+def dense_first_close_pair(points):
+    """The dense rule ``check_distinct`` replaced: every pair tested, the first close one in (i, j) order."""
+    p = np.asarray(points, dtype=complex).reshape(len(points), -1)
+    if p.shape[1] == 1:
+        close = np.abs(p - p.T) <= 1e-12
+    else:
+        close = sum(np.abs(c[:, None] - c[None, :]) ** 2 for c in p.T) <= 1e-24
+    pairs = np.argwhere(np.triu(close, 1))
+    return tuple(pairs[0]) if len(pairs) else None
+
+
+def assert_named_as_the_dense_rule(points):
+    pair = dense_first_close_pair(points)
+    if pair is None:
+        assert same_bits(check_distinct(points), np.asarray(points, dtype=complex).reshape(len(points), -1))
+    else:
+        with pytest.raises(ArgumentError, match=rf"^points {pair[0]} and {pair[1]} coincide within 1e-12$"):
+            check_distinct(points)
+    return pair
+
+
 class TestCheckDistinct:
     def test_names_first_coinciding_polydisc_pair(self):
         pts = [(0, 0), (0.5, 0.1), (0.2, 0.2), (0.5, 0.1 + 1e-13), (0.2, 0.2), (0, 0.5)]
         with pytest.raises(ArgumentError, match="points 1 and 3 coincide"):
             check_distinct(pts)
         check_distinct([(0, 0), (0, 0.5), (0.5, 0)])
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 483])
+    @pytest.mark.parametrize("gap", [0.5e-12, 2e-12])
+    def test_planted_pairs_as_the_dense_rule(self, n, gap):
+        rng = np.random.default_rng(n)
+        pts = random_disk_points(rng, n, 0.9)
+        # Two planted pairs, the later one in (i, j) order first in the sort by real part.
+        for i, j in [(0, n - 1), (n // 3, n // 2)]:
+            if i < j:
+                pts[j] = pts[i] + gap * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        assert (assert_named_as_the_dense_rule(pts) is None) == (gap > 1e-12)
+
+    @pytest.mark.parametrize("gap", [0.5e-12, 2e-12])
+    def test_every_real_part_equal(self, gap):
+        y = np.linspace(-0.9, 0.9, 200)
+        y[150] = y[40] + gap
+        y[120] = y[70] - gap
+        assert assert_named_as_the_dense_rule(list(1j * y)) == ((40, 150) if gap < 1e-12 else None)
+
+    def test_bidisc_points_equal_in_the_first_coordinate_only(self):
+        pts = [(0.1, 0.2), (0.3, 0.1j), (0.1, 0.2 + 2e-12), (0.3, -0.1j), (0.1 + 1e-13, 0.2 + 0.5e-12j)]
+        assert assert_named_as_the_dense_rule(pts) == (0, 4)
+        assert assert_named_as_the_dense_rule(pts[:4]) is None
 
 
 class TestNormalizedGramian:
@@ -258,6 +303,58 @@ class TestSzegoRieszFromSeparations:
     def test_separations_must_match_the_gramian(self):
         with pytest.raises(ArgumentError, match=re.escape("expected 2 log separations, got shape (3,)")):
             riesz_bounds(normalized_gramian([0, 0.5], SZEGO), log_delta=np.zeros(3))
+
+
+class TestSzegoNumbersFromRho:
+    """Weak separation, Carleson's log delta_j and the sub-crossover lambda_min from the one rho matrix."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_min_off_diagonal_rho_is_the_weak_separation(self, seed):
+        pts = random_disk_points(np.random.default_rng(seed), 60, 0.95, 0.02)
+        ph = pseudo_hyperbolic_matrix(pts)
+        assert np.all(ph.diagonal() == 1.0)
+        assert abs(np.min(ph) - weak_separation(pts, SZEGO)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 60, 300])
+    def test_log_of_the_product_is_the_sum_of_logs(self, n):
+        ph = pseudo_hyperbolic_matrix(random_disk_points(np.random.default_rng(n), n, 0.9))
+        delta, logs = gramian.log_separations(ph)
+        assert same_bits(delta, np.prod(ph, axis=1))
+        summed = np.log(ph).sum(axis=1)
+        assert np.all(np.abs(logs - summed) <= 4 * n * np.finfo(float).eps * np.maximum(1.0, np.abs(summed)))
+
+    def test_underflowing_row_takes_the_sum_of_logs(self):
+        # Row 0's product is subnormal, row 1's is 0; row 2's is a normal double.
+        ph = np.array([[1.0, 1e-160, 1e-160], [1e-160, 1.0, 1e-200], [0.5, 0.25, 1.0]])
+        delta, logs = gramian.log_separations(ph)
+        assert 0.0 < delta[0] < np.finfo(float).tiny and delta[1] == 0.0
+        assert same_bits(logs[:2], np.log(ph[:2]).sum(axis=1)) and logs[2] == np.log(0.125)
+
+    @pytest.fixture
+    def closed_forms(self, monkeypatch):
+        """The size of each matrix whose top eigenvalue riesz_bounds certifies."""
+        sizes, original = [], gramian.certified_top_eigenvalue
+        monkeypatch.setattr(gramian, "certified_top_eigenvalue", lambda a: sizes.append(len(a)) or original(a))
+        return sizes
+
+    def test_lambda_min_below_eigvalsh_resolution_from_the_closed_form(self, closed_forms):
+        pts = random_disk_points(np.random.default_rng(0), 40, 0.9)
+        g = normalized_gramian(pts, SZEGO)
+        w = np.linalg.eigvalsh(g)
+        assert w[0] < 0.0
+        delta, log_delta = gramian.log_separations(pseudo_hyperbolic_matrix(pts))
+        r = riesz_bounds(g, log_delta=log_delta)
+        assert closed_forms == [40]
+        # G^-1 is unitarily similar to diag(1/delta) conj(G) diag(1/delta).
+        expected = 1.0 / np.linalg.eigvalsh(g / np.outer(delta, delta))[-1]
+        assert 0.0 <= r.lambda_min and abs(r.lambda_min - expected) <= 1e-12 * expected
+        assert r.lambda_max == w[-1]
+
+    def test_lambda_min_above_the_threshold_stays_eigvalsh(self, closed_forms):
+        pts = random_disk_points(np.random.default_rng(0), 40, 0.9, 0.3)  # lambda_min 1.4e-12, six times n eps ||G||_F
+        g = normalized_gramian(pts, SZEGO)
+        r = riesz_bounds(g, log_delta=gramian.log_separations(pseudo_hyperbolic_matrix(pts))[1])
+        assert closed_forms == [] and r == riesz_bounds(g)
 
 
 class TestWeakSeparation:

@@ -110,3 +110,39 @@ def test_planted_spectrum_matches_full_eigensolve(n, ratio, top, seed):
     a = planted(np.concatenate([[top], top * ratio * rng.uniform(size=n - 1)]), rng)
     expected = top_eigenvalue(a)
     assert abs(certified_top_eigenvalue(a) - expected) <= 1e-12 * expected
+
+
+class TestStopAtTheProofMargin:
+    """Lanczos also stops once the top Ritz value's estimated error ``r1^2 / (theta1 - theta2 - r2)``
+    is at most ``1e-15 theta1``, a thousandth of the ``1e-12`` that its proof accepts."""
+
+    @pytest.fixture
+    def anchor_orbit(self):
+        from interp_lab import MobiusMap
+        from interp_lab.fuchsian import enumerate_group, orbit_set
+
+        gens = [MobiusMap(0.0, 0.8), MobiusMap(0.0, 0.8j)]
+        return orbit_set([0.1 + 0.2j, -0.3 + 0.1j, 0.25 - 0.35j], enumerate_group(gens, 4))[0]
+
+    def test_anchor_orbit_gramian_and_its_scaled_form(self, anchor_orbit, counted_lanczos_steps, choleskys,
+                                                      full_eigensolves):
+        from interp_lab.gramian import log_separations, pseudo_hyperbolic_matrix
+
+        g = normalized_gramian(anchor_orbit, SZEGO)
+        assert len(g) == 483
+        value = certified_top_eigenvalue(g)
+        assert len(counted_lanczos_steps) <= 16 and choleskys == [483] and full_eigensolves == []
+        assert abs(value - top_eigenvalue(g)) <= 1e-12 * value
+        _, log_delta = log_separations(pseudo_hyperbolic_matrix(anchor_orbit))
+        s = np.exp(np.min(log_delta) - log_delta)
+        sgs = s[:, None] * g * s
+        del counted_lanczos_steps[:]
+        value = certified_top_eigenvalue(sgs)
+        assert len(counted_lanczos_steps) <= 9 and choleskys == [483] and full_eigensolves == []
+        assert abs(value - top_eigenvalue(sgs)) <= 1e-12 * value
+
+    def test_dense_400_point_set_proved_by_kato_temple(self, counted_lanczos_steps, choleskys, full_eigensolves):
+        g = normalized_gramian(random_disk_points(np.random.default_rng(1), 400, 0.9), SZEGO)
+        value = certified_top_eigenvalue(g)
+        assert len(counted_lanczos_steps) <= 6 and choleskys == [] and full_eigensolves == []
+        assert abs(value - top_eigenvalue(g)) <= 1e-12 * value
