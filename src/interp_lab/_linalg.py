@@ -58,7 +58,7 @@ def certified_top_eigenvalue(a) -> float:
     # sum(lambda_i^2) = ||A||_F^2 puts every other eigenvalue in [-b, b]; gamma covers rounding.
     x = vecs[:, -1] @ basis[:k + 1]
     x /= np.linalg.norm(x)
-    ax, frob = a @ x, np.linalg.norm(a)
+    ax, frob = a @ x, np.sqrt(np.vdot(a, a).real)
     rho = np.vdot(x, ax).real
     res, gamma = np.linalg.norm(ax - rho * x), n * np.finfo(float).eps * frob
     b = np.sqrt(max((frob + gamma) ** 2 - (rho - gamma) ** 2, 0.0))

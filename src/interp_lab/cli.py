@@ -273,8 +273,8 @@ def _header(command: str | None) -> dict:
             "command": command}
 
 
-def _error_report(command: str | None, kind: str, message: str) -> dict:
-    return {**_header(command), "error": {"type": kind, "message": message}}
+def _error_report(command: str | None, kind: str, message: str) -> str:
+    return json.dumps({**_header(command), "error": {"type": kind, "message": message}}, indent=2, sort_keys=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,16 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _emit(report: dict, args, code: int) -> int:
-    """Write the report and return ``code``; an unwritable output file makes it an input error, exit 2."""
-    text = json.dumps(report, indent=2, sort_keys=True)
+def _emit(text: str, args, code: int) -> int:
+    """Write a report's text and return ``code``; an unwritable output file makes it an input error, exit 2."""
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            code, text = 2, json.dumps(_error_report(args.command, "input", f"{args.output}: {exc}"),
-                                       indent=2, sort_keys=True)
+            code, text = 2, _error_report(args.command, "input", f"{args.output}: {exc}")
     if not args.quiet:
         try:
             print(text, flush=True)
@@ -331,7 +329,11 @@ def run(argv=None) -> int:
             "warnings": warnings,
             "wall_time_s": time.perf_counter() - start,
         }
-        _check_finite(report["results"])
+        try:
+            out = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError:  # a non-finite number: name its path
+            _check_finite(report["results"])
+            raise
     except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         return _emit(_error_report(args.command, "input", f"{'<stdin>' if source == '-' else source}: {exc}"),
                      args, 2)
@@ -340,7 +342,7 @@ def run(argv=None) -> int:
     except (NumericError, BudgetError) as exc:
         return _emit(_error_report(args.command, "budget" if isinstance(exc, BudgetError) else "numeric",
                                    str(exc)), args, 3)
-    return _emit(report, args, 0)
+    return _emit(out, args, 0)
 
 
 def main() -> None:

@@ -315,11 +315,6 @@ class GammaKernelApprox:
         powers = np.asarray(z)[..., None] ** np.arange(self.degree + 1)
         return powers @ self.basis.T
 
-    def gram(self, z) -> np.ndarray:
-        """Kernel matrix V V^H at validated disk points, V_ir = basis function r at z_i."""
-        v = self.basis_values(z)
-        return v @ v.conj().T
-
     def __call__(self, z, w) -> complex:
         vz = self.basis_values(kernels.as_disk_point(z))
         vw = self.basis_values(kernels.as_disk_point(w))
@@ -399,7 +394,8 @@ def analyze_gamma_sequence(points, generators, degree: int, group_length: int, *
     The group-kernel numbers (Riesz bounds, weak separation) use the
     truncated invariant kernel; the orbit numbers apply the Szego kernel to
     the images of the points under every enumerated group element.  Points with images within pseudo-
-    hyperbolic distance ``ORBIT_COLLISION_TOL`` share an orbit: :class:`ArgumentError` names them and the words.
+    hyperbolic distance ``ORBIT_COLLISION_TOL`` share an orbit, and an image beyond the disk wall
+    ``DISK_BOUNDARY_WALL`` has too long a word: :class:`ArgumentError` names the points and the words.
     """
     pts = kernels.as_points(points, 1)[:, 0]
     gens = tuple(generators)
@@ -407,6 +403,10 @@ def analyze_gamma_sequence(points, generators, degree: int, group_length: int, *
 
     group = enumerate_group(gens, group_length, max_elements)
     orbit_pts, index = orbit_set(pts, group)  # rejects coinciding input points
+    if (out := np.flatnonzero(~(np.abs(orbit_pts) <= 1.0 - kernels.DISK_BOUNDARY_WALL))).size:  # NaN too
+        i, e = divmod(int(index[out[0]]), group.size)
+        raise ArgumentError(f"point {i} under element {e} of the truncated group lands too close to the unit circle "
+                            f"or is not finite: |g(z)| = {abs(orbit_pts[out[0]]):.12g}; use a shorter max_word_length")
     if dropped := len(pts) * group.size - len(orbit_pts):
         warns.append(f"{dropped} orbit images coincided with earlier ones and were dropped (stabilized points)")
 

@@ -63,17 +63,9 @@ class RieszReport:
 
 
 def normalized_gramian(points, kernel) -> np.ndarray:
-    """Normalized Gramian ``K_ij / sqrt(K_ii K_jj)``, exactly Hermitian with unit diagonal, for
-    any kernel that :func:`kernels.kernel_matrix` takes; normalized in place (one real temporary)."""
-    pts = check_distinct(points)
-    k = kernels.kernel_matrix(kernel, pts)
-    d = k.diagonal().real.copy()
-    if not np.all(d > 0.0):
-        raise NumericError(f"kernel diagonal not positive: min {np.min(d)}")
-    scale = np.outer(d, d)
-    k /= np.sqrt(scale, out=scale)
-    np.fill_diagonal(k, 1.0)
-    return k
+    """Normalized Gramian ``K_ij / sqrt(K_ii K_jj)`` of distinct points, exactly Hermitian with unit
+    diagonal, for any kernel that :func:`kernels.kernel_matrix` takes: its ``unit_diagonal`` form."""
+    return kernels.kernel_matrix(kernel, check_distinct(points), unit_diagonal=True)
 
 
 def _check_tolerance(tolerance: float) -> float:
@@ -82,12 +74,13 @@ def _check_tolerance(tolerance: float) -> float:
     return float(tolerance)
 
 
-def riesz_bounds(g, tolerance: float = DEFAULT_RIESZ_TOL, log_delta=None) -> RieszReport:
-    """Extreme eigenvalues of a normalized Gramian.
+def riesz_bounds(g, tolerance: float = DEFAULT_RIESZ_TOL, log_delta=None) -> RieszReport | tuple[RieszReport, ...]:
+    """Extreme eigenvalues of a normalized Gramian, or a tuple of reports for a stack ``(k, n, n)`` of them.
 
     ``carleson_constant`` is the top eigenvalue (the Bessel bound of the
     finite prefix); ``is_riesz`` holds when the bottom eigenvalue clears
-    ``tolerance``, which must be finite and >= 0.  An exactly Hermitian ``g`` is solved uncopied.
+    ``tolerance``, which must be finite and >= 0.  An exactly Hermitian ``g`` is solved uncopied, and a stack
+    by one eigvalsh call, bit for bit as its members one at a time.
 
     ``log_delta``, ``log delta_j = sum_{k != j} log rho(z_j, z_k)``, marks a Szego Gramian of points ``z_j``.  Then
     ``G^-1 = diag(conj(u)) conj(G) diag(u)``, ``u_j = 1/B_j(z_j)``, ``B_j = prod_{k != j} b_{z_k}``: the dual basis is
@@ -98,26 +91,32 @@ def riesz_bounds(g, tolerance: float = DEFAULT_RIESZ_TOL, log_delta=None) -> Rie
     """
     tolerance = _check_tolerance(tolerance)
     g = np.asarray(g, dtype=complex)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+    if g.ndim not in (2, 3) or g.shape[-2] != g.shape[-1]:
         raise ArgumentError(f"expected a square matrix, got shape {g.shape}")
     if not np.isfinite(g).all():
         raise ArgumentError("expected a matrix of finite entries")
-    if np.max(np.abs(np.diagonal(g) - 1.0)) > 1e-8:
+    if np.max(np.abs(np.diagonal(g, axis1=-2, axis2=-1) - 1.0)) > 1e-8:
         raise ArgumentError("expected a normalized Gramian (unit diagonal)")
-    if log_delta is not None and np.shape(log_delta) != (len(g),):
-        raise ArgumentError(f"expected {len(g)} log separations, got shape {np.shape(log_delta)}")
-    hermitian = all((g[j:, j:j + 64] == g[j:j + 64, j:].T.conj()).all() for j in range(0, len(g), 64))
+    n = g.shape[-1]
+    if log_delta is not None and g.ndim == 3:
+        raise ArgumentError("log separations mark one Szego Gramian, not a stack")
+    if log_delta is not None and np.shape(log_delta) != (n,):
+        raise ArgumentError(f"expected {n} log separations, got shape {np.shape(log_delta)}")
+    hermitian = all((g[..., j:, j:j + 64] == np.swapaxes(g[..., j:j + 64, j:], -1, -2).conj()).all()
+                    for j in range(0, n, 64))
     g = g if hermitian else hermitian_part(g)
     closed = log_delta is not None and np.isfinite(log_delta).all()
-    if closed and len(g) > 6 * LANCZOS_STEPS:
+    if closed and n > 6 * LANCZOS_STEPS:
         lam_min, lam_max = None, certified_top_eigenvalue(g)
     else:
         try:
             w = np.linalg.eigvalsh(g)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"eigenvalue computation failed: {exc}") from exc
+        if g.ndim == 3:
+            return tuple(RieszReport(lo, hi, hi, lo > tolerance, tolerance) for lo, hi in w[:, [0, -1]].tolist())
         lam_min, lam_max = float(w[0]), float(w[-1])
-    if closed and (lam_min is None or lam_min <= len(g) * np.finfo(float).eps * np.linalg.norm(w)):  # ||G||_F
+    if closed and (lam_min is None or lam_min <= n * np.finfo(float).eps * np.linalg.norm(w)):  # ||G||_F
         s = np.exp(np.min(log_delta) - np.asarray(log_delta))  # lambda_max(S G S) >= S_jj^2 = 1 at delta_min
         sgs = np.multiply(sgs := g * s[:, None], s, out=sgs)  # one n×n buffer
         lam_min = math.exp(2.0 * np.min(log_delta)) / certified_top_eigenvalue(sgs)

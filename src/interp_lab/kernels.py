@@ -11,9 +11,9 @@ products of one-variable factors.
 
 :func:`as_points` validates every point list as one ``(n, d)`` array,
 :func:`inv_kernel_form` evaluates that series, broadcasting over arrays, and
-:func:`kernel_matrix` builds every kernel matrix from it: for a
+:func:`kernel_matrix` builds every kernel matrix and normalized Gramian from it: for a
 :class:`KernelSpec` or the truncated group kernel (``fuchsian.GammaKernelApprox``,
-or any object with a ``gram(z)`` method) at disk points, and for a
+or any object with a ``basis_values(z)`` method) at disk points, and for a
 :class:`ProductKernelSpec` at polydisc points.  Scalar evaluators are callables.
 """
 
@@ -191,39 +191,49 @@ def pseudo_hyperbolic(z, w) -> float:
     return abs((z - w) / (1.0 - w.conjugate() * z))
 
 
-def _hermitian(a: np.ndarray) -> np.ndarray:
-    """Overwrite the lower triangle with the conjugated upper one, 64 columns at a
-    time, and drop the imaginary part of the diagonal, so ``a`` is exactly Hermitian."""
+def _hermitian(a: np.ndarray, unit_diagonal: bool = False) -> np.ndarray:
+    """Overwrite the lower triangle with the conjugated upper one, 64 columns at a time, and the
+    diagonal with its real part, or with 1 for ``unit_diagonal``, so ``a`` is exactly Hermitian."""
     n = len(a)
     for j in range(0, n, 64):
         np.copyto(a[j:, j:j + 64], a[j:j + 64, j:].T.conj(), where=np.tri(n - j, min(64, n - j), -1, bool))
-    np.fill_diagonal(a, a.diagonal().real)
+    np.fill_diagonal(a, 1.0 if unit_diagonal else a.diagonal().real)
     return a
 
 
-def kernel_matrix(kernel, points) -> np.ndarray:
-    """Dense matrix [kernel(p_i, p_j)], exactly Hermitian.
+def kernel_matrix(kernel, points, unit_diagonal: bool = False) -> np.ndarray:
+    """Dense matrix [kernel(p_i, p_j)], exactly Hermitian, or with ``unit_diagonal`` the normalized
+    Gramian ``K_ij / sqrt(K_ii K_jj)``, whose diagonal is 1.
 
-    A disk kernel is the reciprocal of :func:`inv_kernel_form` on the matrix
-    ``z_i * conj(z_j)``, a product kernel the entrywise product of its
-    factors' matrices, and a kernel with a ``gram`` method gives ``gram(z)``.
+    A disk or product kernel is built from its factors' series, :func:`inv_kernel_form` on ``z_i * conj(z_j)``:
+    ``K`` divides each into 1 in turn, and the normalized Gramian is ``sqrt(R_ii) sqrt(R_jj) / R_ij`` at their
+    product ``R``.  A kernel with a ``basis_values(z)`` method gives ``V V^H`` of its rows ``V``, normalized of
+    its unit rows (a zero row raises :class:`NumericError`).
     """
-    if isinstance(kernel, ProductKernelSpec):
-        factors = kernel.factors
-    elif isinstance(kernel, KernelSpec):
-        factors = (kernel,)
-    elif hasattr(kernel, "gram"):
-        return _hermitian(kernel.gram(as_points(points, 1)[:, 0]))
-    else:
+    if isinstance(kernel, (KernelSpec, ProductKernelSpec)):
+        factors = getattr(kernel, "factors", (kernel,))
+        return _series_matrix(factors, as_points(points, len(factors)), unit_diagonal)
+    if not hasattr(kernel, "basis_values"):
         raise ArgumentError(f"no kernel matrix for a {type(kernel).__name__}")
-    return _series_matrix(factors, as_points(points, len(factors)))
+    v = kernel.basis_values(as_points(points, 1)[:, 0])
+    if unit_diagonal:
+        if not np.all((norms := np.linalg.norm(v, axis=1)) > 0.0):
+            raise NumericError(f"kernel diagonal not positive: min {np.min(norms) ** 2}")
+        v = v / norms[:, None]
+    return _hermitian(v @ v.conj().T, unit_diagonal)
 
 
-def _series_matrix(factors, p: np.ndarray) -> np.ndarray:
-    """:func:`kernel_matrix` of the product of ``factors`` at points checked by :func:`as_points`,
-    in the first factor's buffer: its series, inverted in place, with later factors' divided in."""
+def _series_matrix(factors, p: np.ndarray, unit_diagonal: bool = False) -> np.ndarray:
+    """:func:`kernel_matrix` of the product of ``factors`` at points checked by :func:`as_points`, in the first
+    factor's buffer: ``1/R_1`` with the later series divided in, or for ``unit_diagonal`` their product ``R``."""
     out = None
     for factor, z in zip(factors, p.T):
         s = _inv_series(factor, z[:, None] * np.conj(z[None, :]))
-        out = np.divide(1.0, s, out=s) if out is None else np.divide(out, s, out=out)
-    return _hermitian(out)
+        if out is None:
+            out = s if unit_diagonal else np.divide(1.0, s, out=s)
+        else:
+            (np.multiply if unit_diagonal else np.divide)(out, s, out=out)
+    if unit_diagonal:
+        d = np.sqrt(out.diagonal().real)
+        np.divide(np.multiply.outer(d, d), out, out=out)
+    return _hermitian(out, unit_diagonal)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from interp_lab import SZEGO, normalized_gramian
+from interp_lab import SZEGO, cli, normalized_gramian
 from interp_lab.cli import _COMMANDS, CONFIG_DEFAULTS, run
 from interp_lab.errors import NumericError
 from interp_lab.fuchsian import MobiusMap
@@ -313,6 +313,21 @@ class TestFuchsianCommand:
         assert code == 2
         assert report["error"]["type"] == "validation"
         assert "lie on the same orbit" in report["error"]["message"]
+
+    @pytest.mark.parametrize("length", [3, 4, 5, 6])
+    def test_orbit_image_at_the_wall_names_the_point_and_the_element(self, tmp_path, capsys, length):
+        # Under g = (0, 0.95), element 11 of word length 6 sends point 0 to |g(z)| = 0.999999999365,
+        # inside 1e-9 of the circle; shorter words keep every image inside.
+        payload = {"schema_version": 1, "points": [[0.1, 0.2], [-0.3, 0.1]], "degree": 20,
+                   "group": {"generators": [{"theta": 0, "a": [0.95, 0]}], "max_word_length": length}}
+        code, report = run_cli(capsys, ["analyze-fuchsian", write_payload(tmp_path, payload)])
+        if length < 6:
+            assert code == 0 and report["results"]["orbit_point_count"] == 2 * (2 * length + 1)
+        else:
+            assert code == 2
+            assert report["error"] == {"type": "validation", "message": "point 0 under element 11 of the truncated "
+                                       "group lands too close to the unit circle or is not finite: "
+                                       "|g(z)| = 0.999999999365; use a shorter max_word_length"}
 
     def test_budget_error_exit_3(self, tmp_path, capsys):
         payload = {
@@ -805,6 +820,14 @@ class TestConfigDefaultsFromLibrary:
 
 
 class TestNonFiniteReport:
+    def test_finite_report_is_not_walked(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a finite report was walked")
+
+        monkeypatch.setattr(cli, "_check_finite", refuse)
+        code, report = run_cli(capsys, ["analyze-disk", write_payload(tmp_path, DISK_PAYLOAD)])
+        assert code == 0 and report["results"]["n_points"] == 2
+
     def test_non_finite_result_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setitem(_COMMANDS, "pick", lambda payload, cfg: ({"margins": [0.5, float("nan")]}, []))
         code, report = run_cli(capsys, ["pick", write_payload(tmp_path, {"schema_version": 1})])

@@ -1,6 +1,8 @@
+import itertools
 import math
 import re
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -28,12 +30,10 @@ from conftest import random_disk_points, random_kernel_spec
 TWO_COEFF = KernelSpec((0.6, 0.3))
 
 
-def reference_kernel_matrix(kernel, points):
-    """The kernel matrix as built before the in-place builders: one fresh array per
-    operation and the lower triangle filled through an n×n mask."""
+def reference_series(kernel, points):
+    """Each factor's series ``1 - sum_i c_i (z * conj(w))**i`` on its coordinate's matrix, by Horner's rule."""
     factors = kernel.factors if isinstance(kernel, ProductKernelSpec) else (kernel,)
     p = np.asarray(points, dtype=complex).reshape(len(points), -1)
-    out = 1.0
     for factor, z in zip(factors, p.T):
         s = z[:, None] * np.conj(z[None, :])
         acc = -factor.coeffs[-1] * s
@@ -41,6 +41,14 @@ def reference_kernel_matrix(kernel, points):
             acc -= c
             acc *= s
         acc += 1.0
+        yield acc
+
+
+def reference_kernel_matrix(kernel, points):
+    """The kernel matrix as built before the in-place builders: one fresh array per
+    operation and the lower triangle filled through an n×n mask."""
+    out = 1.0
+    for acc in reference_series(kernel, points):
         out = out / acc
     return reference_hermitian(out)
 
@@ -52,12 +60,66 @@ def reference_hermitian(a):
     return a
 
 
-def reference_normalized_gramian(kernel, points):
+def reciprocal_normalized_gramian(kernel, points):
+    """The normalized Gramian as built before the one-division form: the kernel matrix, divided by
+    the root of the outer product of its diagonal."""
     k = reference_kernel_matrix(kernel, points)
     d = k.diagonal().real.copy()
     k /= np.sqrt(np.outer(d, d))
     np.fill_diagonal(k, 1.0)
     return k
+
+
+def reference_normalized_gramian(kernel, points):
+    """``sqrt(R_ii) sqrt(R_jj) / R_ij``, ``R`` the product of the factors' series: one division per entry."""
+    r = 1.0
+    for acc in reference_series(kernel, points):
+        r = r * acc
+    d = np.sqrt(r.diagonal().real)
+    g = reference_hermitian(np.outer(d, d) / r)
+    np.fill_diagonal(g, 1.0)
+    return g
+
+
+def exact_gramian(kernel, points):
+    """Off-diagonal entries ``(i, j, re, im)`` of ``G = sqrt(R_ii R_jj) / R_ij`` to 40 digits, from exact
+    rational series ``R`` of the points' doubles."""
+    factors = kernel.factors if isinstance(kernel, ProductKernelSpec) else (kernel,)
+    q = [[(Fraction(c.real), Fraction(c.imag)) for c in row]
+         for row in np.asarray(points, dtype=complex).reshape(len(points), -1)]
+
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    def r(i, j):
+        out = (Fraction(1), Fraction(0))
+        for factor, a, b in zip(factors, q[i], q[j]):
+            s, power, acc = mul(a, (b[0], -b[1])), (Fraction(1), Fraction(0)), (Fraction(1), Fraction(0))
+            for c in factor.coeffs:
+                power = mul(power, s)
+                acc = (acc[0] - Fraction(c) * power[0], acc[1] - Fraction(c) * power[1])
+            out = mul(out, acc)
+        return out
+
+    def dec(f):
+        return Decimal(f.numerator) / Decimal(f.denominator)
+
+    entries, n = [], len(points)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        diag = [r(i, i)[0] for i in range(n)]
+        for i, j in itertools.permutations(range(n), 2):
+            re, im = r(i, j)
+            scale = dec(diag[i] * diag[j]).sqrt() / dec(re * re + im * im)
+            entries.append((i, j, scale * dec(re), -scale * dec(im)))
+    return entries
+
+
+def largest_error(g, exact):
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return float(max(((Decimal(g[i, j].real) - re) ** 2 + (Decimal(g[i, j].imag) - im) ** 2).sqrt()
+                         for i, j, re, im in exact))
 
 
 def same_bits(a, b):
@@ -79,6 +141,22 @@ class TestBuiltInPlace:
         g = normalized_gramian(points, kernel)
         assert same_bits(g, reference_normalized_gramian(kernel, points))
         assert same_bits(semimetric_matrix(g), np.sqrt(np.clip(1.0 - np.abs(g) ** 2, 0.0, 1.0)))
+
+    @pytest.mark.parametrize("kernel", [SZEGO, TWO_COEFF, ProductKernelSpec((SZEGO, TWO_COEFF))],
+                             ids=["szego", "two-coeff", "bidisc-mixed"])
+    def test_one_division_is_as_accurate_as_the_reciprocal(self, kernel):
+        # Against exact arithmetic on ten 17-point sets in |z| <= 0.99: the one-division form's largest
+        # error per set is smaller on average, and its largest over the sets within 2^-53 of the
+        # reciprocal form's.  Neither wins on every set: both round one complex division per entry.
+        rng, new, old = np.random.default_rng(7200), [], []
+        for _ in range(10):
+            coords = [random_disk_points(rng, 17, 0.99) for _ in range(getattr(kernel, "dimension", 1))]
+            points = list(zip(*coords)) if isinstance(kernel, ProductKernelSpec) else coords[0]
+            exact = exact_gramian(kernel, points)
+            new.append(largest_error(normalized_gramian(points, kernel), exact))
+            old.append(largest_error(reciprocal_normalized_gramian(kernel, points), exact))
+        assert np.mean(new) <= np.mean(old)
+        assert max(new) <= max(old) + 2.0 ** -53
 
     @pytest.mark.parametrize("n", [1, 2, 17, 130])
     def test_hermitian_fill_bits(self, n):
@@ -253,6 +331,62 @@ class TestRieszBounds:
 
     def test_zero_tolerance_accepted(self):
         assert riesz_bounds(np.eye(2), 0).riesz_tolerance == 0.0
+
+
+class TestStackedRieszBounds:
+    """A stack of same-size Gramians: one report per member, bit for bit its own call's."""
+
+    @staticmethod
+    def bits(report):
+        return report.lambda_min.hex(), report.lambda_max.hex(), report.is_riesz
+
+    @staticmethod
+    def stack(k, n):
+        rng = np.random.default_rng(7500 + n)
+        return np.stack([normalized_gramian(random_disk_points(rng, n, 0.95, 0.5), SZEGO) for _ in range(k)])
+
+    @pytest.mark.parametrize("k, n", [(1, 2), (5, 3), (7, 17), (3, 70)])
+    def test_members_match_their_own_calls(self, k, n):
+        gs = self.stack(k, n)
+        tolerance = float(np.median([riesz_bounds(g).lambda_min for g in gs]))  # both verdicts for k > 1
+        reports = riesz_bounds(gs, tolerance)
+        assert isinstance(reports, tuple) and len(reports) == k
+        assert [self.bits(r) for r in reports] == [self.bits(riesz_bounds(g, tolerance)) for g in gs]
+        assert len({r.is_riesz for r in reports}) == min(k, 2)
+
+    def test_member_not_exactly_hermitian_gets_its_hermitian_part(self):
+        gs = self.stack(4, 70)
+        gs[2, 1, 69] = np.nextafter(gs[2, 1, 69].real, 2.0) + 1j * gs[2, 1, 69].imag
+        gs[3] += 1e-3 * np.random.default_rng(1).standard_normal((70, 70))
+        np.fill_diagonal(gs[3], 1.0)
+        reports = riesz_bounds(gs)
+        assert [self.bits(r) for r in reports] == [self.bits(riesz_bounds(g)) for g in gs]
+        assert self.bits(reports[3]) == self.bits(riesz_bounds(hermitian_part(gs[3])))
+
+    def test_one_eigensolve(self, monkeypatch):
+        given, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: given.append(a.shape) or eigvalsh(a))
+        riesz_bounds(self.stack(6, 9))
+        assert given == [(6, 9, 9)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)], ids=["nan", "inf", "inf-imag"])
+    def test_non_finite_member(self, bad):
+        gs = self.stack(3, 5)
+        gs[1, 0, 3] = bad
+        with pytest.raises(ArgumentError, match="^expected a matrix of finite entries$"):
+            riesz_bounds(gs)
+
+    def test_log_separations_refused_for_a_stack(self):
+        gs = self.stack(2, 5)
+        with pytest.raises(ArgumentError, match="^log separations mark one Szego Gramian, not a stack$"):
+            riesz_bounds(gs, log_delta=np.zeros(5))
+        with pytest.raises(ArgumentError, match="^log separations mark one Szego Gramian, not a stack$"):
+            riesz_bounds(gs, log_delta=np.zeros(2))
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (2, 2, 3, 3)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ArgumentError, match="expected a square matrix"):
+            riesz_bounds(np.ones(shape))
 
 
 def log_separations(points):

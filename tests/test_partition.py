@@ -16,6 +16,7 @@ from interp_lab import (
     verify_partition,
     weak_separation,
 )
+from interp_lab.gramian import semimetric_matrix
 from conftest import random_disk_points
 
 
@@ -145,6 +146,23 @@ class TestStoredClassGramians:
         result = partition_separated([0, 0.01, 0.9], SZEGO, 0.5)
         assert "_blocks" not in repr(result)
         assert result == replace(result, _blocks=None)
+
+
+class TestCloseRule:
+    def test_every_semimetric_value_and_its_neighbours(self):
+        # The close matrix flips exactly at each pair's semimetric value, as semimetric_matrix(g) < epsilon does.
+        g = normalized_gramian(random_disk_points(np.random.default_rng(7400), 30, max_radius=0.99), SZEGO)
+        rho = semimetric_matrix(g)
+        for value in np.unique(rho[rho > 0.0]):
+            for epsilon in (np.nextafter(value, 0.0), value, np.nextafter(value, 1.0)):
+                if 0.0 < epsilon < 1.0:
+                    assert np.array_equal(partition._close(g, float(epsilon)), rho < epsilon)
+
+    @pytest.mark.parametrize("epsilon", [5e-324, 1e-300, 1e-160, 3e-8, 0.5, 1.0 - 2.0 ** -53])
+    def test_extreme_epsilon(self, epsilon):
+        pts = [0, 1e-9, 2e-9j, 0.5, 0.5 + 1e-8, 0.999]
+        g = normalized_gramian(pts, SZEGO)
+        assert np.array_equal(partition._close(g, epsilon), semimetric_matrix(g) < epsilon)
 
 
 class TestVerifyPartitionTolerance:

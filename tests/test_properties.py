@@ -1,6 +1,7 @@
 """Property tests: the array paths against their scalar definitions."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -27,13 +28,14 @@ from interp_lab import (  # noqa: E402
     kernel_matrix,
     normalized_gramian,
     orbit_set,
+    partition,
     partition_separated,
     pseudo_hyperbolic,
     rho_semimetric,
     weak_separation,
 )
 from interp_lab.fuchsian import compose, interior_fixed_point  # noqa: E402
-from interp_lab.gramian import DUPLICATE_TOL, pseudo_hyperbolic_matrix  # noqa: E402
+from interp_lab.gramian import DUPLICATE_TOL, pseudo_hyperbolic_matrix, semimetric_matrix  # noqa: E402
 from interp_lab.pick import (  # noqa: E402
     BISECTION_TOL,
     _condition_a_bracket,
@@ -182,6 +184,39 @@ def test_partition_classes_cover_each_index_once_and_are_separated(points, spec,
         assert list(cls) == [points[i] for i in idx]
         for i, j in itertools.combinations(idx, 2):
             assert rho_semimetric(spec, points[i], points[j]) >= epsilon - 1e-12
+
+
+def first_fit_classes(close):
+    """Greedy first-fit classes of a proximity matrix in input order, one point at a time."""
+    classes = []
+    for i in range(len(close)):
+        for cls in classes:
+            if not close[i, cls].any():
+                cls.append(i)
+                break
+        else:
+            classes.append([i])
+    return tuple(tuple(cls) for cls in classes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(disk_points, min_size=2, max_size=12), kernel_specs(), st.floats(0.05, 0.95),
+       st.one_of(st.none(), st.tuples(st.integers(0, 10 ** 6), st.integers(-2, 2))))
+def test_proximity_rule_is_the_semimetric_test(points, spec, epsilon, at_rho):
+    """The partition's close pairs and classes are those of ``semimetric_matrix(g) < epsilon``, also
+    with epsilon at a pair's semimetric value or one or two doubles away from it."""
+    assume(min(abs(z - w) for z, w in itertools.combinations(points, 2)) > 1e-3)
+    g = normalized_gramian(points, spec)
+    rho = semimetric_matrix(g)
+    if at_rho is not None:
+        pair, steps = at_rho
+        epsilon = float(rho[~np.eye(len(rho), dtype=bool)][pair % (len(rho) ** 2 - len(rho))])
+        for _ in range(abs(steps)):
+            epsilon = math.nextafter(epsilon, math.copysign(2.0, steps))
+        assume(0.0 < epsilon < 1.0)
+    close = rho < epsilon
+    assert np.array_equal(partition._close(g, epsilon), close)
+    assert partition_separated(points, spec, epsilon).class_indices == first_fit_classes(close)
 
 
 BIDISC = ProductKernelSpec((SZEGO, SZEGO))
