@@ -132,10 +132,12 @@ def _cmd_analyze_disk(payload: dict, cfg: dict) -> tuple[dict, list[str]]:
     spec = _kernel_spec(payload["kernel"], "kernel")
     n = len(pts)
     g = gramian.normalized_gramian(pts, spec)
-    delta, log_delta = gramian.log_separations(gramian.pseudo_hyperbolic_matrix(pts))
-    riesz = gramian.riesz_bounds(g, cfg["riesz_tolerance"], log_delta if spec == kernels.SZEGO else None)
+    szego, ph = spec == kernels.SZEGO, gramian.pseudo_hyperbolic_matrix(pts)
+    delta, log_delta = gramian.log_separations(ph)
+    riesz = gramian.riesz_bounds(g, cfg["riesz_tolerance"], log_delta if szego else None)
     results = {"n_points": n, **asdict(riesz)}
-    results["weak_separation"] = gramian.min_semimetric(g) if n >= 2 else None
+    # The Szegő semimetric √(1 − |G_ij|²) is ρ: its smallest off-diagonal entry, without that cancellation.
+    results["weak_separation"] = (float(np.min(ph)) if szego else gramian.min_semimetric(g)) if n >= 2 else None
     results["strong_separation"] = float(np.min(delta))
     sep = gramian.multiplier_separation(pts, spec, alpha=cfg["multiplier_alpha"]) if n >= 2 else None
     results["multiplier_separation"] = sep and {"per_point": sep, "min": min(sep)}

@@ -9,10 +9,10 @@ Dykstra's algorithm alternates two Frobenius projections with correction
 terms: the projection onto the affine slice has a closed form because the
 constraint map acts entrywise, and the PSD projection is an eigenvalue clip.
 It stops at checked blocks or at a checked Farkas dual built from their residual.
-A dual barrier method brackets the smallest ``u`` for which ``u A - C``
-decomposes.  Verdicts (to a caller's ``tol``) and bracket ends (to their own rounding)
-are re-checked from scratch, by residual, eigenvalue margin and dual eigenvalues, so a
-certificate never depends on solver internals.
+A dual barrier method, Newton steps with exact line searches, brackets the smallest
+``u`` for which ``u A - C`` decomposes.  Verdicts (to a caller's ``tol``) and bracket
+ends (to their own rounding) are re-checked from scratch, by residual, eigenvalue margin
+and dual eigenvalues, so a certificate never depends on solver internals.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ DEFAULT_MAX_ITERS = 50000
 # -1.3 eps * max|lambda| by rounding alone; 4 units stay well below infeasible margins.
 EIG_ROUNDING_UNITS = 4.0
 
-# Barrier method: Newton steps per solve, growth of the barrier weight t at a
-# centred point, and the Newton decrement below which a point is centred.
+# Barrier method: Newton steps per solve, the largest growth of the barrier weight t
+# at a centred point, and the Newton decrement below which a point is centred.
 BARRIER_MAX_STEPS = 200
-BARRIER_GROWTH = 10.0
+BARRIER_GROWTH = 100.0
 BARRIER_CENTERED = 0.5
 
 
@@ -242,26 +242,43 @@ def _certified_primal(r, a, c, u: float, blocks):
     return (u, blocks) if _decomposes(r, u * a - c, blocks) else None
 
 
+def _step_length(mu, decrement: float) -> float:
+    """The α maximizing φ(α) = α(δ² − Σμ) + Σ log(1 + αμ_i), the barrier along a step of decrement δ and
+    d·n eigenvalues, the floats ``mu``: Newton steps on φ' from 1/(1 + δ), where φ' ≥ 0, to 0.9/(−min μ)."""
+    low = alpha = 1.0 / (1.0 + decrement)
+    linear, least = decrement * decrement - sum(mu), min(mu, default=0.0)
+    # No boundary and φ' ≥ δ² − Σμ ≥ 0: no maximum (rounding only, or dY = 0), so the damped step.
+    high = max(low, -0.9 / least) if least < 0.0 else (np.inf if linear < 0.0 else low)
+    for _ in range(16):
+        q = [m / (1.0 + alpha * m) for m in mu]
+        curvature = sum([x * x for x in q])
+        last, alpha = alpha, min(max(alpha + (linear + sum(q)) / curvature, low), high) if curvature else alpha
+        if abs(alpha - last) <= 1e-6 * alpha:
+            break
+    return alpha
+
+
 def barrier_solve(r, a, c, bracket: tuple[float, float], gap: float) -> BarrierResult:
     """Bracket ``min u`` such that ``u A - C = sum_l G_l ∘ R_l`` over PSD blocks.
 
     With ``A`` = I or J, Y = I/n is strictly feasible for the dual: max <C,Y>
     subject to <A,Y> = 1 and S_l = conj(R_l)∘Y >= 0, a lower bound on u as
-    <G∘R, Y> = <G, conj(R)∘Y>.  Damped Newton steps maximize
-    t<C,Y> + sum_l log det S_l; a step dY with multiplier nu gives blocks
-    G_l = (W_l - W_l (conj(R_l)∘dY) W_l) / t, W_l = S_l^-1, that solve
-    sum_l G_l ∘ R_l = (nu/t) A - C and are PSD for a Newton decrement below 1.
-    Each centred point checks the dual end by the eigenvalues of the S_l, the
-    primal end once nu/t is within ``gap`` of the dual end, and grows t, until
-    the ends are ``gap`` apart; an exit before that checks the primal ends of
-    the centred points it skipped.  ``bracket`` holds known ends: its lower one
-    joins the dual bound, its width sets t.
+    <G∘R, Y> = <G, conj(R)∘Y>.  Newton steps maximize t<C,Y> + sum_l log det S_l, each by an exact
+    line search on the eigenvalues of L_l^-1 (conj(R_l)∘dY) L_l^-H, S_l = L_l L_l^H, or damped to
+    1/(1+δ) where that eigensolve or the new Cholesky fails.  A step dY with multiplier nu gives blocks
+    G_l = (W_l - W_l (conj(R_l)∘dY) W_l) / t, W_l = S_l^-1, that solve sum_l G_l ∘ R_l = (nu/t) A - C
+    and are PSD for a Newton decrement below 1.  Each centred point checks the dual end by the
+    eigenvalues of the S_l, the primal end once nu/t is within ``gap`` of the dual end, and grows t,
+    until the ends are ``gap`` apart; an exit before that checks the primal ends of the centred points
+    it skipped.  ``bracket`` holds known ends: its lower one joins the dual bound.  A centre's gap is
+    d n / t, so t grows from d n / (its width) by the fewest equal factors up to BARRIER_GROWTH that
+    reach 2 d n / ``gap``, and by that factor beyond.
     """
     d, n, _ = r.shape
-    rc = np.conj(r)
-    vec_a = np.reshape(a, -1)
+    rc, vec_a, vec_c = np.conj(r), np.reshape(a, -1), np.reshape(c, -1)
     outer = np.einsum("lij,lkm->lijkm", r, rc)  # vec R_l vec R_l^H
-    y, t = np.eye(n, dtype=complex) / n, d * n / max(bracket[1] - bracket[0], gap)
+    y, t, factor = np.eye(n, dtype=complex) / n, d * n / max(bracket[1] - bracket[0], gap), None
+    growth = (ratio := 2.0 * d * n / gap / t) ** (1.0 / np.ceil(np.log(ratio) / np.log(BARRIER_GROWTH)))
     result = BarrierResult(bracket[0], np.inf, y, None, 0)
     skipped = []  # (nu/t, blocks) of centred points whose primal end was not checked
 
@@ -269,28 +286,29 @@ def barrier_solve(r, a, c, bracket: tuple[float, float], gap: float) -> BarrierR
         primal = _certified_primal(r, a, c, u, blocks)
         if primal is not None and primal[0] < result.upper:
             result.upper, result.blocks = primal
-    # Bordered Newton system [[H, a], [a^H, 0]] in Jacobi scaling, by LU:
-    # eliminating nu through H^-1 cancels badly at large t.
-    kkt = np.zeros((n * n + 1,) * 2, dtype=complex)
+    # Bordered Newton system [[H, a], [a^H, 0]] in Jacobi scaling, by LU: eliminating nu through H^-1
+    # cancels badly at large t.  H does not depend on t, so C is a right-hand side for the step after growth.
+    kkt, rhs = np.zeros((n * n + 1,) * 2, dtype=complex), np.zeros((n * n + 1, 2), dtype=complex)
     for step in range(1, BARRIER_MAX_STEPS + 1):
-        result.steps, s = step, rc * y
+        result.steps = step
         try:  # W_l = L^-H L^-1 stays PSD however S_l is conditioned
-            w = np.linalg.inv(np.linalg.cholesky(s))
-            w = np.conj(np.swapaxes(w, 1, 2)) @ w
+            linv = np.linalg.inv(np.linalg.cholesky(rc * y) if factor is None else factor)
+            w = (linv_h := linv.conj().swapaxes(1, 2)) @ linv
             # dY -> sum_l R_l ∘ (W_l (conj(R_l)∘dY) W_l), as (W X W)_ij = sum_km W_ik X_km W_mj.
             hess = np.einsum("lijkm,lik,lmj->ijkm", outer, w, w).reshape(n * n, -1)
-            grad = t * c + np.sum(w * r, axis=0)
-            scale = 1.0 / np.sqrt(np.real(np.diagonal(hess)))
+            grad = t * c + (w * r).sum(axis=0)
+            scale = hess.diagonal().real ** -0.5
             kkt[:-1, :-1] = scale[:, None] * hess * scale
             kkt[:-1, -1] = kkt[-1, :-1] = scale * vec_a
-            sol = np.linalg.solve(kkt, np.append(scale * grad.reshape(-1), 0.0))
+            rhs[:-1, 0], rhs[:-1, 1] = scale * grad.reshape(-1), scale * vec_c
+            sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
             break
-        dy, nu = hermitian_part((scale * sol[:-1]).reshape(n, n)), float(np.real(sol[-1]))
-        decrement = float(np.sqrt(max(np.real(np.vdot(dy, grad)), 0.0)))
+        (dy, dy_c), nu = hermitian_part((scale[:, None] * sol[:-1]).T.reshape(2, n, n)), float(sol[-1, 0].real)
+        decrement = max(float(np.vdot(dy, grad).real), 0.0) ** 0.5
         if decrement < BARRIER_CENTERED:
             dual = float(np.real(np.vdot(c, y)) / np.real(np.vdot(a, y)))
-            if dual > result.lower and np.min(eigvalsh_hermitian(s)) >= 0.0:
+            if dual > result.lower and np.min(eigvalsh_hermitian(rc * y)) >= 0.0:
                 result.lower, result.dual = dual, y
             centred = nu / t, hermitian_part(w - w @ (rc * dy) @ w) / t
             if centred[0] - result.lower <= gap:  # only here can the bracket close
@@ -299,8 +317,14 @@ def barrier_solve(r, a, c, bracket: tuple[float, float], gap: float) -> BarrierR
                 skipped.append(centred)
             if result.upper - result.lower <= gap:
                 break
-            t *= BARRIER_GROWTH
-        y = y + dy / (1.0 + decrement)
+            dy, grad, t = dy + (growth - 1.0) * t * dy_c, grad + (growth - 1.0) * t * c, growth * t
+            decrement = max(float(np.vdot(dy, grad).real), 0.0) ** 0.5
+        try:  # the new point's Cholesky factors serve the next step
+            alpha = _step_length(np.linalg.eigvalsh(linv @ (rc * dy) @ linv_h).ravel().tolist(), decrement)
+            factor = np.linalg.cholesky(rc * (y_next := y + alpha * dy))
+        except np.linalg.LinAlgError:
+            factor, y_next = None, y + dy / (1.0 + decrement)
+        y = y_next
     if result.upper - result.lower > gap:
         for centred in skipped:
             certify(*centred)

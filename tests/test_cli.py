@@ -59,6 +59,23 @@ class TestAnalyzeDisk:
         assert report["results"]["weak_separation"] is None
         assert report["results"]["strong_separation"] == 1.0
 
+    def test_szego_weak_separation_of_a_close_pair_is_exact(self, tmp_path, capsys):
+        # √(1 − |G_ij|²) cancels here (it read 2.107e-8); ρ over exact rationals of the doubles.
+        from fractions import Fraction
+
+        points = [[0.3, 0.2], [0.30000001, 0.2], [-0.5, 0.1]]
+        payload = {"schema_version": 1, "points": points, "kernel": {"coeffs": [1]}}
+        code, report = run_cli(capsys, ["analyze-disk", write_payload(tmp_path, payload)])
+        exact = [[Fraction(x) for x in p] for p in points]
+
+        def rho2(a, b):
+            re, im = 1 - a[0] * b[0] - a[1] * b[1], a[0] * b[1] - a[1] * b[0]
+            return ((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2) / (re * re + im * im)
+
+        rho = np.sqrt(float(min(rho2(a, b) for i, a in enumerate(exact) for b in exact[:i])))
+        assert code == 0
+        assert report["results"]["weak_separation"] == pytest.approx(rho, rel=1e-13, abs=0.0)
+
     def test_determinism(self, tmp_path, capsys):
         path = write_payload(tmp_path, DISK_PAYLOAD)
         code1, rep1 = run_cli(capsys, ["analyze-disk", path])

@@ -169,6 +169,17 @@ class TestConditionConstants:
             assert n <= bounds.lambda_min + 1e-7
 
 
+def split_cluster_set(seed):
+    """(points, spec, values): 7 points of the (0.6, 0.3) bidisc kernel within 0.9 of the origin,
+    whose first two points nearly coincide in coordinate 1 and next two in coordinate 2."""
+    rng = np.random.default_rng(seed)
+    z = 0.9 * np.sqrt(rng.uniform(size=(7, 2))) * np.exp(2j * np.pi * rng.uniform(size=(7, 2)))
+    z[1, 0] = z[0, 0] + 10 ** rng.uniform(-4.5, -3.5) * np.exp(2j * np.pi * rng.uniform())
+    z[3, 1] = z[2, 1] + 10 ** rng.uniform(-4.5, -3.5) * np.exp(2j * np.pi * rng.uniform())
+    w = 0.9 * np.sqrt(rng.uniform(size=7)) * np.exp(2j * np.pi * rng.uniform(size=7))
+    return [tuple(p) for p in z], ProductKernelSpec((TWO_COEFF, TWO_COEFF)), w
+
+
 class TestPickConstantForValues:
     def test_single_point_constant_function(self):
         assert pick_constant_for_values([(0.4,)], SZEGO, [0.3 + 0.4j]) == pytest.approx(0.5, abs=1e-6)
@@ -198,12 +209,7 @@ class TestPickConstantForValues:
     def test_near_singular_slices_do_not_refuse_a_small_constant(self):
         # Two coordinate clusters split across the slices: the slices' closed-form
         # ends are 11664 and 4073, the product's dual end is 2.26 and C is 2.61.
-        rng = np.random.default_rng(0)
-        z = 0.9 * np.sqrt(rng.uniform(size=(7, 2))) * np.exp(2j * np.pi * rng.uniform(size=(7, 2)))
-        z[1, 0] = z[0, 0] + 10 ** rng.uniform(-4.5, -3.5) * np.exp(2j * np.pi * rng.uniform())
-        z[3, 1] = z[2, 1] + 10 ** rng.uniform(-4.5, -3.5) * np.exp(2j * np.pi * rng.uniform())
-        w = 0.9 * np.sqrt(rng.uniform(size=7)) * np.exp(2j * np.pi * rng.uniform(size=7))
-        c = pick_constant_for_values([tuple(p) for p in z], ProductKernelSpec((TWO_COEFF, TWO_COEFF)), w)
+        c = pick_constant_for_values(*split_cluster_set(0))
         assert 2.607380 <= c <= 2.607381
 
     def test_no_finite_single_slice_end_raises_before_any_solve(self, monkeypatch):
@@ -235,7 +241,7 @@ class TestVectorValuedFeasible:
         assert not vector_valued_feasible([0, 0.5], SZEGO, 0.2)
 
     def test_anchor_decided_outside_the_bracket(self):
-        # N's checked bracket on the anchor is [0.0735724, 0.0735796].
+        # N's checked bracket on the anchor is [0.0735737, 0.0735789].
         assert vector_valued_feasible(ANCHOR, BIDISC, 0.07)
         assert vector_valued_feasible(ANCHOR, BIDISC, 0.0735)
         assert not vector_valued_feasible(ANCHOR, BIDISC, 0.074)
@@ -626,6 +632,73 @@ class TestBarrierSchedule:
         assert_checked_primal_end(r, a, b, res)
         # The exit checked every centred point skipped on the way, not only the last.
         assert len(passed) >= 2
+
+    @pytest.mark.parametrize("n, cap", [(3, 13), (10, 32), (16, 32)])
+    def test_newton_steps_per_solve(self, n, cap, monkeypatch):
+        # Exact line searches and a t schedule planned from the bracket.
+        calls = spy_on_solves(monkeypatch)
+        pts = ANCHOR if n == 3 else szego_bidisc_sets()[n]
+        condition_a_constant(pts, BIDISC)
+        condition_b_constant(pts, BIDISC)
+        assert len(calls) == 2
+        for (*_, gap), res in calls:
+            assert res.steps <= cap and res.upper - res.lower <= gap
+
+    @pytest.mark.parametrize("failure", ["eigensolve", "cholesky"])
+    def test_damped_steps_close_the_anchor(self, failure, monkeypatch):
+        # Every line search fails: its eigensolve raises, or its step lies twice past the
+        # boundary, where the Cholesky of the new point fails.  The solve takes the damped steps.
+        from interp_lab import sdp
+
+        failed = []
+
+        def fail(mu, decrement):
+            if failure == "eigensolve":
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            failed.append(min(mu) < 0.0)
+            return -2.0 / min(mu) if failed[-1] else 1.0 / (1.0 + decrement)
+
+        monkeypatch.setattr(sdp, "_step_length", fail)
+        calls = spy_on_solves(monkeypatch)
+        m = condition_a_constant(ANCHOR, BIDISC)
+        nv = condition_b_constant(ANCHOR, BIDISC)
+        assert len(calls) == 2 and (failure == "eigensolve" or sum(failed) >= len(failed) / 2)
+        for (r, a, b, _, gap), res in calls:
+            assert_checked_primal_end(r, a, b, res)
+            assert checked_dual(r, a, b, res.dual) == pytest.approx(res.lower, rel=1e-12)
+            assert res.upper - res.lower <= gap
+        assert abs(m - 2.519285694) <= 1e-5 and abs(nv - 0.073572415) <= 1e-5
+
+
+def sweep_sets():
+    """(points, spec, values): 40 sets from default_rng(11), 3 to 6 points with d = 2 or 3 factors,
+    each Szegő or (0.6, 0.3), coordinates 0.97·√U·e^{2πiV}; then split-cluster seeds 0 and 146."""
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n, d = int(rng.integers(3, 7)), int(rng.integers(2, 4))
+        spec = ProductKernelSpec(tuple(SZEGO if rng.random() < 0.5 else TWO_COEFF for _ in range(d)))
+        z = 0.97 * np.sqrt(rng.uniform(size=(n, d))) * np.exp(2j * np.pi * rng.uniform(size=(n, d)))
+        w = 0.9 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+        yield [tuple(p) for p in z], spec, w
+    for seed in (0, 146):
+        yield split_cluster_set(seed)
+
+
+def test_sweep_brackets_close_with_checked_ends(monkeypatch):
+    from interp_lab.pick import BISECTION_TOL, _condition_a_bracket, _condition_b_bracket, _interpolation_bracket
+
+    calls = spy_on_solves(monkeypatch)
+    for pts, spec, w in sweep_sets():
+        brackets = (_condition_a_bracket(pts, spec, BISECTION_TOL), _condition_b_bracket(pts, spec, BISECTION_TOL),
+                    _interpolation_bracket(pts, spec, w, 1e-6))
+        for (lower, upper), gap in zip(brackets, (BISECTION_TOL, BISECTION_TOL, 1e-6)):
+            assert lower <= upper <= lower + gap
+    # Every constant of every set runs one solve, whose ends are re-checked from scratch.
+    assert len(calls) == 3 * 42
+    for (r, a, b, _, gap), res in calls:
+        assert_checked_primal_end(r, a, b, res)
+        assert checked_dual(r, a, b, res.dual) == pytest.approx(res.lower, rel=1e-12)
+        assert res.upper - res.lower <= gap
 
 
 def pick_target(values, bound):

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,47 @@ class TestPrimalLift:
         assert u < lifted_u <= u + 2 * deficit
         residual, margin = check_certificate(lifted, AffineConstraint(r, lifted_u * eye - ones))
         assert residual <= 1e-12 and margin >= -1e-12
+
+
+def barrier_along(mu, decrement, alpha):
+    """φ(α) − φ(0) = α(δ² − Σμ) + Σ log(1 + αμ_i): the barrier along a Newton step."""
+    return alpha * (decrement ** 2 - mu.sum()) + np.log1p(np.multiply.outer(alpha, mu)).sum(axis=-1)
+
+
+class TestStepLength:
+    # The μ_i of a Newton step have Σμ_i² = δ², so |μ_i| ≤ δ.  Nonnegative μ_i below 1 give
+    # δ² < Σμ_i, the slope at infinity, so the barrier has a maximum with no boundary.
+    @pytest.mark.parametrize("sign", ["mixed", "nonnegative"])
+    def test_matches_a_grid_maximization(self, sign):
+        from interp_lab.sdp import _step_length
+
+        rng = np.random.default_rng(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(100):
+                size = int(rng.integers(1, 40))
+                if sign == "mixed":
+                    mu = rng.normal(size=size) * 10 ** rng.uniform(-3, 1.5)
+                    mu[0] = -abs(mu[0])
+                else:
+                    mu = rng.uniform(size=size) * 10 ** rng.uniform(-3, 0)
+                decrement = float(np.sqrt(np.sum(mu * mu)))
+                alpha, low = _step_length(mu.tolist(), decrement), 1.0 / (1.0 + decrement)
+                # From the damped step to 0.9 of the boundary or, with none, past twice the step:
+                # concavity puts any point better than the step on this grid.
+                high = max(low, -0.9 / mu.min()) if mu.min() < 0.0 else 2.0 * alpha + 1.0
+                assert low <= alpha <= high
+                best = barrier_along(mu, decrement, np.linspace(low, high, 10001)).max()
+                assert barrier_along(mu, decrement, alpha) >= best - 1e-10 * (1.0 + abs(best))
+
+    def test_no_maximum_gives_the_damped_step(self):
+        from interp_lab.sdp import _step_length
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _step_length([0.0] * 6, 0.0) == 1.0  # dY = 0
+            assert _step_length([2.0], 2.0) == 1.0 / 3.0  # increasing without bound
+            assert _step_length([1e-170, -1e-170], 0.0) == 1.0  # a curvature that underflows
 
 
 def bidisc_constraint(points, target):
