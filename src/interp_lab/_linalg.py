@@ -23,11 +23,17 @@ def eigh_hermitian(a):
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
 
 
-def eigvalsh_hermitian(a) -> np.ndarray:
+def eigvalsh_lower(a) -> np.ndarray:
+    """Eigenvalues of the Hermitian matrix that ``a``'s lower triangle defines, so of ``a`` itself
+    when it is exactly Hermitian, with no symmetrizing pass; wraps solver failures."""
     try:
-        return np.linalg.eigvalsh(hermitian_part(a))
+        return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue computation failed: {exc}") from exc
+
+
+def eigvalsh_hermitian(a) -> np.ndarray:
+    return eigvalsh_lower(hermitian_part(a))
 
 
 def certified_top_eigenvalue(a) -> float:

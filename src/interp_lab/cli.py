@@ -174,12 +174,14 @@ def _cmd_pick(payload: dict, cfg: dict) -> tuple[dict, list[str]]:
         feasible, margin = pick.pick_psd_test(problem, spec.factors[0])
         results.update({"method": "pick-psd", "feasible": feasible, "margin": margin})
     else:
-        dec = pick.agler_feasible(pts, spec, bound * bound - np.outer(values, np.conj(values)),
+        dec = pick.agler_feasible(problem._array, spec, bound * bound - np.outer(values, np.conj(values)),
                                   tol=cfg["sdp_tol"], max_iters=cfg["sdp_max_iters"])
         results.update({
             "method": "agler-sdp",
             "feasible": dec.feasible,
             "affine_residual": dec.affine_residual,
+            "relative_residual": dec.relative_residual,
+            "tolerance": dec.tolerance,
             "psd_margin": dec.psd_margin,
             "iterations": dec.iterations,
         })

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from ._linalg import eigvalsh_hermitian, frobenius, hermitian_part
+from ._linalg import eigvalsh_hermitian, eigvalsh_lower, frobenius, hermitian_part
 from .errors import ArgumentError, BudgetError, DomainError, NumericError
 from .gramian import PSD_TOL_PER_POINT, check_distinct
 from .sdp import (
@@ -130,9 +130,9 @@ def inverse_kernel_stack(points, spec: kernels.ProductKernelSpec) -> np.ndarray:
 
 
 def _distinct_slices(r: np.ndarray) -> list[int]:
-    """Slices equal to no earlier one: blocks on equal slices merge, G∘R + G'∘R = (G+G')∘R."""
-    return [l for l in range(len(r))
-            if not any(np.allclose(r[l], r[m], rtol=0.0, atol=1e-14) for m in range(l))]
+    """Slices equal to no earlier one, by max|R_l − R_m| <= 1e-14 (np.allclose's rule at rtol 0):
+    blocks on equal slices merge, G∘R + G'∘R = (G+G')∘R."""
+    return [l for l in range(len(r)) if not any(np.abs(r[l] - r[m]).max() <= 1e-14 for m in range(l))]
 
 
 def agler_feasible(points, specs, target, tol: float = DEFAULT_TOL,
@@ -140,13 +140,13 @@ def agler_feasible(points, specs, target, tol: float = DEFAULT_TOL,
     """Find PSD blocks G_1..G_d with sum_l G_l ∘ R_l = target, or a certificate
     that none exist; ``feasible`` is None when neither was found within ``max_iters``.
 
-    Two exact shortcuts precede Dykstra: with one distinct slice the problem
-    collapses to a single block (sums and splits of PSD matrices are PSD),
-    and otherwise a single-block candidate T ⊘ R_l that is already PSD is a
-    complete certificate.  ``tol`` is absolute, so a target with Frobenius
-    norm below 1 is solved at unit norm, and a larger one is accepted to
-    ``EIG_ROUNDING_UNITS`` units of its rounding, ``eps * ‖T‖_F``, where that
-    exceeds ``tol``; blocks, residual and margin come back in the caller's units.
+    First all single-block candidates T ⊘ R_l, in one stacked eigensolve: one that passes is a
+    certificate, and with one distinct slice the problem collapses to that block (sums and splits
+    of PSD matrices are PSD), so its candidate decides.  Else Dykstra, with a Farkas test at sweeps
+    1, 2, 4, ....  ``tol`` is absolute, so a target with Frobenius norm below 1 is solved at unit
+    norm, and a larger one is accepted to ``EIG_ROUNDING_UNITS`` units of its rounding, ``eps ‖T‖_F``,
+    where that exceeds ``tol``; blocks, residual, margin and that ``tolerance`` come back in the
+    caller's units, with ``relative_residual``, the residual over ‖T‖_F (0 for T = 0).
     """
     _check_parameters(max_iters, tol=tol)
     spec = as_product_spec(specs)
@@ -160,26 +160,26 @@ def agler_feasible(points, specs, target, tol: float = DEFAULT_TOL,
     r = inverse_kernel_stack(pts, spec)
     scale = min(1.0, frobenius(target)) or 1.0
     constraint = AffineConstraint(r, target / scale)
-    tol = max(tol, EIG_ROUNDING_UNITS * np.finfo(float).eps * frobenius(constraint.target))
-    identical = len(_distinct_slices(r)) == 1
-    for l in range(1 if identical else constraint.num_blocks):
-        blocks = constraint.zero_blocks()
-        blocks[l] = hermitian_part(constraint.target / constraint.r_matrices[l])
-        residual, margin = check_certificate(blocks, constraint)
-        if residual <= tol and margin >= -tol:
-            result = SdpResult(True, blocks, residual, margin, 1)
-            break
+    tol = max(tol, EIG_ROUNDING_UNITS * np.finfo(float).eps * (norm := frobenius(constraint.target)))
+    # Candidate l: T ⊘ R_l, exactly Hermitian as T and R_l are, beside d − 1 zero blocks.
+    slices = constraint.r_matrices[:1 if len(_distinct_slices(r)) == 1 else None]
+    candidates = constraint.target / slices
+    residuals = np.linalg.norm(constraint.target - candidates * slices, axis=(1, 2))
+    margins = np.minimum(eigvalsh_lower(candidates)[:, 0], 0.0 if constraint.num_blocks > 1 else np.inf)
+    blocks, passed = constraint.zero_blocks(), np.flatnonzero((residuals <= tol) & (margins >= -tol))
+    if len(passed):
+        blocks[passed[0]] = candidates[passed[0]]
+        result = SdpResult(True, blocks, float(residuals[passed[0]]), float(margins[passed[0]]), 1)
+    elif len(slices) == 1:
+        # The only solution up to PSD splits failed, which decides the problem;
+        # its PSD projection is reported as the best iterate.
+        blocks[0] = project_psd(candidates[0])
+        result = SdpResult(False, blocks, *check_certificate(blocks, constraint), 1)
     else:
-        if identical:
-            # The single-block candidate is the only solution up to PSD
-            # splits, so its failure decides the problem; report its PSD
-            # projection as the best iterate.
-            blocks[0] = project_psd(blocks[0])
-            result = SdpResult(False, blocks, *check_certificate(blocks, constraint), 1)
-        else:
-            result = dykstra_solve(constraint, tol=tol, max_iters=max_iters)
-    result.blocks, result.affine_residual, result.psd_margin = (
-        scale * result.blocks, scale * result.affine_residual, scale * result.psd_margin)
+        result = dykstra_solve(constraint, tol=tol, max_iters=max_iters)
+    result.relative_residual = result.affine_residual / norm if norm else 0.0
+    result.blocks, result.affine_residual, result.psd_margin, result.tolerance = (
+        scale * result.blocks, scale * result.affine_residual, scale * result.psd_margin, scale * tol)
     return result
 
 

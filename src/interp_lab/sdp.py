@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import eigh_hermitian, eigvalsh_hermitian, frobenius, hermitian_part
+from ._linalg import eigh_hermitian, eigvalsh_hermitian, eigvalsh_lower, frobenius, hermitian_part
 from .errors import ArgumentError
 
 # Early exit of a run that is left undecided: neither blocks nor a Farkas dual
@@ -129,11 +129,11 @@ def check_certificate(blocks, constraint: AffineConstraint) -> tuple[float, floa
 class SdpResult:
     """Outcome of a feasibility solve.
 
-    ``feasible`` is True for blocks that pass ``check_certificate``; False
-    for infeasible data, with the Farkas ``dual`` re-checked from scratch
-    (pick's single-slice shortcut decides exactly without one); None when the
-    stall rule or the iteration budget ended the run undecided.  ``blocks``
-    is the best iterate reached.
+    ``feasible`` is True for blocks that pass ``check_certificate``; False for infeasible data, with
+    the Farkas ``dual`` re-checked from scratch (pick's single-slice shortcut decides exactly without
+    one); None when the stall rule or the iteration budget ended the run undecided.  ``blocks`` is
+    the best iterate reached; :func:`pick.agler_feasible` sets ``relative_residual``, the residual
+    over ‖T‖_F, and ``tolerance``, the allowance of both checks.
     """
 
     feasible: bool | None
@@ -142,20 +142,22 @@ class SdpResult:
     psd_margin: float
     iterations: int
     dual: np.ndarray | None = None
+    relative_residual: float | None = None
+    tolerance: float | None = None
 
 
-def _farkas_dual(blocks, constraint: AffineConstraint, tol: float) -> np.ndarray | None:
-    """Y = -(T - sum_l G_l ∘ R_l) ⊘ sum_l |R_l|^2, lifted by s I until every
-    conj(R_l)∘Y is PSD, if it passes Re<T,Y> < -tol (|Y|_F + sum_l tr(conj(R_l)∘Y));
-    None otherwise.  As <T,Y> = <T - sum G∘R, Y> + sum_l <G_l, conj(R_l)∘Y>,
-    no blocks with residual <= tol and margin >= -tol then exist."""
-    y = (constraint.apply(blocks) - constraint.target) / constraint.denom
+def _farkas_dual(residual, constraint: AffineConstraint, tol: float) -> np.ndarray | None:
+    """Y = -``residual`` ⊘ sum_l |R_l|^2, ``residual`` = T - sum_l G_l ∘ R_l, lifted by s I until every
+    conj(R_l)∘Y is PSD, if it passes Re<T,Y> < -tol (|Y|_F + sum_l tr(conj(R_l)∘Y)); else None.  As
+    <T,Y> = <T - sum G∘R, Y> + sum_l <G_l, conj(R_l)∘Y>, no blocks with residual <= tol and margin
+    >= -tol then exist.  Y and each conj(R_l)∘Y are exactly Hermitian, as the blocks' residual is."""
+    y = -residual / constraint.denom
     lift = np.real(np.diagonal(constraint.r_matrices, axis1=1, axis2=2)).min(axis=1)
-    deficit = -eigvalsh_hermitian(constraint.adjoint(y))[:, 0]
-    y += np.eye(constraint.size) * np.max((np.maximum(deficit, 0.0) + 1e-12 * frobenius(y)) / lift)
+    deficit = -eigvalsh_lower(constraint.adjoint(y))[:, 0]
+    y.flat[::constraint.size + 1] += np.max((np.maximum(deficit, 0.0) + 1e-12 * frobenius(y)) / lift)
     s = constraint.adjoint(y)
     bound = -tol * (frobenius(y) + float(np.real(np.trace(s, axis1=1, axis2=2).sum())))
-    return y if eigvalsh_hermitian(s).min() >= 0.0 and np.vdot(constraint.target, y).real < bound else None
+    return y if np.vdot(constraint.target, y).real < bound and eigvalsh_lower(s).min() >= 0.0 else None
 
 
 def _check_parameters(max_iters=1, **tolerances: float) -> None:
@@ -171,12 +173,12 @@ def dykstra_solve(constraint: AffineConstraint, tol: float = DEFAULT_TOL,
                   max_iters: int = DEFAULT_MAX_ITERS) -> SdpResult:
     """Dykstra's alternating projections between the affine slice and the PSD cone.
 
-    Blocks start at zero (deterministic, reproducible runs).  The iterate
-    reported after each sweep is the PSD-projected one, so its residual
-    measures infeasibility; success requires the from-scratch certificate
-    ``affine_residual <= tol`` and ``psd_margin >= -tol``.  When the sets do not
-    meet, the residual tends to their displacement: ``_farkas_dual`` at sweeps 1, 2, 4, 8, ...
-    Bad ``tol`` or ``max_iters``: :class:`ArgumentError`, as in :func:`pick.agler_feasible`.
+    Blocks start at zero (deterministic, reproducible runs).  The iterate reported after each sweep
+    is the PSD-projected one, so its residual measures infeasibility; success requires the
+    from-scratch certificate ``affine_residual <= tol`` and ``psd_margin >= -tol``.  When the sets
+    do not meet, the residual tends to their displacement: ``_farkas_dual`` at sweeps 1, 2, 4, 8, ...
+    Each sweep's residual matrix serves that test and both decided exits, which add only the margin's
+    eigensolve.  Bad ``tol`` or ``max_iters``: :class:`ArgumentError`, as in :func:`pick.agler_feasible`.
     """
     _check_parameters(max_iters, tol=tol)
     x, p, q = (constraint.zero_blocks() for _ in range(3))
@@ -187,15 +189,13 @@ def dykstra_solve(constraint: AffineConstraint, tol: float = DEFAULT_TOL,
         p = x + p - y
         x = project_psd(y + q)
         q = y + q - x
-        res = frobenius(constraint.target - constraint.apply(x))
+        res = frobenius(residual := constraint.target - constraint.apply(x))
         if res < best_res:
             best_res, best_blocks = res, x.copy()
-        if res <= tol:
-            res2, margin = check_certificate(x, constraint)
-            if res2 <= tol and margin >= -tol:
-                return SdpResult(True, x, res2, margin, k)
-        if k & (k - 1) == 0 and (dual := _farkas_dual(x, constraint, tol)) is not None:
-            return SdpResult(False, x, *check_certificate(x, constraint), k, dual)
+        if res <= tol and (margin := float(np.min(eigvalsh_lower(x)))) >= -tol:
+            return SdpResult(True, x, res, margin, k)
+        if k & (k - 1) == 0 and (dual := _farkas_dual(residual, constraint, tol)) is not None:
+            return SdpResult(False, x, res, float(np.min(eigvalsh_lower(x))), k, dual)
         if k % STALL_WINDOW == 0:
             improvement = window_best - best_res
             if (improvement < STALL_IMPROVEMENT

@@ -172,7 +172,8 @@ class TestPickCommand:
     @pytest.mark.parametrize("bound", [1e8, 1e20])
     def test_bidisc_large_bound_is_feasible(self, tmp_path, capsys, bound):
         # The single-block candidate's residual is a few eps * ||T||_F, far above the
-        # absolute sdp_tol at these bounds, and within the target's rounding.
+        # absolute sdp_tol at these bounds, and within the target's rounding, which the
+        # report gives as its tolerance.
         payload = {
             "schema_version": 1,
             "points": [[[0, 0], [0, 0]], [[0.5, 0], [0.3, 0.2]], [[-0.4, 0.1], [0.2, -0.5]]],
@@ -182,8 +183,11 @@ class TestPickCommand:
         }
         code, report = run_cli(capsys, ["pick", write_payload(tmp_path, payload)])
         assert code == 0
-        assert report["results"]["feasible"] is True
-        assert report["results"]["iterations"] == 1
+        results = report["results"]
+        assert results["feasible"] is True
+        assert results["iterations"] == 1
+        assert results["affine_residual"] <= results["tolerance"]
+        assert results["relative_residual"] <= 4 * np.finfo(float).eps
 
 
 def scaled_pick_payload(dim, bound, far_point=False):
@@ -644,7 +648,7 @@ RESULT_KEYS = {
                          "orbit_strong_separation", "orbit_weak_separation"],
     "pick": ["bound", "dimension", "feasible", "margin", "method", "n_points"],
     "pick-d2": ["affine_residual", "bound", "dimension", "feasible", "iterations", "method", "n_points",
-                "psd_margin"],
+                "psd_margin", "relative_residual", "tolerance"],
     "partition": ["all_riesz", "carleson_constant", "class_count", "classes", "epsilon", "n_points",
                   "per_class_lambda_min", "riesz_tolerance"],
 }

@@ -5,6 +5,7 @@ import pytest
 
 from interp_lab import (
     SZEGO,
+    AffineConstraint,
     ArgumentError,
     BudgetError,
     DomainError,
@@ -12,6 +13,7 @@ from interp_lab import (
     PickProblem,
     ProductKernelSpec,
     agler_feasible,
+    check_certificate,
     condition_a_constant,
     condition_b_constant,
     normalized_gramian,
@@ -318,8 +320,10 @@ class TestSmallScaleData:
         reference = agler_feasible(ANCHOR, BIDISC, target)
         dec = agler_feasible(ANCHOR, BIDISC, scale * target)
         assert not reference.feasible and not dec.feasible
-        # residual and margin are reported in the caller's units
+        # residual, margin and the allowance are reported in the caller's units
         assert dec.affine_residual == pytest.approx(scale * reference.affine_residual, rel=1e-6)
+        assert dec.tolerance == pytest.approx(1e-7 * min(1.0, np.linalg.norm(scale * target)), rel=1e-12)
+        assert dec.relative_residual == pytest.approx(reference.relative_residual, rel=1e-6)
         assert dec.blocks.shape == (2, 3, 3)
 
     @pytest.mark.parametrize("scale", SMALL_SCALES)
@@ -735,6 +739,90 @@ class TestFixedTargetVerdicts:
                 assert dec.feasible is None or dec.feasible is (factor > 1)
                 if dec.feasible is False:
                     assert_checked_farkas(bidisc_r(pts), target, dec.dual)
+
+
+def verdict_corpus():
+    """(points, spec, R stack, target, expected verdict) on seeded polydisc data as the benchmark builds
+    it: d = 2 and 3, Szegő or [0.6, 0.3] factors, n = 3-6, bounds at 0.5x the product kernel's necessary
+    bound (infeasible) and at 1.05x the best one-factor sufficient bound (feasible), and at 1.05x the
+    largest one, where every single-block candidate passes."""
+    rng = np.random.default_rng(28)
+    for d in (2, 3):
+        for coeffs in ((1.0,), (0.6, 0.3)):
+            for n in range(3, 7):
+                z = np.array([random_disk_points(rng, n, max_radius=0.8, min_separation=0.2) for _ in range(d)])
+                w = np.array(random_disk_points(rng, n, max_radius=0.9))
+                s = z[:, :, None] * np.conj(z[:, None, :])
+                r = 1.0 - sum(c * s ** (i + 1) for i, c in enumerate(coeffs))
+                pts, spec = list(z.T), ProductKernelSpec((KernelSpec(coeffs),) * d)
+                gramians = [normalized_gramian(list(zl), KernelSpec(coeffs)) for zl in z]
+                sufficient = [sqrt_mu(g, w) for g in gramians]
+                for bound, expected in ((0.5 * sqrt_mu(normalized_gramian(pts, spec), w), False),
+                                        (1.05 * min(sufficient), True), (1.05 * max(sufficient), True)):
+                    yield pts, spec, r, pick_target(w, bound), expected
+
+
+class TestVerdictPath:
+    def test_every_verdict_rechecked_from_scratch(self):
+        for pts, spec, r, target, expected in verdict_corpus():
+            dec = agler_feasible(pts, spec, target)
+            assert dec.feasible is expected
+            residual, margin = check_certificate(dec.blocks, AffineConstraint(r, target))
+            allowance = 4 * np.finfo(float).eps * np.linalg.norm(target)
+            assert abs(dec.affine_residual - residual) <= allowance
+            assert abs(dec.psd_margin - margin) <= allowance
+            assert dec.relative_residual == pytest.approx(dec.affine_residual / np.linalg.norm(target), rel=1e-12)
+            if expected:
+                assert dec.iterations == 1 and residual <= dec.tolerance and margin >= -dec.tolerance
+                # The first candidate that passes, as one check_certificate call per candidate finds it.
+                checks = [check_certificate(np.where(np.arange(len(r))[:, None, None] == l, target / r, 0.0),
+                                            AffineConstraint(r, target)) for l in range(len(r))]
+                first = next(l for l, (res, mar) in enumerate(checks) if res <= dec.tolerance and mar >= -dec.tolerance)
+                assert np.flatnonzero(np.abs(dec.blocks).sum(axis=(1, 2))).tolist() == [first]
+            else:
+                assert_checked_farkas(r, target, dec.dual, tol=dec.tolerance)
+
+    def test_eigensolves_per_verdict(self, monkeypatch):
+        # One stacked eigensolve tests every single-block candidate; an infeasible
+        # verdict at sweep 1 adds project_psd's, the Farkas test's two and the margin's.
+        calls = []
+
+        def counted(solver):
+            def call(a, *args, **kwargs):
+                calls.append(a.shape)
+                return solver(a, *args, **kwargs)
+            return call
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+        swept = set()
+        for pts, spec, r, target, expected in verdict_corpus():
+            calls.clear()
+            dec = agler_feasible(pts, spec, target)
+            if expected:
+                assert calls == [r.shape]
+            elif dec.iterations == 1:
+                assert calls[0] == r.shape and len(calls) <= 5
+                swept.add(len(r))
+        assert swept == {2, 3}
+
+
+@pytest.mark.parametrize("direction", [1.0, 1j, (1 - 1j) / np.sqrt(2)])
+def test_distinct_slices_agree_with_allclose_at_the_boundary(direction):
+    from interp_lab.pick import _distinct_slices
+
+    # Entry (1, 2) moves from 0, so an offset of exactly 1e-14 meets the rule's boundary.
+    base = bidisc_r(ANCHOR)[1]
+    base[1, 2] = 0.0
+    outcomes = set()
+    for offset in [*np.linspace(0.5e-14, 2e-14, 31), 1e-14]:
+        moved = base.copy()
+        moved[1, 2] += offset * direction
+        stack = np.stack([base, moved, base + offset * direction, moved])
+        expected = [l for l in range(len(stack))
+                    if not any(np.allclose(stack[l], stack[m], rtol=0.0, atol=1e-14) for m in range(l))]
+        assert _distinct_slices(stack) == expected, offset
+        outcomes.add(len(expected))
+    assert {1, 3} <= outcomes
 
 
 class TestConstantFirstSlice:

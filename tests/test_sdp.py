@@ -248,12 +248,12 @@ class TestFarkasStop:
 
     @pytest.mark.parametrize("eps,certified", [(1e-8, False), (1e-6, True)])
     def test_no_dual_for_data_feasible_within_tol(self, eps, certified):
-        # T = -eps: the zero block has residual eps, so for eps <= tol no dual
+        # T = -eps: the zero block has residual T, of norm eps, so for eps <= tol no dual
         # may rule it out, although Y = eps has <T,Y> = -eps^2 < 0.
         from interp_lab.sdp import _farkas_dual
 
         c = AffineConstraint(np.ones((1, 1, 1)), np.array([[-eps]]))
-        assert (_farkas_dual(c.zero_blocks(), c, 1e-7) is not None) is certified
+        assert (_farkas_dual(c.target - c.apply(c.zero_blocks()), c, 1e-7) is not None) is certified
 
     # J - N*I just below N ≈ 0.0735724 on the anchor: feasible, yet Dykstra
     # does not reach tol; neither exit may read as infeasible.
