@@ -16,18 +16,15 @@ from .kernels import (
     eval_kernel,
     inv_kernel_form,
     kernel_matrix,
-    product_kernel,
     pseudo_hyperbolic,
     rho_semimetric,
 )
 from .gramian import (
     RieszReport,
     min_semimetric,
-    multiplier_distance,
     multiplier_separation,
     normalized_gramian,
     riesz_bounds,
-    strong_separation_disk,
     weak_separation,
 )
 from .sdp import (
@@ -57,7 +54,6 @@ from .fuchsian import (
     enumerate_group,
     gamma_kernel,
     invariance_residual,
-    mobius_apply,
     orbit_set,
 )
 from .partition import PartitionResult, partition_separated, verify_partition
@@ -74,16 +70,13 @@ __all__ = [
     "eval_kernel",
     "inv_kernel_form",
     "kernel_matrix",
-    "product_kernel",
     "pseudo_hyperbolic",
     "rho_semimetric",
     "RieszReport",
     "min_semimetric",
-    "multiplier_distance",
     "multiplier_separation",
     "normalized_gramian",
     "riesz_bounds",
-    "strong_separation_disk",
     "weak_separation",
     "AffineConstraint",
     "SdpResult",
@@ -107,7 +100,6 @@ __all__ = [
     "enumerate_group",
     "gamma_kernel",
     "invariance_residual",
-    "mobius_apply",
     "orbit_set",
     "PartitionResult",
     "partition_separated",

@@ -68,21 +68,17 @@ class MobiusMap:
             raise DomainError(f"automorphism parameter must satisfy |a| < 1, got |a| = {abs(a):.17g}")
 
     def __call__(self, z) -> complex:
-        return mobius_apply(self, z)
+        """Evaluate the automorphism at a point of the open disk."""
+        z = complex(z)
+        if not abs(z) < 1.0:
+            raise DomainError(f"automorphisms act on the open disk, got |z| = {abs(z):.12g}")
+        return complex(_images(np.array([self.theta]), np.array([self.a]), [z])[0, 0])
 
     def inverse(self) -> "MobiusMap":
         return MobiusMap(-self.theta, -self.a * cmath.exp(1j * self.theta))
 
 
 IDENTITY = MobiusMap(0.0, 0j)
-
-
-def mobius_apply(m: MobiusMap, z) -> complex:
-    """Evaluate the automorphism at a point of the open disk."""
-    z = complex(z)
-    if not abs(z) < 1.0:
-        raise DomainError(f"automorphisms act on the open disk, got |z| = {abs(z):.12g}")
-    return complex(_images(*_stack([m], "m"), [z])[0, 0])
 
 
 def _stack(maps, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -104,12 +100,6 @@ def _normal_forms(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(theta, a) of SU(1,1) matrices: theta = angle(h/conj(h)) and a = -b/h."""
     h, b = mats[..., 0, 0], mats[..., 0, 1]
     return np.angle(h / h.conj()), -b / h
-
-
-def compose(g: MobiusMap, h: MobiusMap) -> MobiusMap:
-    """Normal form of the composition g ∘ h, the product of their SU(1,1) matrices."""
-    theta, a = _normal_forms(_matrices(*_stack([g], "g")) @ _matrices(*_stack([h], "h")))
-    return MobiusMap(theta[0], a[0])
 
 
 def _images(theta: np.ndarray, a: np.ndarray, z) -> np.ndarray:
@@ -189,11 +179,6 @@ class GroupWordList:
     @property
     def size(self) -> int:
         return len(self.theta)
-
-    @property
-    def elements(self) -> tuple[MobiusMap, ...]:
-        """The words as maps, built on request."""
-        return tuple(map(MobiusMap, self.theta.tolist(), self.a.tolist()))
 
 
 def enumerate_group(generators, max_word_length: int,

@@ -93,6 +93,8 @@ def riesz_bounds(g, tolerance: float = DEFAULT_RIESZ_TOL, log_delta=None) -> Rie
     g = np.asarray(g, dtype=complex)
     if g.ndim not in (2, 3) or g.shape[-2] != g.shape[-1]:
         raise ArgumentError(f"expected a square matrix, got shape {g.shape}")
+    if not g.size:
+        raise ArgumentError(f"expected a nonempty matrix, got shape {g.shape}")
     if not np.isfinite(g).all():
         raise ArgumentError("expected a matrix of finite entries")
     if np.max(np.abs(np.diagonal(g, axis1=-2, axis2=-1) - 1.0)) > 1e-8:
@@ -172,12 +174,6 @@ def log_separations(ph) -> tuple[np.ndarray, np.ndarray]:
     return delta, logs
 
 
-def strong_separation_disk(points) -> float:
-    """min over j of prod_{k != j} of the pseudo-hyperbolic distances, 1 for a single point (Szego-kernel
-    quantity, of plain disk points that :func:`check_distinct` passes)."""
-    return float(np.min(np.prod(pseudo_hyperbolic_matrix(check_distinct(points)), axis=1)))
-
-
 def multiplier_separation(points, spec: kernels.KernelSpec, alpha: float = 1.0) -> list[float]:
     """Multiplier distance of each point from all the others, from one factorization.
 
@@ -202,17 +198,3 @@ def multiplier_separation(points, spec: kernels.KernelSpec, alpha: float = 1.0) 
         return [0.0] * n
     inv_diag = np.sum(np.abs(np.linalg.inv(factor)) ** 2, axis=0)
     return [min(1.0, 1.0 / math.sqrt(kd * c)) for kd, c in zip(k.diagonal().real, inv_diag)]
-
-
-def multiplier_distance(x, s_points, spec: kernels.KernelSpec, alpha: float = 1.0) -> float:
-    """Largest value at ``x`` of a unit multiplier vanishing on ``s_points``: the
-    entry of ``x`` in :func:`multiplier_separation`, 0 when ``x`` lies in
-    ``s_points`` and 1 when ``s_points`` is empty."""
-    if not 0.0 < alpha < math.inf:
-        raise ArgumentError(f"alpha must be finite and > 0, got {alpha}")
-    z = kernels.as_points([*s_points, x], 1)[:, 0]
-    if np.any(np.abs(z[:-1] - z[-1]) <= DUPLICATE_TOL):
-        return 0.0
-    if len(z) == 1:
-        return 1.0
-    return multiplier_separation(z, spec, alpha)[-1]

@@ -110,7 +110,7 @@ SZEGO = KernelSpec((1.0,))
 
 @dataclass(frozen=True)
 class ProductKernelSpec:
-    """Polydisc kernel: entrywise product of one-variable factors. Callable."""
+    """Polydisc kernel: entrywise product of one-variable factors."""
 
     factors: tuple[KernelSpec, ...]
 
@@ -126,9 +126,6 @@ class ProductKernelSpec:
     @property
     def dimension(self) -> int:
         return len(self.factors)
-
-    def __call__(self, Z, W) -> complex:
-        return product_kernel(self, Z, W)
 
 
 def inv_kernel_form(spec: KernelSpec, z, w):
@@ -159,14 +156,6 @@ def _inv_series(spec: KernelSpec, s):
 def eval_kernel(spec: KernelSpec, z, w) -> complex:
     """Kernel value k(z, w), the reciprocal of :func:`inv_kernel_form`."""
     return 1.0 / inv_kernel_form(spec, z, w)
-
-
-def product_kernel(spec: ProductKernelSpec, Z, W) -> complex:
-    """Product of factor evaluations at two polydisc points of matching dimension."""
-    out = 1.0 + 0.0j
-    for factor, zc, wc in zip(spec.factors, *as_points([Z, W], spec.dimension)):
-        out *= eval_kernel(factor, zc, wc)
-    return out
 
 
 def rho_semimetric(kernel, x, y) -> float:

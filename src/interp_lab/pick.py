@@ -146,7 +146,9 @@ def agler_feasible(points, specs, target, tol: float = DEFAULT_TOL,
     1, 2, 4, ....  ``tol`` is absolute, so a target with Frobenius norm below 1 is solved at unit
     norm, and a larger one is accepted to ``EIG_ROUNDING_UNITS`` units of its rounding, ``eps ‖T‖_F``,
     where that exceeds ``tol``; blocks, residual, margin and that ``tolerance`` come back in the
-    caller's units, with ``relative_residual``, the residual over ‖T‖_F (0 for T = 0).
+    caller's units, with ``relative_residual``, the residual over ‖T‖_F (0 for T = 0).  Every
+    sum_l G_l ∘ R_l is Hermitian, so a target with ‖T − Tᴴ‖_F/2 above that ``tolerance`` raises
+    :class:`ArgumentError` naming its most skew entry.
     """
     _check_parameters(max_iters, tol=tol)
     spec = as_product_spec(specs)
@@ -161,6 +163,11 @@ def agler_feasible(points, specs, target, tol: float = DEFAULT_TOL,
     scale = min(1.0, frobenius(target)) or 1.0
     constraint = AffineConstraint(r, target / scale)
     tol = max(tol, EIG_ROUNDING_UNITS * np.finfo(float).eps * (norm := frobenius(constraint.target)))
+    if frobenius(skew := target - target.conj().T) / 2 > scale * tol:
+        i, j = np.unravel_index(np.argmax(np.abs(skew)), skew.shape)
+        raise ArgumentError(f"target must be Hermitian: target[{i}, {j}] - conj(target[{j}, {i}]) = "
+                            f"{skew[i, j]:.6g}, and ‖T − Tᴴ‖_F/2 = {frobenius(skew) / 2:.3g} exceeds the "
+                            f"tolerance {scale * tol:.3g}")
     # Candidate l: T ⊘ R_l, exactly Hermitian as T and R_l are, beside d − 1 zero blocks.
     slices = constraint.r_matrices[:1 if len(_distinct_slices(r)) == 1 else None]
     candidates = constraint.target / slices

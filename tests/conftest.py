@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from interp_lab import KernelSpec
+from interp_lab import KernelSpec, MobiusMap
+from interp_lab.fuchsian import _matrices, _normal_forms
 
 
 def random_disk_point(rng, max_radius=0.9):
@@ -36,6 +37,13 @@ def random_kernel_spec(rng, max_terms=4):
     total = rng.uniform(0.3, 1.0)
     coeffs = raw / raw.sum() * total
     return KernelSpec(tuple(coeffs))
+
+
+def compose(g, h):
+    """Normal form of the composition g ∘ h: the product of their SU(1,1) matrices, as
+    ``enumerate_group`` multiplies a step onto a word."""
+    mats = _matrices(np.array([g.theta, h.theta]), np.array([g.a, h.a]))
+    return MobiusMap(*_normal_forms(mats[0] @ mats[1]))
 
 
 def assert_checked_farkas(r_matrices, target, dual, tol=1e-7):

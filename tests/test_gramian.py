@@ -14,12 +14,10 @@ from interp_lab import (
     KernelSpec,
     ProductKernelSpec,
     kernel_matrix,
-    multiplier_distance,
     multiplier_separation,
     normalized_gramian,
     pseudo_hyperbolic,
     riesz_bounds,
-    strong_separation_disk,
     weak_separation,
 )
 from interp_lab import gramian
@@ -28,6 +26,11 @@ from interp_lab.gramian import PSD_TOL_PER_POINT, check_distinct, pseudo_hyperbo
 from conftest import random_disk_points, random_kernel_spec
 
 TWO_COEFF = KernelSpec((0.6, 0.3))
+
+
+def strong_separation(points):
+    """analyze-disk's ``strong_separation``: the least row product of the pseudo-hyperbolic matrix."""
+    return float(gramian.log_separations(pseudo_hyperbolic_matrix(check_distinct(points)))[0].min())
 
 
 def reference_series(kernel, points):
@@ -170,7 +173,7 @@ class TestBuiltInPlace:
 @pytest.mark.parametrize("call, before, after", [
     pytest.param(lambda z, g: normalized_gramian(z, SZEGO), 2.06, 1.59, id="normalized-gramian"),
     pytest.param(lambda z, g: semimetric_matrix(g), 1.00, 0.50, id="semimetric-matrix"),
-    pytest.param(lambda z, g: strong_separation_disk(z), 3.00, 1.09, id="strong-separation"),
+    pytest.param(lambda z, g: strong_separation(z), 3.00, 1.09, id="strong-separation"),
     pytest.param(lambda z, g: riesz_bounds(g), 1.18, 0.41, id="riesz-bounds"),
 ])
 def test_scratch_peak(call, before, after):
@@ -510,10 +513,10 @@ class TestWeakSeparation:
 
 class TestStrongSeparation:
     def test_single_point_empty_product(self):
-        assert strong_separation_disk([0.7]) == 1.0
+        assert strong_separation([0.7]) == 1.0
 
     def test_pair(self):
-        assert strong_separation_disk([0, 0.5]) == pytest.approx(0.5, abs=1e-12)
+        assert strong_separation([0, 0.5]) == pytest.approx(0.5, abs=1e-12)
 
     def test_three_points_brute_force(self):
         pts = [0, 0.5, -0.5]
@@ -522,7 +525,7 @@ class TestStrongSeparation:
             for j in range(3)
         ]
         assert min(prods) == pytest.approx(0.25, abs=1e-12)
-        assert strong_separation_disk(pts) == pytest.approx(0.25, abs=1e-12)
+        assert strong_separation(pts) == pytest.approx(0.25, abs=1e-12)
 
     def test_matches_exact_rational_arithmetic(self):
         # The squared product sum over exact rationals: |z - w|^2 / |1 - z conj(w)|^2.
@@ -536,19 +539,19 @@ class TestStrongSeparation:
             return d2 / (re * re + im * im)
 
         squared = min(math.prod(rho2(a, b) for b in exact if b is not a) for a in exact)
-        assert strong_separation_disk(pts) == pytest.approx(math.sqrt(squared), rel=1e-13, abs=0.0)
+        assert strong_separation(pts) == pytest.approx(math.sqrt(squared), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("gap", [0.0, 1e-13, 0.9e-12])
     def test_names_the_first_coinciding_pair(self, gap):
         pts = [0.1, 0.5j, -0.3, 0.5j + gap, -0.3, 0.2]
         with pytest.raises(ArgumentError, match=r"^points 1 and 3 coincide within 1e-12$"):
-            strong_separation_disk(pts)
+            strong_separation(pts)
 
     def test_monotone_under_refinement(self, rng):
         for _ in range(10):
             pts = random_disk_points(rng, 5, min_separation=0.05)
             for k in range(2, 5):
-                assert strong_separation_disk(pts[: k + 1]) <= strong_separation_disk(pts[:k]) + 1e-12
+                assert strong_separation(pts[: k + 1]) <= strong_separation(pts[:k]) + 1e-12
                 assert weak_separation(pts[: k + 1], SZEGO) <= weak_separation(pts[:k], SZEGO) + 1e-12
 
 
@@ -578,33 +581,28 @@ class TestPickGramEquivalence:
 
 
 class TestMultiplierDistance:
-    def test_empty_set(self):
-        assert multiplier_distance(0.5, [], SZEGO) == 1.0
-
-    def test_membership_gives_zero(self):
-        assert multiplier_distance(0.5, [0.5], SZEGO) == 0.0
+    """Entry i of multiplier_separation: the largest value at z_i of a unit multiplier vanishing at the rest."""
 
     def test_schwarz_pick_oracle(self):
-        assert multiplier_distance(0.5, [0], SZEGO) == pytest.approx(0.5, abs=1e-6)
+        assert multiplier_separation([0, 0.5], SZEGO)[1] == pytest.approx(0.5, abs=1e-6)
 
     def test_blaschke_product_oracle(self, rng):
         for _ in range(10):
             pts = random_disk_points(rng, 4, min_separation=0.1)
-            x, s = pts[0], pts[1:]
-            expected = np.prod([pseudo_hyperbolic(x, p) for p in s])
-            assert multiplier_distance(x, s, SZEGO) == pytest.approx(expected, abs=1e-6)
+            expected = [np.prod([pseudo_hyperbolic(x, p) for p in pts if p is not x]) for x in pts]
+            assert multiplier_separation(pts, SZEGO) == pytest.approx(expected, abs=1e-6)
 
     def test_monotone_in_set(self, rng):
         pts = random_disk_points(rng, 4, min_separation=0.1)
         x, s = pts[0], pts[1:]
-        vals = [multiplier_distance(x, s[:k], SZEGO) for k in range(len(s) + 1)]
+        vals = [multiplier_separation([*s[:k], x], SZEGO)[-1] for k in range(1, len(s) + 1)]
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-9
 
     def test_alpha_scales_feasibility(self):
         # alpha > 1 loosens the Pick condition, so the distance cannot shrink
-        base = multiplier_distance(0.5, [0], SZEGO, alpha=1.0)
-        loose = multiplier_distance(0.5, [0], SZEGO, alpha=2.0)
+        base = multiplier_separation([0, 0.5], SZEGO, alpha=1.0)[1]
+        loose = multiplier_separation([0, 0.5], SZEGO, alpha=2.0)[1]
         assert loose >= base - 1e-9
 
 
@@ -617,8 +615,7 @@ class TestMultiplierDistanceIllConditioned:
         assert np.linalg.cond(normalized_gramian(pts, SZEGO)) > 1e10
         tau = PSD_TOL_PER_POINT * n
         for alpha in (1.0, 0.7):
-            for i, x in enumerate(pts):
-                delta = multiplier_distance(x, pts[:i] + pts[i + 1:], SZEGO, alpha=alpha)
+            for i, (x, delta) in enumerate(zip(pts, multiplier_separation(pts, SZEGO, alpha=alpha))):
                 k = kernel_matrix(SZEGO, [x, *pts[:i], *pts[i + 1:]])
 
                 def margin(d):
@@ -648,8 +645,6 @@ class TestMultiplierSeparation:
                 factor = np.linalg.cholesky(alpha ** 2 * k + tau * np.eye(n))
                 expected = min(1.0, abs(factor[-1, -1]) / np.sqrt(k[-1, -1].real))
                 assert deltas[i] == pytest.approx(expected, abs=1e-8)
-                assert multiplier_distance(x, pts[:i] + pts[i + 1:], SZEGO, alpha=alpha) == \
-                    pytest.approx(expected, abs=1e-8)
 
     def test_rejects_coinciding_points(self):
         with pytest.raises(ArgumentError):
@@ -678,10 +673,12 @@ class TestMultiplierSeparationWithoutFactor:
                  "alpha must be finite and > 0, got nan", id="separation-alpha-nan"),
     pytest.param(lambda: multiplier_separation([0, 0.5, -0.3j], SZEGO, alpha=np.inf),
                  "alpha must be finite and > 0, got inf", id="separation-alpha-inf"),
-    pytest.param(lambda: multiplier_distance(0.1, [0.5], SZEGO, alpha=-1.0), "alpha must be finite and > 0, got -1.0",
-                 id="distance-alpha"),
-    pytest.param(lambda: multiplier_distance(0.1, [0.5], SZEGO, alpha=np.nan), "alpha must be finite and > 0, got nan",
-                 id="distance-alpha-nan"),
+    pytest.param(lambda: multiplier_separation([0.5, 0.1], SZEGO, alpha=-1.0), "alpha must be finite and > 0, got -1.0",
+                 id="separation-alpha-negative"),
+    pytest.param(lambda: riesz_bounds(np.zeros((0, 0))), "expected a nonempty matrix, got shape (0, 0)",
+                 id="riesz-empty"),
+    pytest.param(lambda: riesz_bounds(np.zeros((0, 3, 3))), "expected a nonempty matrix, got shape (0, 3, 3)",
+                 id="riesz-empty-stack"),
 ])
 def test_rejects_invalid_arguments(call, message):
     with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -15,7 +16,6 @@ from interp_lab import (
     gamma_kernel,
     inv_kernel_form,
     kernel_matrix,
-    product_kernel,
     pseudo_hyperbolic,
     rho_semimetric,
 )
@@ -94,22 +94,26 @@ class TestKernelSpecValidation:
 
 
 class TestProductKernel:
+    """Entries of kernel_matrix(spec, [Z, W]) for a product spec."""
+
     def test_bidisc_szego(self):
         spec = ProductKernelSpec((SZEGO, SZEGO))
-        assert product_kernel(spec, (0.5, 0.5), (0.5, 0.5)) == pytest.approx(16 / 9, rel=1e-12)
+        k = kernel_matrix(spec, [(0.5, 0.5), (0, 0.5j)])
+        assert k[0, 0] == pytest.approx(16 / 9, rel=1e-12)
+        assert k[0, 1] == pytest.approx(1 / (1 + 0.25j), rel=1e-12)  # 1 / (1 - 0.5 conj(0.5i))
 
     def test_at_origin(self):
         spec = ProductKernelSpec((SZEGO, SZEGO))
-        assert product_kernel(spec, (0, 0), (0, 0)) == 1
+        assert kernel_matrix(spec, [(0, 0), (0, 0)])[0, 1] == 1
 
     def test_trivial_factors(self):
         spec = ProductKernelSpec((SZEGO, SZEGO, SZEGO))
-        assert product_kernel(spec, (0.5, 0, 0), (0.5, 0, 0)) == pytest.approx(4 / 3, rel=1e-12)
+        assert kernel_matrix(spec, [(0.5, 0, 0), (0.5, 0, 0)])[0, 1] == pytest.approx(4 / 3, rel=1e-12)
 
     def test_dimension_mismatch(self):
         spec = ProductKernelSpec((SZEGO, SZEGO))
         with pytest.raises(ArgumentError):
-            product_kernel(spec, (0.5,), (0.5, 0.5))
+            kernel_matrix(spec, [(0.5,), (0.5, 0.5)])
 
 
 class TestRhoSemimetric:
@@ -178,7 +182,9 @@ class TestKernelMatrixMatchesScalar:
         else:
             pts = [random_disk_point(rng) for _ in range(n)]
         k = kernel_matrix(kernel, pts)
-        ref = np.array([[complex(kernel(p, q)) for q in pts] for p in pts])
+        factors = getattr(kernel, "factors", None)  # a product kernel: the product of its factors' values
+        ref = np.array([[complex(math.prod(f(a, b) for f, a, b in zip(factors, p, q)) if factors else kernel(p, q))
+                         for q in pts] for p in pts])
         assert np.all(np.abs(k - ref) <= 1e-13 * np.abs(ref))
         assert np.array_equal(k, k.conj().T)
 

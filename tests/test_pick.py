@@ -122,6 +122,11 @@ class TestAglerFeasible:
         with pytest.raises(ArgumentError):
             agler_feasible([(0,), (0.5,)], SZEGO, np.zeros((3, 3)))
 
+    def test_skew_within_the_tolerance_is_decided_as_the_hermitian_part(self):
+        # ‖T − Tᴴ‖_F/2 = 7.1e-9, below the 1e-7 tolerance; beyond it SKEW_TARGET raises.
+        dec = agler_feasible(ANCHOR, BIDISC, 3 * np.eye(3) - 1 + 1e-8 * (np.arange(9).reshape(3, 3) == 1))
+        assert dec.feasible and dec.tolerance == 1e-7
+
     def test_exact_path_agrees_with_dykstra(self):
         # diagonal bidisc instances resolve through the identical-slices
         # shortcut; the generic solver must reach the same verdicts
@@ -855,6 +860,8 @@ class TestConstantFirstSlice:
 
 # ANCHOR's values 0.3, -0.2i, 0.4 at bound 0.78: the target 0.78²J − W of their Agler test.
 ANCHOR_TARGET = 0.78 ** 2 - np.outer([0.3, -0.2j, 0.4], np.conj([0.3, -0.2j, 0.4]))
+# 3I − J with 0.5 added at [0, 1] alone: no sum of G_l ∘ R_l, each Hermitian, equals it.
+SKEW_TARGET = 3 * np.eye(3) - 1 + 0.5 * (np.arange(9).reshape(3, 3) == 1)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -881,6 +888,9 @@ ANCHOR_TARGET = 0.78 ** 2 - np.outer([0.3, -0.2j, 0.4], np.conj([0.3, -0.2j, 0.4
                  "target[0, 2] must be finite, got (nan+0j)", id="agler-target-nan"),
     pytest.param(lambda: agler_feasible(ANCHOR, BIDISC, np.full((3, 3), np.inf)),
                  "target[0, 0] must be finite, got (inf+0j)", id="agler-target-inf"),
+    pytest.param(lambda: agler_feasible(ANCHOR, BIDISC, SKEW_TARGET),
+                 "target must be Hermitian: target[0, 1] - conj(target[1, 0]) = 0.5+0j, and ‖T − Tᴴ‖_F/2 = 0.354 "
+                 "exceeds the tolerance 1e-07", id="agler-target-not-hermitian"),
     pytest.param(lambda: agler_feasible(ANCHOR, BIDISC, ANCHOR_TARGET, tol=np.nan),
                  "tol must be finite and > 0, got nan", id="agler-tol-nan"),
     pytest.param(lambda: agler_feasible(ANCHOR, BIDISC, ANCHOR_TARGET, tol=0.0),

@@ -34,7 +34,7 @@ from interp_lab import (  # noqa: E402
     rho_semimetric,
     weak_separation,
 )
-from interp_lab.fuchsian import compose, interior_fixed_point  # noqa: E402
+from interp_lab.fuchsian import interior_fixed_point  # noqa: E402
 from interp_lab.gramian import DUPLICATE_TOL, pseudo_hyperbolic_matrix, semimetric_matrix  # noqa: E402
 from interp_lab.pick import (  # noqa: E402
     BISECTION_TOL,
@@ -48,6 +48,7 @@ from interp_lab.pick import (  # noqa: E402
     inverse_kernel_stack,
     pick_constant_for_values,
 )
+from conftest import compose  # noqa: E402
 
 disk_points = st.builds(lambda r, phi: complex(r * np.cos(phi), r * np.sin(phi)),
                         st.floats(0.0, 0.85), st.floats(0.0, 2 * np.pi))
@@ -114,7 +115,7 @@ def test_orbit_keeps_points_apart_and_covers_every_image(inputs):
     gaps = np.abs(kept[:, None] - kept[None, :]) + np.eye(len(kept))
     assert np.all(gaps > DUPLICATE_TOL)
     for z in points:
-        for g in group.elements:
+        for g in map(MobiusMap, group.theta.tolist(), group.a.tolist()):
             assert np.min(np.abs(kept - g(z))) <= DUPLICATE_TOL + 1e-15
 
 
