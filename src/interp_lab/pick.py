@@ -13,7 +13,7 @@ interior-point solve brackets it to a certified gap.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .sdp import (
     DEFAULT_TOL,
     EIG_ROUNDING_UNITS,
     AffineConstraint,
+    Bracket,
     SdpResult,
     _check_parameters,
     _decomposes,
@@ -203,12 +204,11 @@ def _slices_and_gramians(points, specs, gap: float) -> tuple[np.ndarray, np.ndar
     return distinct, g
 
 
-def _checked_bracket(r, a, c, necessary: float, certified: float, gap: float):
-    """Checked ends (lower, upper) of the smallest u at which u·A − C decomposes
-    over the R stack.  Where the closed-form ends differ by more than ``gap``, one
-    interior-point solve tightens them, re-checked from scratch: its blocks at ``res.upper``
-    by ``_decomposes``; its dual Y by Re⟨A,Y⟩ > 0 and every conj(R_l)∘Y ⪰ 0, which give
-    u ≥ Re⟨C,Y⟩/Re⟨A,Y⟩ as u·⟨A,Y⟩ − ⟨C,Y⟩ = Σ_l ⟨G_l, conj(R_l)∘Y⟩ ≥ 0.
+def _checked_bracket(r, a, c, necessary: float, certified: float, gap: float) -> Bracket:
+    """The checked :class:`Bracket` of the smallest u at which u·A − C decomposes over the R stack.  Where the
+    closed-form ends differ by more than ``gap``, one interior-point solve tightens them, re-checked from scratch:
+    its blocks by ``_decomposes``; its dual Y by Re⟨A,Y⟩ > 0 and every conj(R_l)∘Y ⪰ 0, which give u ≥ Re⟨C,Y⟩/Re⟨A,Y⟩
+    as u·⟨A,Y⟩ − ⟨C,Y⟩ = Σ_l ⟨G_l, conj(R_l)∘Y⟩ ≥ 0.  A certificate that fails or beats no closed-form end is None.
 
     For n <= 2 the certified end is exact, so no solve runs: with Ĝ_l = [[1,
     g_l], [ḡ_l, 1]] and PSD H_l = [[p_l, q_l], [q̄_l, s_l]], M·I − J = Σ_l H_l ∘
@@ -216,44 +216,43 @@ def _checked_bracket(r, a, c, necessary: float, certified: float, gap: float):
     so M ≥ 1 + min_l |g_l|, the certified end; N and C follow the same way.
     """
     if r.shape[1] <= 2:
-        return certified, certified
+        return Bracket(certified, certified, None, None, 0, "two-point-exact")
     if certified - necessary <= gap:
-        return necessary, certified
-    res = barrier_solve(r, a, c, (necessary, certified), gap)
+        return Bracket(necessary, certified, None, None, 0, "closed-form")
+    res, blocks, dual = barrier_solve(r, a, c, (necessary, certified), gap), None, None
     if res.upper < certified and _decomposes(r, res.upper * a - c, res.blocks):
-        certified = max(necessary, res.upper)
+        certified, blocks = max(necessary, float(res.upper)), res.blocks
     if np.real(np.vdot(a, res.dual)) > 0.0 and np.min(eigvalsh_hermitian(np.conj(r) * res.dual)) >= 0.0:
-        necessary = max(necessary, float(np.real(np.vdot(c, res.dual)) / np.real(np.vdot(a, res.dual))))
-    return necessary, certified
+        if (bound := float(np.real(np.vdot(c, res.dual)) / np.real(np.vdot(a, res.dual)))) > necessary:
+            necessary, dual = bound, res.dual
+    return replace(res, lower=necessary, upper=certified, dual=dual, blocks=blocks)
 
 
-def _condition_a_bracket(points, specs, gap: float) -> tuple[float, float]:
-    """Checked ends (dual, certified) of the smallest M at which M·I − J decomposes."""
+def _condition_a_bracket(points, specs, gap: float) -> Bracket:
+    """Checked ends (dual, certified) of the smallest M at which M·I − J decomposes (u = M)."""
     r, g = _slices_and_gramians(points, specs, gap)
-    n, top = r.shape[1], eigvalsh_hermitian(g)[:, -1]
-    return _checked_bracket(r, np.eye(n), np.ones((n, n)), max(1.0, top[-1]),
-                            max(1.0, min(top[:-1])), gap)
+    n, top = r.shape[1], eigvalsh_lower(g)[:, -1].tolist()
+    return _checked_bracket(r, np.eye(n), np.ones((n, n)), max(1.0, top[-1]), max(1.0, min(top[:-1])), gap)
 
 
 def condition_a_constant(points, specs, *, bisection_tol: float = BISECTION_TOL) -> float:
     """Smallest M >= 1 such that M*I - J admits a PSD Schur-product decomposition;
     it lies in [max(1, λmax(Ĝ)), max(1, min_l λmax(Ĝ_l))]."""
-    return _condition_a_bracket(points, specs, bisection_tol)[1]
+    return _condition_a_bracket(points, specs, bisection_tol).upper
 
 
-def _condition_b_bracket(points, specs, gap: float) -> tuple[float, float]:
-    """Checked ends (certified, dual) of the largest N at which J − N·I decomposes (u = −N)."""
+def _condition_b_bracket(points, specs, gap: float) -> Bracket:
+    """Checked ends (certified, dual) of the largest N at which J − N·I decomposes: those of u = −N, swapped."""
     r, g = _slices_and_gramians(points, specs, gap)
-    n, bottom = r.shape[1], eigvalsh_hermitian(g)[:, 0]
-    lower, upper = _checked_bracket(r, np.eye(n), -np.ones((n, n)), -min(1.0, bottom[-1]),
-                                    -max(0.0, max(bottom[:-1])), gap)
-    return -upper, -lower
+    n, bottom = r.shape[1], eigvalsh_lower(g)[:, 0].tolist()
+    u = _checked_bracket(r, np.eye(n), -np.ones((n, n)), -min(1.0, bottom[-1]), -max(0.0, max(bottom[:-1])), gap)
+    return replace(u, lower=-u.upper, upper=-u.lower)
 
 
 def condition_b_constant(points, specs, *, bisection_tol: float = BISECTION_TOL) -> float:
     """Largest N in [0, 1] such that J - N*I admits a PSD Schur-product
     decomposition; it lies in [max(0, max_l λmin(Ĝ_l)), min(1, λmin(Ĝ))]."""
-    return _condition_b_bracket(points, specs, bisection_tol)[0]
+    return _condition_b_bracket(points, specs, bisection_tol).lower
 
 
 def _pick_norm(g: np.ndarray, w: np.ndarray) -> float:
@@ -270,8 +269,8 @@ def _pick_norm(g: np.ndarray, w: np.ndarray) -> float:
     return float(np.linalg.norm(np.linalg.solve(chol, w[:, None] * chol), 2))
 
 
-def _interpolation_bracket(points, specs, values, gap: float) -> tuple[float, float]:
-    """Checked ends (dual, certified) of the minimal C at which C²J − W decomposes."""
+def _interpolation_bracket(points, specs, values, gap: float) -> Bracket:
+    """Checked ends (dual, certified) of the least C where C²J − W decomposes; certificates: (C/scale)²J − W/scale²."""
     vals = np.asarray(_finite_values(values))
     r, g = _slices_and_gramians(points, specs, gap)
     if len(vals) != (n := r.shape[1]):
@@ -288,7 +287,7 @@ def _interpolation_bracket(points, specs, values, gap: float) -> tuple[float, fl
     # Solved for u = C^2: a gap of 2·gap·√μ(Ĝ) on u is at most gap on C.
     u = _checked_bracket(r, np.ones((n, n)), np.outer(w, np.conj(w)),
                          norms[-1] ** 2, min(norms[:-1]) ** 2, 2.0 * gap * norms[-1])
-    return scale * float(np.sqrt(u[0])), scale * float(np.sqrt(u[1]))
+    return replace(u, lower=float(scale * np.sqrt(u.lower)), upper=float(scale * np.sqrt(u.upper)))
 
 
 def pick_constant_for_values(points, specs, values, *, bisection_tol: float = 1e-6) -> float:
@@ -297,7 +296,7 @@ def pick_constant_for_values(points, specs, values, *, bisection_tol: float = 1e
     values, so values below unit size are solved at unit size.  :class:`BudgetError`
     when C's dual end exceeds √BRACKET_LIMIT = 1000, or no slice Ĝ_l gives a finite
     certified end."""
-    return _interpolation_bracket(points, specs, values, bisection_tol)[1]
+    return _interpolation_bracket(points, specs, values, bisection_tol).upper
 
 
 def vector_valued_feasible(points, specs, n_bound: float) -> bool:
@@ -306,7 +305,7 @@ def vector_valued_feasible(points, specs, n_bound: float) -> bool:
     above its dual end, BudgetError in between, a band at most BISECTION_TOL wide."""
     if not 0.0 < n_bound <= 1.0:
         raise DomainError(f"N must lie in (0, 1], got {n_bound}")
-    certified, dual = _condition_b_bracket(points, specs, BISECTION_TOL)
-    if certified < n_bound <= dual:
-        raise BudgetError(f"J - {n_bound:g}*I undecided: N lies in [{certified:.9g}, {dual:.9g}]")
-    return n_bound <= certified
+    n = _condition_b_bracket(points, specs, BISECTION_TOL)
+    if n.lower < n_bound <= n.upper:
+        raise BudgetError(f"J - {n_bound:g}*I undecided: N lies in [{n.lower:.9g}, {n.upper:.9g}]")
+    return n_bound <= n.lower

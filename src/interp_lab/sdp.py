@@ -206,16 +206,17 @@ def dykstra_solve(constraint: AffineConstraint, tol: float = DEFAULT_TOL,
 
 
 @dataclass(eq=False)
-class BarrierResult:
-    """Certified ends of ``min u`` such that ``u A - C`` decomposes: ``lower``
-    is the caller's lower end or, when larger, the dual bound of ``dual``;
-    ``upper`` comes with ``blocks`` (inf and None when none passed a check)."""
+class Bracket:
+    """Certified ends of ``min u`` such that ``u A - C`` decomposes: ``lower`` a closed-form end or, when larger, the
+    dual bound of ``dual``; ``upper`` one or the u where ``blocks`` decompose (inf and None when none passed a check);
+    ``method`` is ``interior-point`` (``steps`` Newton steps), ``closed-form`` or ``two-point-exact``."""
 
     lower: float
     upper: float
-    dual: np.ndarray
+    dual: np.ndarray | None
     blocks: np.ndarray | None
     steps: int
+    method: str
 
 
 def _decomposes(r, target, blocks) -> bool:
@@ -258,7 +259,7 @@ def _step_length(mu, decrement: float) -> float:
     return alpha
 
 
-def barrier_solve(r, a, c, bracket: tuple[float, float], gap: float) -> BarrierResult:
+def barrier_solve(r, a, c, bracket: tuple[float, float], gap: float) -> Bracket:
     """Bracket ``min u`` such that ``u A - C = sum_l G_l ∘ R_l`` over PSD blocks.
 
     With ``A`` = I or J, Y = I/n is strictly feasible for the dual: max <C,Y>
@@ -279,7 +280,7 @@ def barrier_solve(r, a, c, bracket: tuple[float, float], gap: float) -> BarrierR
     outer = np.einsum("lij,lkm->lijkm", r, rc)  # vec R_l vec R_l^H
     y, t, factor = np.eye(n, dtype=complex) / n, d * n / max(bracket[1] - bracket[0], gap), None
     growth = (ratio := 2.0 * d * n / gap / t) ** (1.0 / np.ceil(np.log(ratio) / np.log(BARRIER_GROWTH)))
-    result = BarrierResult(bracket[0], np.inf, y, None, 0)
+    result = Bracket(bracket[0], np.inf, y, None, 0, "interior-point")
     skipped = []  # (nu/t, blocks) of centred points whose primal end was not checked
 
     def certify(u, blocks):

@@ -637,6 +637,22 @@ class TestReadmePayloads:
             assert report["results"]["feasible"] is False
 
 
+def readme_library_code() -> str:
+    """The Python code block under README's "Library" heading."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def test_readme_library_example_gives_the_values_in_its_comments():
+    namespace = {}
+    exec(readme_library_code(), namespace)
+    assert abs(namespace["m"] - (1 + 3 ** 0.5 / 2)) <= 1e-12
+    assert abs(namespace["c"] - 1.0) <= 1e-12
+
+
 RIESZ_KEYS = ["carleson_constant", "is_riesz", "lambda_max", "lambda_min", "riesz_tolerance"]
 
 RESULT_KEYS = {

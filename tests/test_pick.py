@@ -265,7 +265,8 @@ class TestVectorValuedFeasible:
         for _ in range(6):
             z = 0.8 * np.sqrt(rng.uniform(size=(5, 2))) * np.exp(2j * np.pi * rng.uniform(size=(5, 2)))
             pts = [tuple(row) for row in z]
-            n_lo, n_hi = _condition_b_bracket(pts, BIDISC, BISECTION_TOL)
+            bracket = _condition_b_bracket(pts, BIDISC, BISECTION_TOL)
+            n_lo, n_hi = bracket.lower, bracket.upper
             assert n_lo == condition_b_constant(pts, BIDISC)
             assert 0.0 < n_lo <= n_hi <= n_lo + BISECTION_TOL
             assert vector_valued_feasible(pts, BIDISC, 0.9 * n_lo)
@@ -362,18 +363,14 @@ class TestClosedFormBrackets:
         assert abs(condition_a_constant([0, r], SZEGO) - (1 + s)) <= 1e-12
         assert abs(condition_b_constant([0, r], SZEGO) - (1 - s)) <= 1e-12
 
-    def test_identical_slices_need_no_solve(self, rng, monkeypatch):
-        from interp_lab import pick
-
-        def no_solve(*args, **kwargs):
-            raise AssertionError("feasibility solve on identical slices")
-
-        monkeypatch.setattr(pick, "barrier_solve", no_solve)
+    def test_identical_slices_need_no_solve(self, rng):
         z = random_disk_points(rng, 4, max_radius=0.8, min_separation=0.1)
         w = np.linalg.eigvalsh(normalized_gramian(z, SZEGO))
         pts = [(p, p) for p in z]
         assert abs(condition_a_constant(pts, BIDISC) - w[-1]) <= 1e-12
         assert abs(condition_b_constant(pts, BIDISC) - w[0]) <= 1e-12
+        for bracket, *_ in u_problems(pts, BIDISC, z):
+            assert bracket.method == "closed-form" and bracket.steps == 0
 
     def test_one_variable_constant_is_sqrt_mu(self, rng):
         for _ in range(3):
@@ -408,18 +405,30 @@ def checked_dual(r, a, b, y):
     return np.real(np.vdot(b, y)) / np.real(np.vdot(a, y))
 
 
-def spy_on_solver(monkeypatch):
-    """Record every interior-point result that the constants receive."""
-    from interp_lab import pick
+def u_problems(pts, spec, values):
+    """(bracket, gap, A, B, certified u, dual u) for M, N and C: each bracket with the problem its certificates
+    solve, the least u at which u·A − B decomposes.  For N, u = −N; for C, u = (C/s)² with the values over
+    s = min(1, max|w_i|)."""
+    from interp_lab.pick import BISECTION_TOL, _condition_a_bracket, _condition_b_bracket, _interpolation_bracket
 
-    results, solve = [], pick.barrier_solve
+    n, s, values = len(pts), min(1.0, np.max(np.abs(values))) or 1.0, np.asarray(values)
+    m, nv = _condition_a_bracket(pts, spec, BISECTION_TOL), _condition_b_bracket(pts, spec, BISECTION_TOL)
+    c = _interpolation_bracket(pts, spec, values, 1e-6)
+    return [(m, BISECTION_TOL, np.eye(n), np.ones((n, n)), m.upper, m.lower),
+            (nv, BISECTION_TOL, np.eye(n), -np.ones((n, n)), -nv.lower, -nv.upper),
+            (c, 1e-6, np.ones((n, n)), np.outer(values, np.conj(values)) / s ** 2, (c.upper / s) ** 2,
+             (c.lower / s) ** 2)]
 
-    def spy(*args, **kwargs):
-        results.append(solve(*args, **kwargs))
-        return results[-1]
 
-    monkeypatch.setattr(pick, "barrier_solve", spy)
-    return results
+def assert_certificates(r, bracket, a, b, certified, dual):
+    """The bracket's blocks, where not None, decompose certified·A − B, and its dual Y, where not None,
+    bounds u below by the dual end.  The closed-form ends lie more than the gap apart, so one is present."""
+    assert bracket.blocks is not None or bracket.dual is not None
+    if bracket.blocks is not None:
+        residual, margin = check_certificate(bracket.blocks, AffineConstraint(r, certified * a - b))
+        assert residual <= 1e-7 and margin >= -1e-7
+    if bracket.dual is not None:
+        assert checked_dual(r, a, b, bracket.dual) == pytest.approx(dual, rel=1e-12)
 
 
 def seeded_bidisc_set(n):
@@ -433,39 +442,25 @@ def seeded_bidisc_set(n):
 
 class TestInteriorPointConstants:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    def test_constants_certified_from_both_sides(self, n, monkeypatch):
-        from interp_lab import AffineConstraint, check_certificate
-
+    def test_constants_certified_from_both_sides(self, n):
+        # The values reach 1.2, so C's problem is at the values' own scale.
         pts, values = seeded_bidisc_set(n)
-        r, eye, ones = bidisc_r(pts), np.eye(n), np.ones((n, n))
-        results = spy_on_solver(monkeypatch)
-        m = condition_a_constant(pts, BIDISC)
-        nv = condition_b_constant(pts, BIDISC)
-        c = pick_constant_for_values(pts, BIDISC, values)
-        assert len(results) == 3
-        # Each constant as the smallest u at which u·A − B decomposes, the map
-        # from u back to the constant, and the default gap.
-        cases = [((m, eye, ones), lambda u: u, 1e-5),
-                 ((-nv, eye, -ones), lambda u: -u, 1e-5),
-                 ((c * c, ones, np.outer(values, np.conj(values))), np.sqrt, 1e-6)]
-        for ((u, a, b), constant, gap), res in zip(cases, results):
-            # The returned end lies at or above the solver's checked end; lift
-            # its blocks by (u − upper)·(A ⊘ R_l)/2, which adds (u − upper)·A.
-            assert res.upper <= u + 1e-12 * abs(u)
-            blocks = res.blocks + (u - res.upper) * (a / r) / 2
-            residual, margin = check_certificate(blocks, AffineConstraint(r, u * a - b))
-            assert residual <= 1e-7 and margin >= -1e-7
-            bound = checked_dual(r, a, b, res.dual)
-            assert bound <= u + 1e-12 * abs(u)
-            assert abs(constant(u) - constant(bound)) <= gap
+        (m, *_), (nv, *_), (c, *_) = problems = u_problems(pts, BIDISC, values)
+        assert condition_a_constant(pts, BIDISC) == m.upper
+        assert condition_b_constant(pts, BIDISC) == nv.lower
+        assert pick_constant_for_values(pts, BIDISC, values) == c.upper
+        for bracket, gap, *problem in problems:
+            assert bracket.method == "interior-point" and bracket.lower <= bracket.upper <= bracket.lower + gap
+            assert bracket.blocks is not None and bracket.dual is not None
+            assert_certificates(bidisc_r(pts), bracket, *problem)
 
     def test_uncertified_solve_returns_closed_form_end(self, monkeypatch):
         from interp_lab import pick
-        from interp_lab.sdp import BarrierResult
+        from interp_lab.sdp import Bracket
 
         def bad_point(r, a, c, bracket, gap):
             # Claims the necessary end with blocks that decompose nothing.
-            return BarrierResult(bracket[0], bracket[0], np.eye(r.shape[1]), np.zeros_like(r), 1)
+            return Bracket(bracket[0], bracket[0], np.eye(r.shape[1]), np.zeros_like(r), 1, "interior-point")
 
         monkeypatch.setattr(pick, "barrier_solve", bad_point)
         pts, values = seeded_bidisc_set(4)
@@ -492,28 +487,25 @@ class TestInteriorPointConstants:
         assert m == max(1.0, min(np.linalg.eigvalsh(g1)[-1], np.linalg.eigvalsh(g2)[-1]))
         assert abs(m - 2.627270201) <= 1e-9
 
-    def test_small_data_constant_is_relatively_accurate(self, monkeypatch):
-        results = spy_on_solver(monkeypatch)
+    def test_small_data_constant_is_relatively_accurate(self):
+        from interp_lab.pick import _interpolation_bracket
+
         # Three points: two-point constants are exact without a solve.
         pts, values = [(0, 0), (0.5, 0.3), (-0.4 + 0.1j, 0.2 - 0.5j)], np.array([0, 0.5e-8, 0.3e-8j])
         c = pick_constant_for_values(pts, BIDISC, values)
-        assert len(results) == 1
+        bracket = _interpolation_bracket(pts, BIDISC, values, 1e-6)
+        assert bracket.method == "interior-point" and bracket.upper == c
         bound = np.sqrt(checked_dual(bidisc_r(pts), np.ones((3, 3)),
-                                     np.outer(values, np.conj(values)), results[0].dual))
+                                     np.outer(values, np.conj(values)), bracket.dual))
         assert bound <= c * (1 + 1e-12)
         assert c - bound <= 1e-3 * bound
 
 
 class TestTwoPointConstants:
-    def test_certified_end_is_exact_without_a_solve(self, monkeypatch):
-        from interp_lab import KernelSpec, pick, sdp
+    def test_certified_end_is_exact_without_a_solve(self):
+        from interp_lab import KernelSpec, sdp
         from interp_lab.pick import inverse_kernel_stack
 
-        def no_two_point_solve(r, *args):
-            assert r.shape[1] > 2, "interior-point solve on two points"
-            return sdp.barrier_solve(r, *args)
-
-        monkeypatch.setattr(pick, "barrier_solve", no_two_point_solve)
         rng = np.random.default_rng(2)
         for _ in range(50):
             d = int(rng.integers(2, 4))
@@ -522,9 +514,11 @@ class TestTwoPointConstants:
             z = 0.95 * np.sqrt(rng.uniform(size=(2, d))) * np.exp(2j * np.pi * rng.uniform(size=(2, d)))
             w = 0.95 * np.sqrt(rng.uniform(size=2)) * np.exp(2j * np.pi * rng.uniform(size=2))
             pts = [tuple(p) for p in z]
-            m = condition_a_constant(pts, spec)
-            nv = condition_b_constant(pts, spec)
-            c = pick_constant_for_values(pts, spec, w)
+            brackets = [bracket for bracket, *_ in u_problems(pts, spec, w)]
+            for bracket in brackets:
+                assert bracket.method == "two-point-exact" and bracket.steps == 0
+                assert bracket.blocks is None and bracket.dual is None
+            m, nv, c = brackets[0].upper, brackets[1].lower, brackets[2].upper
             r, eye, ones = inverse_kernel_stack(pts, spec), np.eye(2), np.ones((2, 2))
             cases = [(m, eye, ones, 1.0), (-nv, eye, -ones, 1.0), (c * c, ones, np.outer(w, np.conj(w)), c * c)]
             for u, a, b, scale in cases:
@@ -693,21 +687,21 @@ def sweep_sets():
         yield split_cluster_set(seed)
 
 
-def test_sweep_brackets_close_with_checked_ends(monkeypatch):
-    from interp_lab.pick import BISECTION_TOL, _condition_a_bracket, _condition_b_bracket, _interpolation_bracket
+def test_sweep_brackets_close_with_checked_ends():
+    from interp_lab.pick import inverse_kernel_stack
 
-    calls = spy_on_solves(monkeypatch)
+    # Every constant of every set runs one solve, whose certificates are re-checked from scratch.
     for pts, spec, w in sweep_sets():
-        brackets = (_condition_a_bracket(pts, spec, BISECTION_TOL), _condition_b_bracket(pts, spec, BISECTION_TOL),
-                    _interpolation_bracket(pts, spec, w, 1e-6))
-        for (lower, upper), gap in zip(brackets, (BISECTION_TOL, BISECTION_TOL, 1e-6)):
-            assert lower <= upper <= lower + gap
-    # Every constant of every set runs one solve, whose ends are re-checked from scratch.
-    assert len(calls) == 3 * 42
-    for (r, a, b, _, gap), res in calls:
-        assert_checked_primal_end(r, a, b, res)
-        assert checked_dual(r, a, b, res.dual) == pytest.approx(res.lower, rel=1e-12)
-        assert res.upper - res.lower <= gap
+        for bracket, gap, *problem in u_problems(pts, spec, w):
+            assert bracket.lower <= bracket.upper <= bracket.lower + gap
+            assert bracket.method == "interior-point" and bracket.steps >= 1
+            assert_certificates(inverse_kernel_stack(pts, spec), bracket, *problem)
+    # Two points: both ends exact, no solve.  Identical slices: the closed-form ends meet.
+    for bracket, *_ in u_problems([(0.1, 0.2j), (0.5, -0.3)], BIDISC, [0.2, 0.7j]):
+        assert (bracket.method, bracket.steps, bracket.blocks, bracket.dual) == ("two-point-exact", 0, None, None)
+        assert bracket.lower == bracket.upper
+    for bracket, *_ in u_problems([(z, z) for z in (0.1, 0.5j, -0.4 + 0.2j)], BIDISC, [0.2, 0.7j, 0.1]):
+        assert (bracket.method, bracket.steps, bracket.blocks, bracket.dual) == ("closed-form", 0, None, None)
 
 
 def pick_target(values, bound):
@@ -736,7 +730,8 @@ class TestFixedTargetVerdicts:
             z = 0.8 * np.sqrt(rng.uniform(size=(5, 2))) * np.exp(2j * np.pi * rng.uniform(size=(5, 2)))
             w = 0.7 * (rng.normal(size=5) + 1j * rng.normal(size=5))
             pts = [tuple(p) for p in z]
-            dual, c = _interpolation_bracket(pts, BIDISC, w, 1e-8)
+            bracket = _interpolation_bracket(pts, BIDISC, w, 1e-8)
+            dual, c = bracket.lower, bracket.upper
             for factor in (0.98, 0.9999, 1.0001, 1.02):
                 assert factor * c < dual if factor < 1 else factor * c > c
                 target = pick_target(w, factor * c)

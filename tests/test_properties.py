@@ -314,7 +314,7 @@ def test_interpolation_constant_is_at_most_sqrt_m_over_n(data):
     m_cert = condition_a_constant(points, specs)
     n_cert = condition_b_constant(points, specs)
     assume(n_cert > LAW_SLACK)
-    c_dual = _interpolation_bracket(points, specs, values, 1e-6)[0]
+    c_dual = _interpolation_bracket(points, specs, values, 1e-6).lower
     assert c_dual ** 2 <= (m_cert + LAW_SLACK) / (n_cert - LAW_SLACK)
 
 
@@ -333,8 +333,8 @@ def test_fewer_points_never_raise_m_or_lower_n(data, dropped):
     m_cert, n_cert = condition_a_constant(points, specs), condition_b_constant(points, specs)
     subset = [p for i, p in enumerate(points) if i != dropped % len(points)]
     for sub in (points, subset):
-        assert _condition_a_bracket(sub, specs, BISECTION_TOL)[0] <= m_cert + LAW_SLACK
-        assert _condition_b_bracket(sub, specs, BISECTION_TOL)[1] >= n_cert - LAW_SLACK
+        assert _condition_a_bracket(sub, specs, BISECTION_TOL).lower <= m_cert + LAW_SLACK
+        assert _condition_b_bracket(sub, specs, BISECTION_TOL).upper >= n_cert - LAW_SLACK
 
 
 @settings(max_examples=25, deadline=None)
@@ -351,11 +351,11 @@ def test_appended_factor_never_raises_m_or_c_or_lowers_n(data):
     """
     points, specs, values = data
     base, base_specs = [p[:2] for p in points], specs[:2]
-    assert (_condition_a_bracket(points, specs, BISECTION_TOL)[0]
+    assert (_condition_a_bracket(points, specs, BISECTION_TOL).lower
             <= condition_a_constant(base, base_specs) + LAW_SLACK)
-    assert (_condition_b_bracket(points, specs, BISECTION_TOL)[1]
+    assert (_condition_b_bracket(points, specs, BISECTION_TOL).upper
             >= condition_b_constant(base, base_specs) - LAW_SLACK)
-    c_dual = _interpolation_bracket(points, specs, values, 1e-6)[0]
+    c_dual = _interpolation_bracket(points, specs, values, 1e-6).lower
     assert c_dual ** 2 <= pick_constant_for_values(base, base_specs, values) ** 2 + LAW_SLACK
 
 
@@ -378,9 +378,9 @@ def assert_same_constants(data, moved):
     other set's certified end, within LAW_SLACK, and C² within C_ROUNDING of it besides."""
     ends = checked_ends(*data), checked_ends(*moved)
     for x, y in (ends, ends[::-1]):
-        assert x["M"][0] <= y["M"][1] + LAW_SLACK
-        assert x["N"][1] >= y["N"][0] - LAW_SLACK
-        assert x["C"][0] ** 2 <= y["C"][1] ** 2 * (1.0 + C_ROUNDING) + LAW_SLACK
+        assert x["M"].lower <= y["M"].upper + LAW_SLACK
+        assert x["N"].upper >= y["N"].lower - LAW_SLACK
+        assert x["C"].lower ** 2 <= y["C"].upper ** 2 * (1.0 + C_ROUNDING) + LAW_SLACK
 
 
 @settings(max_examples=25, deadline=None)
